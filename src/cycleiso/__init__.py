@@ -16,7 +16,7 @@ from .constructive import (
     classify_component,
     construct,
 )
-from .cycles import all_cycles, contains_cycle
+from .cycles import all_cycles
 from .family import (
     ConsDecomposition,
     Tree,
@@ -27,7 +27,6 @@ from .family import (
     verify_extremal_equality,
 )
 from .graphs import (
-    ComponentSplit,
     Graph,
     GraphFormatError,
     boundary_edge_count,
@@ -66,7 +65,6 @@ __all__ = [
     "BudgetExceededError",
     "CaseTrace",
     "ComponentClass",
-    "ComponentSplit",
     "ConsDecomposition",
     "ExactResult",
     "Graph",
@@ -89,7 +87,6 @@ __all__ = [
     "conjecture_bound",
     "connected_components",
     "construct",
-    "contains_cycle",
     "delete_closed_neighborhood",
     "encode_graph6",
     "enumerate_connected",

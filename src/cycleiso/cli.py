@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 survey found violations,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -292,23 +293,15 @@ def _survey_spec(args) -> BoundSpec:
     presets = [bool(args.bound), args.bound_c3, args.bound_c4, args.conjecture]
     if sum(presets) > 1:
         raise CliError("give only one bound specification")
-    if args.bound_c3:
-        spec = BoundSpec(k=3, a=0, b=1, c=1, d=5)
-    elif args.bound_c4:
-        spec = BoundSpec(k=4, a=0, b=1, c=1, d=6)
-    elif args.conjecture:
-        spec = conjecture_bound(args.k)
-    elif args.bound:
+    if args.bound:
         spec = _parse_bound(args.bound, args.k)
-    else:
-        spec = conjecture_bound(args.k)
+    else:  # --bound-c3 and --bound-c4 are the (m+1)/(k+2) bound at k = 3 and 4
+        spec = conjecture_bound(3 if args.bound_c3 else 4 if args.bound_c4 else args.k)
     if args.exclude:
         try:
             with open(args.exclude, encoding="ascii") as fh:
                 exclusions = tuple(ln.strip() for ln in fh if ln.strip())
-            spec = BoundSpec(
-                k=spec.k, a=spec.a, b=spec.b, c=spec.c, d=spec.d, exclusions=exclusions
-            )
+            spec = dataclasses.replace(spec, exclusions=exclusions)
         except (OSError, ValueError, GraphFormatError) as exc:
             raise CliError(f"bad exclusion list: {exc}") from None
     return spec
@@ -318,6 +311,8 @@ def _survey_graphs(args) -> list[Graph]:
     if args.enumerate is not None:
         if args.graph6 or args.file:
             raise CliError("--enumerate conflicts with --graph6/--file input")
+        if args.enumerate < 1:
+            raise CliError("--enumerate needs N >= 1")
         try:
             return [
                 g
@@ -384,29 +379,18 @@ def _cmd_check(args) -> int:
     if args.format == "csv":
         print(rec.CSV_HEADER)
         print(rec.csv_row())
-        return (
-            EXIT_VIOLATIONS
-            if rec.status == "violation"
-            else EXIT_BUDGET
-            if rec.status == "budget_exhausted"
-            else EXIT_OK
+    else:
+        _emit(
+            args,
+            rec.to_dict(),
+            [
+                f"graph6: {rec.graph6}",
+                f"status: {rec.status}",
+                f"iota: {rec.iota if rec.iota is not None else '-'} vs bound {rec.bound}",
+                f"class: {rec.extremal_class or '-'}",
+            ],
         )
-    payload = rec.to_dict()
-    _emit(
-        args,
-        payload,
-        [
-            f"graph6: {rec.graph6}",
-            f"status: {rec.status}",
-            f"iota: {rec.iota if rec.iota is not None else '-'} vs bound {rec.bound}",
-            f"class: {rec.extremal_class or '-'}",
-        ],
-    )
-    if rec.status == "violation":
-        return EXIT_VIOLATIONS
-    if rec.status == "budget_exhausted":
-        return EXIT_BUDGET
-    return EXIT_OK
+    return {"violation": EXIT_VIOLATIONS, "budget_exhausted": EXIT_BUDGET}.get(rec.status, EXIT_OK)
 
 
 def _default_workers() -> int:

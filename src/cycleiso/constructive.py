@@ -179,9 +179,6 @@ class _Comp:
         """
         return (1 << w) | (self.conn_mask() & ~(1 << self.anchor_of(w)))
 
-    def tree_size(self) -> int:
-        return self.cls.decomposition.tree_size
-
 
 def _split(g: Graph, removed: VertexSet) -> list[_Comp]:
     return [_Comp(g, m) for m in component_masks(g, g.full_mask & ~removed)]
@@ -263,9 +260,8 @@ def _result(
 ) -> tuple[VertexSet, list[TraceStep]]:
     """Assemble a branch result: direct part plus recursion on components."""
     recursed = recursed or []
-    if __debug__ and lemma_s is not None:
-        if not check_gluing_hypothesis(g, lemma_s, direct, 4):
-            raise _DispatchError("gluing hypothesis violated in a structural branch")
+    if lemma_s is not None and not check_gluing_hypothesis(g, lemma_s, direct, 4):
+        raise _DispatchError("gluing hypothesis violated in a structural branch")
     d = direct
     sub_steps: list[TraceStep] = []
     pieces = []
@@ -390,15 +386,10 @@ def _subcase_1_2(
     carriers = sorted(u for u in cyc if g.adj[u] & ~wmask)
     if len(carriers) != e:  # maximum degree 3 allows one external edge per vertex
         raise _DispatchError("carrier count does not match the boundary")
-    antipode = {cyc[i]: cyc[(i + 2) % 4] for i in range(4)}
     if e == 1:
         return _sub_1_2_1(g, cyc, wmask, carriers[0])
-    if e == 2:
-        return _sub_1_2_234(g, cyc, wmask, carriers, antipode, 2)
-    if e == 3:
-        return _sub_1_2_234(g, cyc, wmask, carriers, antipode, 3)
-    if e == 4:
-        return _sub_1_2_234(g, cyc, wmask, carriers, antipode, 4)
+    if 2 <= e <= 4:
+        return _sub_1_2_234(g, cyc, wmask, carriers, e)
     raise _DispatchError(f"chordless working cycle with boundary {e}")
 
 
@@ -459,7 +450,6 @@ def _sub_1_2_234(
     cyc: tuple[int, ...],
     wmask: VertexSet,
     carriers: list[int],
-    antipode: dict[int, int],
     e: int,
 ) -> tuple[VertexSet, list[TraceStep]]:
     tag = f"Subcase 1.2.{e}"
@@ -512,7 +502,7 @@ def _sub_1_2_234(
     if e == 4:
         ui = cyc[0]
     else:
-        ui = min(u for u in cyc if antipode[u] not in carriers)
+        ui = min(u for i, u in enumerate(cyc) if cyc[(i + 2) % 4] not in carriers)
     return _result(g, f"{tag}(ii)", wmask, 1 << ui, recursed=comps, lemma_s=wmask)
 
 

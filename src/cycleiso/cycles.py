@@ -35,15 +35,6 @@ def find_cycle(g: Graph, k: int, alive: VertexSet | None = None) -> Optional[Cyc
     return None
 
 
-def contains_cycle(g: Graph, k: int) -> Optional[CycleWitness]:
-    """Witness for a k-cycle subgraph of g, or None if g has none."""
-    return find_cycle(g, k)
-
-
-def has_cycle(g: Graph, k: int, alive: VertexSet | None = None) -> bool:
-    return find_cycle(g, k, alive) is not None
-
-
 def _find_c4(g: Graph, mask: VertexSet) -> Optional[CycleWitness]:
     adj = g.adj
     for u in bits(mask):

@@ -24,7 +24,9 @@ from .graphs import (
     Graph,
     VertexSet,
     bits,
+    component_masks,
     from_edge_list,
+    is_connected,
     mask_of,
     vertices_of,
 )
@@ -48,15 +50,7 @@ class Tree:
         g = from_edge_list(self.n, self.edges)
         if len(self.edges) != self.n - 1:
             raise ValueError("a tree on n vertices has exactly n-1 edges")
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v] & ~seen
-            seen |= nxt
-            frontier = nxt
-        if seen != g.full_mask:
+        if not is_connected(g):
             raise ValueError("tree edges do not connect all vertices")
 
     def adjacency(self) -> list[list[int]]:
@@ -185,24 +179,7 @@ def recognize(g: Graph, k: int) -> Optional[ConsDecomposition]:
     tree_edges = tuple(
         (u, v) for u in bits(rest) for v in bits(g.adj[u] & rest) if u < v
     )
-    if len(tree_edges) != t - 1:
-        return None
-    # connectivity of the connection vertices under tree_edges
-    rest_ids = list(bits(rest))
-    index = {v: i for i, v in enumerate(rest_ids)}
-    adj = [0] * t
-    for u, v in tree_edges:
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v] & ~seen
-        seen |= nxt
-        frontier = nxt
-    if seen != (1 << t) - 1:
+    if len(tree_edges) != t - 1 or len(component_masks(g, rest)) != 1:
         return None
     constituents.sort(key=lambda c: c.connection)
     return ConsDecomposition(

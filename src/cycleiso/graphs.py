@@ -13,7 +13,6 @@ single-byte order header (n <= 62) is supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 VertexSet = int  # bitmask over vertex ids
@@ -99,10 +98,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((row.bit_count() for row in self.adj), default=0)
 
-    @property
-    def min_degree(self) -> int:
-        return min((row.bit_count() for row in self.adj), default=0)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
 
@@ -151,12 +146,6 @@ def closed_neighborhood(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexS
     return out
 
 
-def open_neighborhood(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexSet:
-    """N(S): neighbours of S outside S."""
-    m = as_mask(g, s)
-    return closed_neighborhood(g, m) & ~m
-
-
 def induced_subgraph(g: Graph, keep: Union[VertexSet, Iterable[int]]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph on `keep`, renumbered 0.., plus the embedding local id -> parent id."""
     m = as_mask(g, keep)
@@ -178,19 +167,6 @@ def delete_closed_neighborhood(
     return induced_subgraph(g, g.full_mask & ~closed_neighborhood(g, d))
 
 
-@dataclass(frozen=True)
-class ComponentSplit:
-    """Connected components as (subgraph, embedding into the parent) pairs."""
-
-    parts: tuple[tuple[Graph, tuple[int, ...]], ...]
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-
 def component_masks(g: Graph, within: VertexSet | None = None) -> list[VertexSet]:
     """Vertex masks of the connected components of g (or of g restricted to a mask)."""
     alive = g.full_mask if within is None else as_mask(g, within)
@@ -210,8 +186,9 @@ def component_masks(g: Graph, within: VertexSet | None = None) -> list[VertexSet
     return out
 
 
-def connected_components(g: Graph) -> ComponentSplit:
-    return ComponentSplit(tuple(induced_subgraph(g, m) for m in component_masks(g)))
+def connected_components(g: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
+    """Connected components as (subgraph, embedding into g) pairs."""
+    return tuple(induced_subgraph(g, m) for m in component_masks(g))
 
 
 def is_connected(g: Graph) -> bool:
@@ -291,17 +268,15 @@ def parse_graph6(text: Union[str, bytes]) -> Graph:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n <count>" header plus one "u v" pair per line."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise GraphFormatError("empty edge-list input")
-    head = lines[0].split()
+    head = lines[0][1]
     if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
         raise GraphFormatError('edge-list input must start with a "n <count>" header')
     n = int(head[1])
     edges = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
+    for lineno, parts in lines[1:]:
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v'")
         try:

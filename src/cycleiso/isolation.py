@@ -16,15 +16,12 @@ from typing import Iterable, Union
 
 from .cycles import find_cycle
 from .graphs import (
-    ComponentSplit,
     Graph,
     VertexSet,
     as_mask,
     bits,
     closed_neighborhood,
     component_masks,
-    connected_components,
-    delete_closed_neighborhood,
     induced_subgraph,
     mask_of,
     vertices_of,
@@ -50,12 +47,15 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class IsolationCertificate:
-    """Verdict for one candidate set, with the residual components of G - N[D]."""
+    """Verdict for one candidate set, with the residual components of G - N[D].
+
+    Each residual component is a (subgraph, embedding into G) pair.
+    """
 
     k: int
     members: VertexSet
     valid: bool
-    residual: ComponentSplit
+    residual: tuple[tuple[Graph, tuple[int, ...]], ...]
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -78,13 +78,10 @@ def verify(g: Graph, d: Union[VertexSet, Iterable[int]], k: int) -> IsolationCer
     if k < 3:
         raise ValueError("cycle length must be at least 3")
     dm = as_mask(g, d)
-    rest, emb = delete_closed_neighborhood(g, dm)
-    parts = connected_components(rest)
-    lifted = tuple(
-        (sub, tuple(emb[i] for i in sub_emb)) for sub, sub_emb in parts
-    )
-    valid = all(find_cycle(sub, k) is None for sub, _ in lifted)
-    return IsolationCertificate(k=k, members=dm, valid=valid, residual=ComponentSplit(lifted))
+    alive = g.full_mask & ~closed_neighborhood(g, dm)
+    residual = tuple(induced_subgraph(g, m) for m in component_masks(g, alive))
+    valid = find_cycle(g, k, alive) is None
+    return IsolationCertificate(k=k, members=dm, valid=valid, residual=residual)
 
 
 class _Search:

@@ -132,10 +132,6 @@ def graph_from_code(n: int, code: int) -> Graph:
     return Graph(n, adj)
 
 
-def canonical_graph(g: Graph) -> Graph:
-    return graph_from_code(g.n, canonical_code(g))
-
-
 @lru_cache(maxsize=None)
 def _connected_codes(n: int) -> tuple[int, ...]:
     if n == 1:
@@ -389,9 +385,10 @@ def check_graph(
     return SurveyRecord(g6, n, m, k, iota, bound, status, tag)
 
 
-def _worker(args) -> list[tuple[int, SurveyRecord]]:
+def _worker(args) -> list[SurveyRecord]:
+    # graphs travel as graph6 text: Graph refuses attribute assignment, so it cannot be pickled
     chunk, spec, node_budget, keys = args
-    return [(idx, check_graph(parse_graph6(g6), spec, node_budget, keys)) for idx, g6 in chunk]
+    return [check_graph(parse_graph6(g6), spec, node_budget, keys) for g6 in chunk]
 
 
 def survey(
@@ -409,20 +406,18 @@ def survey(
         raise ValueError("worker count must be at least 1")
     started = time.perf_counter()
     keys = spec.exclusion_keys()
-    items = [(idx, encode_graph6(g)) for idx, g in enumerate(graphs)]
-    if workers == 1 or len(items) < 2 * workers:
-        indexed = [
-            (idx, check_graph(parse_graph6(g6), spec, node_budget, keys))
-            for idx, g6 in items
-        ]
+    graphs = list(graphs)
+    if workers == 1 or len(graphs) < 2 * workers:
+        records = [check_graph(g, spec, node_budget, keys) for g in graphs]
     else:
-        chunks = [items[i::workers] for i in range(workers)]
+        items = [encode_graph6(g) for g in graphs]
+        records = [None] * len(items)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
-                _worker, [(chunk, spec, node_budget, keys) for chunk in chunks]
+                _worker, [(items[i::workers], spec, node_budget, keys) for i in range(workers)]
             )
-            indexed = [pair for part in parts for pair in part]
-    indexed.sort(key=lambda p: p[0])
-    report = SurveyReport(spec=spec, records=[rec for _, rec in indexed])
+            for i, part in enumerate(parts):
+                records[i::workers] = part
+    report = SurveyReport(spec=spec, records=records)
     report.wall_time_s = time.perf_counter() - started
     return report

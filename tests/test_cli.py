@@ -194,6 +194,28 @@ def test_check_violation_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "graph, extra, code, status",
+    [
+        (encode_graph6(diamond()), ("--bound", "m-100/6"), 2, "violation"),
+        ("F~~~w", ("--budget", "1"), 3, "budget_exhausted"),
+    ],
+)
+def test_check_exit_codes_in_every_format(capsys, fmt, graph, extra, code, status):
+    rc, out, _ = run_cli(capsys, "check", "--graph6", graph, "-k", "4", *extra, "--format", fmt)
+    assert rc == code
+    assert status in out
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_survey_enumerate_below_one_exits_one(capsys, n):
+    code, out, err = run_cli(capsys, "survey", "--enumerate", n)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_survey_exclusion_file(capsys, tmp_path):
     # an order-based bound the diamond would violate, with the diamond
     # exempted by isomorphism through the exclusion list

@@ -144,6 +144,20 @@ def test_case2_star_bridge():
     assert "Case 2:star-bridge" in trace.labels
 
 
+def test_fallback_replaces_a_failed_glued_branch(monkeypatch):
+    # K_{2,3} plus a pendant: the top level is the glued "Case 2:no-special"
+    # branch, so a refused gluing guard leaves only the exact fallback
+    g = from_edge_list(6, [(0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)])
+    assert construct(g)[1].labels == ("Case 2:no-special", "base:no-C4")
+    monkeypatch.setattr(
+        "cycleiso.constructive.check_gluing_hypothesis", lambda *args: False
+    )
+    d, trace = construct(g)
+    assert trace.labels == ("fallback",)
+    assert d == iota_exact(g, 4).witness
+    assert verify(g, d, 4).valid
+
+
 def test_case2_special_component_peeled():
     # star K_{1,4} with a leaf tied to a diamond: the diamond is peeled as a
     # special component through the single-attachment subcase

@@ -1,6 +1,6 @@
 import pytest
 
-from cycleiso.cycles import _contains_cycle_generic, all_cycles, contains_cycle
+from cycleiso.cycles import _contains_cycle_generic, all_cycles, find_cycle
 from cycleiso.graphs import from_edge_list, induced_subgraph
 from util import (
     complete,
@@ -19,24 +19,24 @@ def witness_is_valid(g, wit, k):
 
 def test_c4_in_c4():
     g = cycle(4)
-    wit = contains_cycle(g, 4)
+    wit = find_cycle(g, 4)
     assert wit is not None
     witness_is_valid(g, wit, 4)
 
 
 def test_c5_has_no_c4():
-    assert contains_cycle(cycle(5), 4) is None
+    assert find_cycle(cycle(5), 4) is None
 
 
 def test_c6_has_no_c4_and_k4_has_one():
-    assert contains_cycle(cycle(6), 4) is None
-    wit = contains_cycle(complete(4), 4)
+    assert find_cycle(cycle(6), 4) is None
+    wit = find_cycle(complete(4), 4)
     witness_is_valid(complete(4), wit, 4)
 
 
 def test_rejects_small_k():
     with pytest.raises(ValueError):
-        contains_cycle(cycle(4), 2)
+        find_cycle(cycle(4), 2)
     with pytest.raises(ValueError):
         all_cycles(cycle(4), 1)
 
@@ -69,7 +69,7 @@ def test_all_cycles_deduplicated_and_valid(universe6):
 def test_existence_matches_oracle_exhaustive(universe7):
     for g in universe7:
         for k in range(3, g.n + 1):
-            assert (contains_cycle(g, k) is not None) == oracle_has_k_cycle(g, k)
+            assert (find_cycle(g, k) is not None) == oracle_has_k_cycle(g, k)
 
 
 def test_existence_on_disconnected_graphs(universe6):
@@ -81,12 +81,12 @@ def test_existence_on_disconnected_graphs(universe6):
     for _ in range(40):
         g = disjoint_union(rng.choice(universe6), rng.choice(universe6))
         for k in (3, 4, 5):
-            assert (contains_cycle(g, k) is not None) == oracle_has_k_cycle(g, k)
+            assert (find_cycle(g, k) is not None) == oracle_has_k_cycle(g, k)
 
 
 def test_fast_path_agrees_with_generic(universe7):
     for g in universe7:
-        assert (contains_cycle(g, 4) is None) == (_contains_cycle_generic(g, 4) is None)
+        assert (find_cycle(g, 4) is None) == (_contains_cycle_generic(g, 4) is None)
 
 
 def test_deleting_witness_vertex_breaks_it(universe6):

@@ -94,7 +94,7 @@ def test_deleted_vertices_not_adjacent_to_members():
 def test_connected_components_single():
     split = connected_components(cycle(4))
     assert len(split) == 1
-    assert split.parts[0][0].n == 4
+    assert split[0][0].n == 4
 
 
 def test_connected_components_union():
@@ -235,6 +235,9 @@ def test_edge_list_text_errors():
         parse_edge_list("n 3\n0\n")
     with pytest.raises(GraphFormatError):
         parse_edge_list("n 3\n0 x\n")
+    # blank lines still count: the error cites the physical line
+    with pytest.raises(GraphFormatError, match="^line 3: non-integer vertex id$"):
+        parse_edge_list("n 3\n\n0 x\n")
 
 
 def test_graph_immutable_and_hashable():

@@ -43,7 +43,7 @@ def test_verify_residual_embeddings():
     g = c4_plus()
     cert = verify(g, {4}, 4)
     assert cert.valid  # the pendant's closed neighbourhood opens the cycle
-    (sub, emb), = cert.residual.parts
+    (sub, emb), = cert.residual
     assert emb == (1, 2, 3)
     assert sub.m == 2
 
