@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+import time
 from typing import Optional
 
 from .constructive import bound_value, construct
@@ -32,6 +33,8 @@ from .graphs import (
 )
 from .isolation import BudgetExceededError, iota_exact, verify
 from .survey import (
+    ENUMERATION_MAX_N,
+    ENUMERATION_RANGE_ERROR,
     BoundSpec,
     IngestFailure,
     SurveyReport,
@@ -97,15 +100,24 @@ def _load_graph(args) -> Graph:
         if getattr(args, "file", None):
             with open(args.file, encoding="ascii") as fh:
                 text = fh.read()
-            if text.lstrip().startswith("n "):
-                return parse_edge_list(text)
-            return parse_graph6(text)
+            if _looks_like_graph6(text):
+                return parse_graph6(text)
+            return parse_edge_list(text)
         line = sys.stdin.readline()
         if not line.strip():
             raise CliError("no graph on stdin")
         return parse_graph6(line)
     except (GraphFormatError, OSError) as exc:
         raise CliError(str(exc)) from None
+
+
+def _looks_like_graph6(text: str) -> bool:
+    """A lone token of graph6 bytes (63..126) on the first non-blank line."""
+    first = next((ln.split() for ln in text.splitlines() if ln.strip()), [])
+    if len(first) != 1:
+        return False
+    token = first[0].removeprefix(">>graph6<<")
+    return bool(token) and all(63 <= ord(ch) <= 126 for ch in token)
 
 
 def _parse_vertex_set(text: str) -> int:
@@ -313,14 +325,9 @@ def _survey_graphs(args) -> list[Graph]:
             raise CliError("--enumerate conflicts with --graph6/--file input")
         if args.enumerate < 1:
             raise CliError("--enumerate needs N >= 1")
-        try:
-            return [
-                g
-                for order in range(1, args.enumerate + 1)
-                for g in enumerate_connected(order)
-            ]
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        if args.enumerate > ENUMERATION_MAX_N:
+            raise CliError(ENUMERATION_RANGE_ERROR)
+        return [g for order in range(1, args.enumerate + 1) for g in enumerate_connected(order)]
     failures: list[IngestFailure] = []
     if args.graph6:
         source: object = args.graph6
@@ -341,12 +348,15 @@ def _survey_graphs(args) -> list[Graph]:
     return graphs
 
 
-def _report_output(args, report: SurveyReport) -> None:
+def _report_output(args, report: SurveyReport, timing: dict[str, float]) -> None:
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
         return
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(include_timing=args.timing), sort_keys=True))
+        payload = report.to_json_dict()
+        if args.timing:
+            payload["metadata"] = timing
+        print(json.dumps(payload, sort_keys=True))
         return
     totals = report.totals()
     print(f"records: {totals['records']}")
@@ -357,14 +367,23 @@ def _report_output(args, report: SurveyReport) -> None:
     for rec in report.equalities:
         print(f"equality: {rec.graph6} iota={rec.iota} class={rec.extremal_class or '-'}")
     if args.timing:
-        print(f"wall time: {report.wall_time_s:.3f}s")
+        for key, seconds in timing.items():
+            print(f"{key.removesuffix('_s').replace('_', ' ')}: {seconds:.3f}s")
 
 
 def _cmd_survey(args) -> int:
     spec = _survey_spec(args)
+    started = time.perf_counter()
     graphs = _survey_graphs(args)
+    loaded = time.perf_counter()
     report = survey(graphs, spec, workers=args.workers, node_budget=args.budget)
-    _report_output(args, report)
+    solved = time.perf_counter()
+    timing = {
+        "enumerate_s" if args.enumerate is not None else "ingest_s": loaded - started,
+        "solve_s": solved - loaded,
+        "wall_time_s": solved - started,
+    }
+    _report_output(args, report, timing)
     if report.violations:
         return EXIT_VIOLATIONS
     if report.budget_failures:
@@ -484,7 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument("--skip-bad", action="store_true", help="skip malformed graph6 lines")
             p.add_argument("--workers", type=int, default=_default_workers())
-            p.add_argument("--timing", action="store_true", help="report wall time")
+            p.add_argument(
+                "--timing", action="store_true", help="report input, solve and wall time"
+            )
             p.set_defaults(fn=_cmd_survey)
         else:
             p.set_defaults(fn=_cmd_check)

@@ -271,9 +271,11 @@ def parse_edge_list(text: str) -> Graph:
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise GraphFormatError("empty edge-list input")
-    head = lines[0][1]
+    headno, head = lines[0]
     if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
-        raise GraphFormatError('edge-list input must start with a "n <count>" header')
+        raise GraphFormatError(
+            f'line {headno}: edge-list input must start with a "n <count>" header'
+        )
     n = int(head[1])
     edges = []
     for lineno, parts in lines[1:]:

@@ -1,12 +1,20 @@
 """Small-graph enumeration and bound surveys.
 
 The enumerator yields one representative per isomorphism class of connected
-graphs on up to eight vertices, built by vertex augmentation (every
-connected graph has a non-cut vertex, so attaching a new vertex to every
-non-empty neighbourhood subset of every (n-1)-representative reaches every
-class) with canonical-form deduplication.  Canonical forms come from
-iterated colour refinement plus individualisation with prefix pruning;
-full permutation search only ever happens inside refinement-stable cells.
+graphs on up to eight vertices, built by vertex augmentation with
+canonical-form deduplication.  A child of an (n-1)-representative P gets a
+new vertex n-1 attached to a non-empty neighbourhood subset of P, and it is
+canonicalised only if the new vertex is a least deletion: it minimises the
+key (degree, sorted degrees of its neighbours) over the child's non-cut
+vertices (the first half of McKay's canonical construction path, "Isomorph-
+free exhaustive generation", J. Algorithms 1998).  The filter loses no
+class.  Every connected graph G has a non-cut vertex v of least key; G - v
+is connected, so its class has a representative P; and the neighbourhood
+subset of P that matches N(v) under an isomorphism G - v -> P gives a child
+isomorphic to G whose new vertex plays v, so it has the least key and
+passes.  Canonical forms come from iterated colour refinement plus
+individualisation with prefix pruning; full permutation search only ever
+happens inside refinement-stable cells.
 
 A survey evaluates iota(G, C_k) against a rational bound (a*n + b*m + c)/d
 for every graph of a stream, classifies each record as below / equal /
@@ -29,6 +37,7 @@ from .graphs import (
     Graph,
     GraphFormatError,
     bits,
+    component_masks,
     encode_graph6,
     is_connected,
     parse_graph6,
@@ -36,6 +45,10 @@ from .graphs import (
 from .isolation import BudgetExceededError, iota_exact
 
 ENUMERATION_MAX_N = 8
+ENUMERATION_RANGE_ERROR = (
+    f"built-in enumeration supports 1 <= n <= {ENUMERATION_MAX_N}; "
+    "ingest larger graphs from a graph6 stream"
+)
 
 #: connected graphs per isomorphism class, order 1..8 (validated in tests)
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
@@ -44,14 +57,11 @@ CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 # -- canonical forms -----------------------------------------------------------
 
 
-def _refine(adj: Sequence[int], n: int, colors: list) -> list[int]:
+def _refine(nbrs: Sequence[tuple[int, ...]], colors: list) -> list[int]:
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in bits(adj[v]))))
-            for v in range(n)
-        ]
+        sigs = [(c, tuple(sorted([colors[u] for u in row]))) for c, row in zip(colors, nbrs)]
         palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[sigs[v]] for v in range(n)]
+        new = [palette[s] for s in sigs]
         if new == colors:
             return new
         colors = new
@@ -86,6 +96,7 @@ def canonical_code(g: Graph) -> int:
     if g.m == nbits:
         return (1 << nbits) - 1
     adj = g.adj
+    nbrs = [tuple(bits(row)) for row in adj]
     best: Optional[int] = None
 
     def search(colors: list[int]) -> None:
@@ -112,9 +123,9 @@ def canonical_code(g: Graph) -> int:
         for x in target:
             split = [(colors[v], 0 if v == x else 1) for v in range(n)]
             palette = {s: i for i, s in enumerate(sorted(set(split)))}
-            search(_refine(adj, n, [palette[s] for s in split]))
+            search(_refine(nbrs, [palette[s] for s in split]))
 
-    search(_refine(adj, n, [0] * n))
+    search(_refine(nbrs, [0] * n))
     assert best is not None
     return best
 
@@ -132,6 +143,24 @@ def graph_from_code(n: int, code: int) -> Graph:
     return Graph(n, adj)
 
 
+def _is_least_deletion(g: Graph) -> bool:
+    """Whether no non-cut vertex of g has a smaller (degree, sorted neighbour
+    degrees) key than the last vertex, itself a non-cut vertex."""
+    deg = g.degrees()
+    last = g.n - 1
+
+    def key(v: int) -> tuple:
+        return deg[v], sorted(deg[u] for u in bits(g.adj[v]))
+
+    least = key(last)
+    return not any(
+        deg[v] <= deg[last]
+        and key(v) < least
+        and len(component_masks(g, g.full_mask & ~(1 << v))) == 1
+        for v in range(last)
+    )
+
+
 @lru_cache(maxsize=None)
 def _connected_codes(n: int) -> tuple[int, ...]:
     if n == 1:
@@ -145,17 +174,16 @@ def _connected_codes(n: int) -> tuple[int, ...]:
             adj[n - 1] = hood
             for u in bits(hood):
                 adj[u] |= 1 << (n - 1)
-            codes.add(canonical_code(Graph(n, adj)))
+            child = Graph(n, adj)
+            if _is_least_deletion(child):
+                codes.add(canonical_code(child))
     return tuple(sorted(codes))
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """One canonical representative per isomorphism class of connected graphs."""
     if not 1 <= n <= ENUMERATION_MAX_N:
-        raise ValueError(
-            f"built-in enumeration supports 1 <= n <= {ENUMERATION_MAX_N}; "
-            "ingest larger graphs from a graph6 stream"
-        )
+        raise ValueError(ENUMERATION_RANGE_ERROR)
     for code in _connected_codes(n):
         yield graph_from_code(n, code)
 

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 
 import pytest
 
@@ -214,6 +216,64 @@ def test_survey_enumerate_below_one_exits_one(capsys, n):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_survey_enumerate_above_eight_fails_before_enumerating(capsys, monkeypatch):
+    # a cold cache and a poisoned canonical form: any enumeration would raise
+    def refuse(g):
+        raise AssertionError("enumeration started")
+
+    survey_module = sys.modules["cycleiso.survey"]  # the package attribute is survey()
+    survey_module._connected_codes.cache_clear()
+    monkeypatch.setattr(survey_module, "canonical_code", refuse)
+    code, out, err = run_cli(capsys, "survey", "--enumerate", "9")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: built-in enumeration supports 1 <= n <= 8; "
+        "ingest larger graphs from a graph6 stream\n"
+    )
+
+
+@pytest.mark.parametrize("text", ["3\n0 1\n", "C~ C~\n"])
+def test_file_with_broken_header_is_read_as_edge_list(capsys, tmp_path, text):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    assert run_cli(capsys, "exact", "--file", str(path)) == (
+        1, "", 'error: line 1: edge-list input must start with a "n <count>" header\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["C~\n", "\n  C~  \n", ">>graph6<<C~\n", "n 4\n0 1\n1 2\n2 3\n3 0\n0 2\n1 3\n"]
+)
+def test_file_sniffs_graph6_or_edge_list(capsys, tmp_path, text):
+    # K4 written as graph6 (with blank lines, padding or a header) and as an edge list
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    assert run_cli(capsys, "exact", "--file", str(path)) == (
+        0, "iota: 1\nwitness: 0\nexplored: 4\n", ""
+    )
+
+
+@pytest.mark.parametrize(
+    "source, phase",
+    [(("--enumerate", "5"), "enumerate"), (("--graph6", "Cz"), "ingest")],
+)
+def test_survey_timing_adds_only_phase_lines(capsys, source, phase):
+    base = ("survey", *source, "-k", "4", "--bound-c4")
+    code, plain, _ = run_cli(capsys, *base)
+    timed_code, timed, _ = run_cli(capsys, *base, "--timing")
+    assert code == timed_code == 0
+    lines = timed.splitlines()
+    timing_lines = [ln for ln in lines if re.fullmatch(r"(\w+|wall time): \d+\.\d{3}s", ln)]
+    assert [ln.split(":")[0] for ln in timing_lines] == [phase, "solve", "wall time"]
+    assert lines[-3:] == timing_lines
+    assert "".join(ln + "\n" for ln in lines[:-3]) == plain
+    _, doc, _ = run_cli(capsys, *base, "--timing", "--format", "json")
+    meta = json.loads(doc).pop("metadata")
+    assert sorted(meta) == sorted([f"{phase}_s", "solve_s", "wall_time_s"])
+    assert meta["wall_time_s"] >= meta[f"{phase}_s"] + meta["solve_s"] - 1e-9
 
 
 def test_survey_exclusion_file(capsys, tmp_path):

@@ -238,6 +238,8 @@ def test_edge_list_text_errors():
     # blank lines still count: the error cites the physical line
     with pytest.raises(GraphFormatError, match="^line 3: non-integer vertex id$"):
         parse_edge_list("n 3\n\n0 x\n")
+    with pytest.raises(GraphFormatError, match='^line 2: edge-list input must start with a "n'):
+        parse_edge_list("\n3\n0 1\n")
 
 
 def test_graph_immutable_and_hashable():

@@ -1,12 +1,14 @@
 import json
 import random
+import sys
 
 import pytest
 
-from cycleiso.graphs import GraphFormatError, encode_graph6, relabel
+from cycleiso.graphs import Graph, GraphFormatError, bits, encode_graph6, relabel
 from cycleiso.survey import (
     BoundSpec,
     IngestFailure,
+    _connected_codes,
     canonical_code,
     check_graph,
     conjecture_bound,
@@ -27,6 +29,41 @@ def test_enumerate_counts_match_known_values():
 def test_enumerate_counts_match_naive_oracle_small():
     for n in range(1, 6):
         assert len(list(enumerate_connected(n))) == oracle_connected_class_count(n)
+
+
+@pytest.fixture
+def cold_enumeration_cache():
+    _connected_codes.cache_clear()
+    yield
+    _connected_codes.cache_clear()
+
+
+def test_least_deletion_filter_matches_unfiltered_augmentation(
+    cold_enumeration_cache, monkeypatch
+):
+    # the filter may drop candidates but never a class: rebuild each order
+    # from the previous one by canonicalising every one-vertex augmentation
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return canonical_code(g)
+
+    # through sys.modules: the package attribute cycleiso.survey is the survey() function
+    monkeypatch.setattr(sys.modules["cycleiso.survey"], "canonical_code", counting)
+    _connected_codes(7)
+    assert len(calls) == 2101
+    monkeypatch.undo()
+    for n in range(2, 8):
+        codes = set()
+        for parent_code in _connected_codes(n - 1):
+            parent = graph_from_code(n - 1, parent_code)
+            for hood in range(1, 1 << (n - 1)):
+                adj = list(parent.adj) + [hood]
+                for u in bits(hood):
+                    adj[u] |= 1 << (n - 1)
+                codes.add(canonical_code(Graph(n, adj)))
+        assert tuple(sorted(codes)) == _connected_codes(n)
 
 
 def test_enumerate_rejects_out_of_range():
