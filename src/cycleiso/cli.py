@@ -192,6 +192,9 @@ def _cmd_construct(args) -> int:
     g = _load_graph(args)
     try:
         d, trace = construct(g)
+    except BudgetExceededError as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except ValueError as exc:
         raise CliError(str(exc)) from None
     size = d.bit_count()

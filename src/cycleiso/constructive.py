@@ -22,7 +22,9 @@ Every level is validated (the set isolates, the size bound holds).  If a
 structural step ever fails validation the level falls back to the exact
 solver and marks its trace step "fallback", so the returned set is always
 sound; the fallback firing at all signals a fidelity bug in the case
-analysis and is treated as a reportable finding.
+analysis and is treated as a reportable finding.  The fallback search runs
+under FALLBACK_NODE_BUDGET nodes on pieces of any order, and raises
+BudgetExceededError when it runs out rather than return an unproven set.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ from .graphs import (
     vertices_of,
 )
 from .isolation import check_gluing_hypothesis, iota_exact
+
+#: solver nodes the exact fallback may spend on one piece
+FALLBACK_NODE_BUDGET = 1_000_000
 
 TRACE_LABELS = frozenset(
     {
@@ -194,7 +199,8 @@ def construct(g: Graph) -> tuple[VertexSet, CaseTrace]:
     """Isolating set of size <= floor((m_i+1)/6) per connected component.
 
     Components isomorphic to the plain 4-cycle are rejected: no isolating
-    set of theirs meets the bound.
+    set of theirs meets the bound.  Raises BudgetExceededError when the
+    exact fallback runs out of FALLBACK_NODE_BUDGET nodes.
     """
     steps: list[TraceStep] = []
     out = 0
@@ -226,7 +232,7 @@ def _construct(g: Graph) -> tuple[VertexSet, list[TraceStep]]:
     except (_DispatchError, StopIteration):
         ok = False
     if not ok:
-        res = iota_exact(g, 4)
+        res = iota_exact(g, 4, FALLBACK_NODE_BUDGET)
         d = res.witness
         steps = [
             TraceStep(

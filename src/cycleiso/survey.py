@@ -1,20 +1,38 @@
 """Small-graph enumeration and bound surveys.
 
+Canonical forms come from individualisation-refinement: iterated colour
+refinement, then a search that individualises each vertex of the first
+non-singleton cell in turn and refines again.  Each leaf is a vertex order,
+and the canonical code is the least adjacency code over the leaves; a branch
+whose placed prefix already encodes above the best code is cut.  The search
+also collects automorphisms: two leaves with equal codes give the
+automorphism that maps the one vertex order onto the other.  A child of a
+search node whose path individualised x1..xr is skipped when it lies in the
+orbit of an already tried child under the found generators that fix
+x1..xr pointwise (McKay-Piperno, "Practical graph isomorphism II", 2014).
+An element of that group fixes x1..xr, and refinement commutes with
+automorphisms, so it maps the node to itself and the tried child's subtree
+onto the skipped one, leaf codes included: the least code is unchanged.
+The generators found this way generate the whole automorphism group.
+Empty and complete graphs skip the search: every order gives them the same
+code, and their group is the symmetric group.
+
 The enumerator yields one representative per isomorphism class of connected
 graphs on up to eight vertices, built by vertex augmentation with
 canonical-form deduplication.  A child of an (n-1)-representative P gets a
 new vertex n-1 attached to a non-empty neighbourhood subset of P, and it is
 canonicalised only if the new vertex is a least deletion: it minimises the
 key (degree, sorted degrees of its neighbours) over the child's non-cut
-vertices (the first half of McKay's canonical construction path, "Isomorph-
-free exhaustive generation", J. Algorithms 1998).  The filter loses no
-class.  Every connected graph G has a non-cut vertex v of least key; G - v
-is connected, so its class has a representative P; and the neighbourhood
-subset of P that matches N(v) under an isomorphism G - v -> P gives a child
-isomorphic to G whose new vertex plays v, so it has the least key and
-passes.  Canonical forms come from iterated colour refinement plus
-individualisation with prefix pruning; full permutation search only ever
-happens inside refinement-stable cells.
+vertices (McKay's canonical construction path, "Isomorph-free exhaustive
+generation", J. Algorithms 1998).  The filter loses no class.  Every
+connected graph G has a non-cut vertex v of least key; G - v is connected,
+so its class has a representative P; and the neighbourhood subset of P
+that matches N(v) under an isomorphism G - v -> P gives a child isomorphic
+to G whose new vertex plays v, so it has the least key and passes.  Only
+one subset per orbit of Aut(P) on the subsets is tried.  An automorphism of
+P that maps subset S to S' extends, fixing the new vertex, to an
+isomorphism between the two children that maps new vertex to new vertex, so
+the children share their class and their least-deletion verdict.
 
 A survey evaluates iota(G, C_k) against a rational bound (a*n + b*m + c)/d
 for every graph of a stream, classifies each record as below / equal /
@@ -37,7 +55,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     bits,
-    component_masks,
     encode_graph6,
     is_connected,
     parse_graph6,
@@ -85,22 +102,51 @@ def _encode(adj: Sequence[int], order: Sequence[int]) -> int:
     return code
 
 
-def canonical_code(g: Graph) -> int:
-    """Canonical adjacency encoding: equal codes <=> isomorphic graphs."""
-    n = g.n
-    if n <= 1:
-        return 0
-    nbits = n * (n - 1) // 2
-    if g.m == 0:
-        return 0
-    if g.m == nbits:
-        return (1 << nbits) - 1
-    adj = g.adj
-    nbrs = [tuple(bits(row)) for row in adj]
-    best: Optional[int] = None
+def _orbit_ids(n: int, perms: Iterable[Sequence[int]]) -> list[int]:
+    """Least vertex of each vertex's orbit under the group the perms generate."""
+    root = list(range(n))
 
-    def search(colors: list[int]) -> None:
-        nonlocal best
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for p in perms:
+        for v in range(n):
+            a, b = find(v), find(p[v])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
+def _symmetric_generators(n: int) -> list[tuple[int, ...]]:
+    """A transposition and an n-cycle, which generate the symmetric group."""
+    if n < 2:
+        return []
+    gens = [(1, 0) + tuple(range(2, n))]
+    if n > 2:
+        gens.append(tuple(range(1, n)) + (0,))
+    return gens
+
+
+def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """Canonical code of the graph (n, adj) and a generating set of its
+    automorphism group (see the module docstring)."""
+    nbits = n * (n - 1) // 2
+    m = sum(row.bit_count() for row in adj) // 2
+    if m == 0 or m == nbits:
+        # empty or complete: every vertex order gives the same code
+        return (1 << m) - 1, _symmetric_generators(n)
+    nbrs = [tuple(bits(row)) for row in adj]
+    # no leaf yet: a code of nbits + 1 bits is above every leaf and every prefix
+    unset = 1 << nbits
+    best = unset
+    best_leaf: list[int] = []
+    gens: list[tuple[int, ...]] = []
+    fixed: list[int] = []  # fixed[i]: mask of the points gens[i] fixes
+
+    def search(colors: list[int], path: int) -> None:
+        nonlocal best, best_leaf
         cells = _cells(colors, n)
         placed: list[int] = []
         for cell in cells:
@@ -109,28 +155,52 @@ def canonical_code(g: Graph) -> int:
             placed.append(cell[0])
         r = len(placed)
         partial = _encode(adj, placed)
-        if best is not None:
-            bp = best >> (nbits - r * (r - 1) // 2)
-            if partial > bp:
-                return
-            if partial < bp:
-                best = None
-        if r == n:
-            if best is None or partial < best:
-                best = partial
+        bp = best >> (nbits - r * (r - 1) // 2)
+        if partial > bp:
             return
-        target = next(cell for cell in cells if len(cell) > 1)
+        if partial < bp:
+            best = unset
+        if r == n:
+            if partial < best:
+                best, best_leaf = partial, placed
+                return
+            # equal codes: best_leaf[i] -> placed[i] preserves adjacency
+            perm = [0] * n
+            for u, v in zip(best_leaf, placed):
+                perm[u] = v
+            gens.append(tuple(perm))
+            fixed.append(sum(1 << v for v in range(n) if perm[v] == v))
+            return
+        target = cells[r]
+        c = colors[target[0]]
+        tried: list[int] = []
+        orbit = list(range(n))
+        known = 0
         for x in target:
-            split = [(colors[v], 0 if v == x else 1) for v in range(n)]
-            palette = {s: i for i, s in enumerate(sorted(set(split)))}
-            search(_refine(nbrs, [palette[s] for s in split]))
+            if tried:
+                if known < len(gens):
+                    known = len(gens)
+                    stabiliser = [p for p, f in zip(gens, fixed) if not path & ~f]
+                    if stabiliser:
+                        orbit = _orbit_ids(n, stabiliser)
+                if orbit[x] in {orbit[t] for t in tried}:
+                    continue
+            tried.append(x)
+            # individualise x: it takes colour c, the rest of its cell and
+            # every later cell move up by one
+            child = [col + (col > c or (col == c and v != x)) for v, col in enumerate(colors)]
+            search(_refine(nbrs, child), path | 1 << x)
 
-    search(_refine(nbrs, [0] * n))
-    assert best is not None
-    return best
+    search(_refine(nbrs, [0] * n), 0)
+    return best, gens
 
 
-def graph_from_code(n: int, code: int) -> Graph:
+def canonical_code(g: Graph) -> int:
+    """Canonical adjacency encoding: equal codes <=> isomorphic graphs."""
+    return _canonical_search(g.n, g.adj)[0]
+
+
+def _adjacency_from_code(n: int, code: int) -> list[int]:
     adj = [0] * n
     nbits = n * (n - 1) // 2
     idx = 0
@@ -140,25 +210,68 @@ def graph_from_code(n: int, code: int) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
             idx += 1
-    return Graph(n, adj)
+    return adj
 
 
-def _is_least_deletion(g: Graph) -> bool:
-    """Whether no non-cut vertex of g has a smaller (degree, sorted neighbour
+def graph_from_code(n: int, code: int) -> Graph:
+    return Graph(n, _adjacency_from_code(n, code))
+
+
+def _spans(adj: Sequence[int], alive: int) -> bool:
+    """Whether the vertices of the mask alive induce a connected subgraph."""
+    comp = frontier = alive & -alive
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & alive & ~comp
+        comp |= frontier
+    return comp == alive
+
+
+def _is_least_deletion(adj: Sequence[int]) -> bool:
+    """Whether no non-cut vertex has a smaller (degree, sorted neighbour
     degrees) key than the last vertex, itself a non-cut vertex."""
-    deg = g.degrees()
-    last = g.n - 1
+    deg = [row.bit_count() for row in adj]
+    last = len(adj) - 1
+    full = (1 << len(adj)) - 1
 
     def key(v: int) -> tuple:
-        return deg[v], sorted(deg[u] for u in bits(g.adj[v]))
+        return deg[v], sorted(deg[u] for u in bits(adj[v]))
 
     least = key(last)
     return not any(
-        deg[v] <= deg[last]
-        and key(v) < least
-        and len(component_masks(g, g.full_mask & ~(1 << v))) == 1
+        deg[v] <= deg[last] and key(v) < least and _spans(adj, full & ~(1 << v))
         for v in range(last)
     )
+
+
+def _mask_orbit_representatives(n: int, gens: Sequence[Sequence[int]]) -> Iterable[int]:
+    """Least mask of each orbit of the group generated by gens on 1..2^n - 1."""
+    if not gens:
+        return range(1, 1 << n)
+    images = []
+    for p in gens:
+        image = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << p[low.bit_length() - 1]
+        images.append(image)
+    seen = bytearray(1 << n)
+    reps = []
+    for mask in range(1, 1 << n):
+        if seen[mask]:
+            continue
+        reps.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            h = stack.pop()
+            for image in images:
+                if not seen[image[h]]:
+                    seen[image[h]] = 1
+                    stack.append(image[h])
+    return reps
 
 
 @lru_cache(maxsize=None)
@@ -166,17 +279,15 @@ def _connected_codes(n: int) -> tuple[int, ...]:
     if n == 1:
         return (0,)
     codes = set()
+    new = 1 << (n - 1)
     for parent_code in _connected_codes(n - 1):
-        parent = graph_from_code(n - 1, parent_code)
-        base = list(parent.adj) + [0]
-        for hood in range(1, 1 << (n - 1)):
-            adj = list(base)
-            adj[n - 1] = hood
-            for u in bits(hood):
-                adj[u] |= 1 << (n - 1)
-            child = Graph(n, adj)
-            if _is_least_deletion(child):
-                codes.add(canonical_code(child))
+        base = _adjacency_from_code(n - 1, parent_code)
+        _, gens = _canonical_search(n - 1, base)
+        for hood in _mask_orbit_representatives(n - 1, gens):
+            adj = [row | new if hood >> u & 1 else row for u, row in enumerate(base)]
+            adj.append(hood)
+            if _is_least_deletion(adj):
+                codes.add(canonical_code(Graph(n, adj)))
     return tuple(sorted(codes))
 
 
@@ -414,9 +525,8 @@ def check_graph(
 
 
 def _worker(args) -> list[SurveyRecord]:
-    # graphs travel as graph6 text: Graph refuses attribute assignment, so it cannot be pickled
     chunk, spec, node_budget, keys = args
-    return [check_graph(parse_graph6(g6), spec, node_budget, keys) for g6 in chunk]
+    return [check_graph(g, spec, node_budget, keys) for g in chunk]
 
 
 def survey(
@@ -438,11 +548,10 @@ def survey(
     if workers == 1 or len(graphs) < 2 * workers:
         records = [check_graph(g, spec, node_budget, keys) for g in graphs]
     else:
-        items = [encode_graph6(g) for g in graphs]
-        records = [None] * len(items)
+        records = [None] * len(graphs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
-                _worker, [(items[i::workers], spec, node_budget, keys) for i in range(workers)]
+                _worker, [(graphs[i::workers], spec, node_budget, keys) for i in range(workers)]
             )
             for i, part in enumerate(parts):
                 records[i::workers] = part

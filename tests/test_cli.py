@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from cycleiso.cli import _parse_bound, main
-from cycleiso.graphs import encode_graph6
-from util import cycle, diamond
+from cycleiso.graphs import encode_graph6, format_edge_list
+from util import cycle, diamond, k23_with_tail
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +41,21 @@ def test_construct_diamond(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["size"] == 1 and data["fallback"] is False
+
+
+def test_construct_fallback_budget_exit_code(capsys, monkeypatch, tmp_path):
+    # the glued branch is refused, so the exact fallback runs, and it runs
+    # out of nodes at once
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(k23_with_tail(21)))
+    monkeypatch.setattr(
+        "cycleiso.constructive.check_gluing_hypothesis", lambda *args: False
+    )
+    monkeypatch.setattr("cycleiso.constructive.FALLBACK_NODE_BUDGET", 0)
+    code, out, err = run_cli(capsys, "construct", "--file", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget exhausted: node budget exhausted after")
 
 
 def test_construct_requires_k4(capsys):

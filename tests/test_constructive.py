@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cycleiso.constructive import (
+    FALLBACK_NODE_BUDGET,
     TRACE_LABELS,
     bound_value,
     classify_component,
@@ -11,8 +12,8 @@ from cycleiso.constructive import (
 )
 from cycleiso.family import Tree, build
 from cycleiso.graphs import from_edge_list, mask_of
-from cycleiso.isolation import iota_exact, verify
-from util import c4_plus, complete, cycle, diamond, disjoint_union, path
+from cycleiso.isolation import BudgetExceededError, iota_exact, verify
+from util import c4_plus, complete, cycle, diamond, disjoint_union, k23_with_tail, path
 
 K13_PLUS = Tree(5, ((0, 1), (0, 2), (0, 3), (1, 4)))
 
@@ -156,6 +157,28 @@ def test_fallback_replaces_a_failed_glued_branch(monkeypatch):
     assert trace.labels == ("fallback",)
     assert d == iota_exact(g, 4).witness
     assert verify(g, d, 4).valid
+
+
+def test_fallback_on_a_piece_above_20_vertices(monkeypatch):
+    # the glued branch of test_fallback_replaces_a_failed_glued_branch on a
+    # graph the exact solver refuses to search without a budget
+    g = k23_with_tail(21)
+    monkeypatch.setattr(
+        "cycleiso.constructive.check_gluing_hypothesis", lambda *args: False
+    )
+    d, trace = construct(g)
+    assert trace.labels == ("fallback",)
+    assert d == iota_exact(g, 4, FALLBACK_NODE_BUDGET).witness
+    assert verify(g, d, 4).valid
+
+
+def test_fallback_budget_exhaustion_propagates(monkeypatch):
+    monkeypatch.setattr(
+        "cycleiso.constructive.check_gluing_hypothesis", lambda *args: False
+    )
+    monkeypatch.setattr("cycleiso.constructive.FALLBACK_NODE_BUDGET", 0)
+    with pytest.raises(BudgetExceededError):
+        construct(k23_with_tail(21))
 
 
 def test_case2_special_component_peeled():

@@ -4,10 +4,12 @@ import sys
 
 import pytest
 
-from cycleiso.graphs import Graph, GraphFormatError, bits, encode_graph6, relabel
+from cycleiso.family import Tree, build
+from cycleiso.graphs import Graph, GraphFormatError, bits, encode_graph6, from_edge_list, relabel
 from cycleiso.survey import (
     BoundSpec,
     IngestFailure,
+    _canonical_search,
     _connected_codes,
     canonical_code,
     check_graph,
@@ -52,7 +54,7 @@ def test_least_deletion_filter_matches_unfiltered_augmentation(
     # through sys.modules: the package attribute cycleiso.survey is the survey() function
     monkeypatch.setattr(sys.modules["cycleiso.survey"], "canonical_code", counting)
     _connected_codes(7)
-    assert len(calls) == 2101
+    assert len(calls) == 1028
     monkeypatch.undo()
     for n in range(2, 8):
         codes = set()
@@ -96,6 +98,78 @@ def test_permutation_probing_large_orders(universe7, universe8):
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_code(relabel(g, perm)) == canonical_code(g)
+
+
+def petersen():
+    return from_edge_list(
+        10, [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    )
+
+
+def cube():
+    return from_edge_list(8, [(v, v ^ 1 << b) for v in range(8) for b in range(3) if not v >> b & 1])
+
+
+def k33():
+    return from_edge_list(6, [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+# automorphism group orders; cons(K_{1,4}, C4) may permute the four leaves
+# and reflect each of the five pendant 4-cycles about its attachment vertex
+AUTOMORPHISM_GROUP_ORDERS = [
+    ("petersen", petersen, 120),
+    ("Q3", cube, 48),
+    ("K33", k33, 72),
+    ("C8", lambda: cycle(8), 16),
+    ("K6", lambda: complete(6), 720),
+    ("cons(K14,C4)", lambda: build(Tree(5, ((0, 1), (0, 2), (0, 3), (0, 4))), 4)[0], 24 * 2**5),
+]
+
+
+def group_order(n, gens):
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for s in gens:
+            q = tuple(s[p[v]] for v in range(n))
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "make, order", [case[1:] for case in AUTOMORPHISM_GROUP_ORDERS],
+    ids=[case[0] for case in AUTOMORPHISM_GROUP_ORDERS],
+)
+def test_generators_are_automorphisms_of_known_group_order(make, order):
+    g = make()
+    code, gens = _canonical_search(g.n, g.adj)
+    assert code == canonical_code(g)
+    assert all(relabel(g, p) == g for p in gens)
+    assert group_order(g.n, gens) == order
+
+
+@pytest.mark.parametrize(
+    "make, order", [case[1:] for case in AUTOMORPHISM_GROUP_ORDERS],
+    ids=[case[0] for case in AUTOMORPHISM_GROUP_ORDERS],
+)
+def test_pruned_canonical_code_invariant_under_relabeling(make, order):
+    g = make()
+    code = canonical_code(g)
+    assert graph_from_code(g.n, code).m == g.m
+    rng = random.Random(g.n)
+    for _ in range(5):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        h_code, h_gens = _canonical_search(h.n, h.adj)
+        assert h_code == code
+        assert group_order(h.n, h_gens) == order
 
 
 def test_ingest_single_record():

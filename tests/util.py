@@ -35,6 +35,14 @@ def c4_plus() -> Graph:
     return from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
 
 
+def k23_with_tail(n: int) -> Graph:
+    # K_{2,3} with parts {4, 5} and {1, 2, 3}, a pendant 0 at 5, and a tail
+    # path 0-6-7-...-(n-1) grown from that pendant
+    edges = [(0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)]
+    edges += [(0 if v == 6 else v - 1, v) for v in range(6, n)]
+    return from_edge_list(n, edges)
+
+
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
     return from_edge_list(a.n + b.n, edges)
