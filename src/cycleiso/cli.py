@@ -24,7 +24,6 @@ from .constructive import bound_value, construct
 from .family import Tree, build, canonical_isolating_set, enumerate_trees, recognize
 from .graphs import (
     Graph,
-    GraphFormatError,
     encode_graph6,
     mask_of,
     parse_edge_list,
@@ -71,23 +70,19 @@ def _parse_bound(text: str, k: int) -> BoundSpec:
     for term in re.findall(r"[+-]?[^+-]+", num):
         sign = -1 if term.startswith("-") else 1
         term = term.lstrip("+-")
-        if term.endswith("n") or term.endswith("m"):
-            var = term[-1]
-            coeff_text = term[:-1].rstrip("*")
-            coeff = sign * (int(coeff_text) if coeff_text else 1)
-            if var == "n":
-                a += coeff
-            else:
-                b += coeff
+        var = term[-1] if term.endswith(("n", "m")) else ""
+        coeff_text = term[:-1].rstrip("*") if var else term
+        try:
+            coeff = sign * int(coeff_text or "1")
+        except ValueError:
+            raise CliError(f"bad bound term {term!r}") from None
+        if var == "n":
+            a += coeff
+        elif var == "m":
+            b += coeff
         else:
-            try:
-                c += sign * int(term)
-            except ValueError:
-                raise CliError(f"bad bound term {term!r}") from None
-    try:
-        return BoundSpec(k=k, a=a, b=b, c=c, d=d)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+            c += coeff
+    return BoundSpec(k=k, a=a, b=b, c=c, d=d)
 
 
 def _load_graph(args) -> Graph:
@@ -107,7 +102,7 @@ def _load_graph(args) -> Graph:
         if not line.strip():
             raise CliError("no graph on stdin")
         return parse_graph6(line)
-    except (GraphFormatError, OSError) as exc:
+    except OSError as exc:
         raise CliError(str(exc)) from None
 
 
@@ -166,8 +161,6 @@ def _cmd_exact(args) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     payload = {
         "k": args.k,
         "iota": res.iota,
@@ -195,8 +188,6 @@ def _cmd_construct(args) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     size = d.bit_count()
     limit = bound_value(g.m)
     payload = {
@@ -230,9 +221,9 @@ def _cmd_cons(args) -> int:
                 tg = parse_edge_list(fh.read())
         else:
             tg = parse_edge_list(sys.stdin.read())
-        tree = Tree(tg.n, tuple(tg.edges()))
-    except (GraphFormatError, ValueError, OSError) as exc:
+    except OSError as exc:
         raise CliError(str(exc)) from None
+    tree = Tree(tg.n, tuple(tg.edges()))
     g, decomp = build(tree, args.k)
     payload = {
         "graph6": encode_graph6(g),
@@ -284,10 +275,7 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_trees(args) -> int:
-    try:
-        trees = enumerate_trees(args.n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    trees = enumerate_trees(args.n)
     payload = {"n": args.n, "count": len(trees), "trees": [[list(e) for e in t.edges] for t in trees]}
     lines = [f"count: {len(trees)}"]
     lines.extend(" ".join(f"{u}-{v}" for u, v in t.edges) or "K1" for t in trees)
@@ -296,11 +284,8 @@ def _cmd_trees(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        for g in enumerate_connected(args.n):
-            print(encode_graph6(g))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    for g in enumerate_connected(args.n):
+        print(encode_graph6(g))
     return EXIT_OK
 
 
@@ -317,7 +302,7 @@ def _survey_spec(args) -> BoundSpec:
             with open(args.exclude, encoding="ascii") as fh:
                 exclusions = tuple(ln.strip() for ln in fh if ln.strip())
             spec = dataclasses.replace(spec, exclusions=exclusions)
-        except (OSError, ValueError, GraphFormatError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"bad exclusion list: {exc}") from None
     return spec
 
@@ -335,17 +320,14 @@ def _survey_graphs(args) -> list[Graph]:
     if args.graph6:
         source: object = args.graph6
     elif args.file:
-        try:
-            with open(args.file, encoding="ascii") as fh:
+        try:  # undecodable bytes become U+FFFD, never a valid graph6 byte
+            with open(args.file, encoding="ascii", errors="replace") as fh:
                 source = fh.read()
         except OSError as exc:
             raise CliError(str(exc)) from None
     else:
         source = sys.stdin.read()
-    try:
-        graphs = list(ingest_graph6(source, skip_errors=args.skip_bad, failures=failures))
-    except GraphFormatError as exc:
-        raise CliError(str(exc)) from None
+    graphs = list(ingest_graph6(source, skip_errors=args.skip_bad, failures=failures))
     for failure in failures:
         print(f"skipped line {failure.line_no}: {failure.error}", file=sys.stderr)
     return graphs

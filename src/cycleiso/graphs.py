@@ -232,7 +232,11 @@ def encode_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: Union[str, bytes]) -> Graph:
-    data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    try:
+        data = text.encode("ascii") if isinstance(text, str) else bytes(text)
+    except UnicodeEncodeError as exc:
+        char = exc.object[exc.start]
+        raise GraphFormatError(f"non-ASCII character {char!r} in graph6 text") from None
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]

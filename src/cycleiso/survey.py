@@ -43,7 +43,6 @@ would be the most valuable possible output.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -351,14 +350,28 @@ class BoundSpec:
     c: int = 1
     d: int = 6
     exclusions: tuple[str, ...] = ()
+    #: canonical codes of the exclusions by (order, size); pickled with the spec
+    _codes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 3:
             raise ValueError("cycle length must be at least 3")
         if self.d < 1:
             raise ValueError("bound denominator must be at least 1")
-        for text in self.exclusions:
-            parse_graph6(text)
+        object.__setattr__(self, "_codes", {})
+        for g in map(parse_graph6, self.exclusions):
+            self._codes.setdefault((g.n, g.m), set()).add(canonical_code(g))
+
+    def excludes(self, g: Graph) -> bool:
+        """Plain k-cycle, or isomorphic to an exclusion.
+
+        Isomorphic graphs share order and size, so only a graph with the
+        order and size of some exclusion is canonicalised.
+        """
+        if g.n == self.k and is_connected(g) and all(d == 2 for d in g.degrees()):
+            return True
+        codes = self._codes.get((g.n, g.m))
+        return codes is not None and canonical_code(g) in codes
 
     def bound_for(self, n: int, m: int) -> Fraction:
         return Fraction(self.a * n + self.b * m + self.c, self.d)
@@ -372,11 +385,6 @@ class BoundSpec:
         if self.c:
             terms.append(str(self.c))
         return f"({' + '.join(terms) or '0'})/{self.d}"
-
-    def exclusion_keys(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (g.n, canonical_code(g)) for g in map(parse_graph6, self.exclusions)
-        )
 
 
 def conjecture_bound(k: int) -> BoundSpec:
@@ -422,7 +430,6 @@ class SurveyRecord:
 class SurveyReport:
     spec: BoundSpec
     records: list[SurveyRecord] = field(default_factory=list)
-    wall_time_s: float = 0.0
 
     @property
     def violations(self) -> list[SurveyRecord]:
@@ -452,8 +459,8 @@ class SurveyReport:
             "by_n": {str(k): v for k, v in sorted(self.histogram_by_n().items())},
         }
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "spec": {
                 "k": self.spec.k,
                 "bound": self.spec.describe(),
@@ -469,18 +476,11 @@ class SurveyReport:
             "violations": [r.to_dict() for r in self.violations],
             "equalities": [r.to_dict() for r in self.equalities],
         }
-        if include_timing:
-            out["metadata"] = {"wall_time_s": self.wall_time_s}
-        return out
 
     def to_csv(self) -> str:
         lines = [SurveyRecord.CSV_HEADER]
         lines.extend(r.csv_row() for r in self.records)
         return "\n".join(lines) + "\n"
-
-
-def _is_plain_cycle(g: Graph, k: int) -> bool:
-    return g.n == k and is_connected(g) and all(d == 2 for d in g.degrees())
 
 
 def _extremal_tag(g: Graph, k: int) -> Optional[str]:
@@ -496,19 +496,12 @@ def _extremal_tag(g: Graph, k: int) -> Optional[str]:
     return "extremal" if recognize(g, k) is not None else None
 
 
-def check_graph(
-    g: Graph,
-    spec: BoundSpec,
-    node_budget: Optional[int] = None,
-    exclusion_keys: Optional[frozenset] = None,
-) -> SurveyRecord:
+def check_graph(g: Graph, spec: BoundSpec, node_budget: Optional[int] = None) -> SurveyRecord:
     """Single-graph version of the survey pipeline."""
     g6 = encode_graph6(g)
     n, m, k = g.n, g.m, spec.k
     bound = spec.bound_for(n, m)
-    if exclusion_keys is None:
-        exclusion_keys = spec.exclusion_keys()
-    if _is_plain_cycle(g, k) or (exclusion_keys and (n, canonical_code(g)) in exclusion_keys):
+    if spec.excludes(g):
         return SurveyRecord(g6, n, m, k, None, bound, "excluded")
     try:
         iota = iota_exact(g, k, node_budget).iota
@@ -525,8 +518,8 @@ def check_graph(
 
 
 def _worker(args) -> list[SurveyRecord]:
-    chunk, spec, node_budget, keys = args
-    return [check_graph(g, spec, node_budget, keys) for g in chunk]
+    chunk, spec, node_budget = args
+    return [check_graph(g, spec, node_budget) for g in chunk]
 
 
 def survey(
@@ -542,19 +535,15 @@ def survey(
     """
     if workers < 1:
         raise ValueError("worker count must be at least 1")
-    started = time.perf_counter()
-    keys = spec.exclusion_keys()
     graphs = list(graphs)
     if workers == 1 or len(graphs) < 2 * workers:
-        records = [check_graph(g, spec, node_budget, keys) for g in graphs]
+        records = [check_graph(g, spec, node_budget) for g in graphs]
     else:
         records = [None] * len(graphs)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
-                _worker, [(graphs[i::workers], spec, node_budget, keys) for i in range(workers)]
+                _worker, [(graphs[i::workers], spec, node_budget) for i in range(workers)]
             )
             for i, part in enumerate(parts):
                 records[i::workers] = part
-    report = SurveyReport(spec=spec, records=records)
-    report.wall_time_s = time.perf_counter() - started
-    return report
+    return SurveyReport(spec=spec, records=records)

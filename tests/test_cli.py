@@ -181,26 +181,31 @@ def test_out_of_range_vertex_set_exits_one(capsys):
     assert "error" in err
 
 
+BAD_LINES = ["BADLINE", "C\u00e9"]  # the second is stored as UTF-8 bytes
+
+
 def test_survey_file_stream_with_skip(capsys, tmp_path):
     stream = tmp_path / "graphs.g6"
-    stream.write_text("C~\nBADLINE\nC^\n")
-    code, out, err = run_cli(
-        capsys, "survey", "--file", str(stream), "-k", "4", "--bound-c4",
-        "--skip-bad", "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["totals"]["records"] == 2
-    assert "skipped line 2" in err
+    for bad in BAD_LINES:
+        stream.write_bytes(f"C~\n{bad}\nC^\n".encode())
+        code, out, err = run_cli(
+            capsys, "survey", "--file", str(stream), "-k", "4", "--bound-c4",
+            "--skip-bad", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["totals"]["records"] == 2
+        assert err.startswith("skipped line 2: ") and err.count("\n") == 1
 
 
 def test_survey_file_stream_aborts_without_skip(capsys, tmp_path):
     stream = tmp_path / "graphs.g6"
-    stream.write_text("C~\nBADLINE\n")
-    code, _, err = run_cli(
-        capsys, "survey", "--file", str(stream), "-k", "4", "--bound-c4"
-    )
-    assert code == 1
-    assert "line 2" in err
+    for bad in BAD_LINES:
+        stream.write_bytes(f"C~\n{bad}\n".encode())
+        code, _, err = run_cli(
+            capsys, "survey", "--file", str(stream), "-k", "4", "--bound-c4"
+        )
+        assert code == 1
+        assert err.startswith("error: line 2: ")
 
 
 def test_check_violation_exit_code(capsys):
@@ -323,3 +328,7 @@ def test_bound_grammar_errors():
         _parse_bound("m+1", 4)
     with pytest.raises(CliError):
         _parse_bound("q+1/6", 4)
+    with pytest.raises(CliError, match="bad bound term 'mn'"):
+        _parse_bound("mn+1/6", 4)
+    with pytest.raises(CliError, match=r"bad bound term 'x\*m'"):
+        _parse_bound("x*m/6", 4)

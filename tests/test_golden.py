@@ -6,7 +6,9 @@ from the implementation before the least-code refactor, so any change to a
 report, witness, case trace, stderr line or exit code shows up here.  The
 "family" digest was retaken once, when an edge-list file with a broken
 header started to get the edge-list header error (citing line 1) instead
-of a graph6 error; its other records were unchanged.
+of a graph6 error; its other records were unchanged.  The "exclusions"
+digest was taken from the implementation before exemptions moved into
+`BoundSpec`.
 Temporary file paths are replaced by a placeholder before hashing.
 """
 
@@ -20,12 +22,13 @@ import pytest
 
 from cycleiso.cli import main
 from cycleiso.family import build, enumerate_trees
-from cycleiso.graphs import encode_graph6, format_edge_list, from_edge_list
+from cycleiso.graphs import encode_graph6, format_edge_list, from_edge_list, parse_graph6, relabel
 from cycleiso.survey import enumerate_connected
 
 GOLDEN = {
     "check": "843bf5a2bfc4db709a371d318ce0c1e01de5abc9f06aeb939f4fe027a963e478",
     "construct": "e6dc312724b0728cee6e3fa65f1074952966483479ac5be3c2de00f0c8b60725",
+    "exclusions": "e83fed6e5cae3c52131c4220514dc88d6f6d454820d1deefe51b8eca31a3e974",
     "family": "5d252e17a44c7649a27d6b4ea8c35f77fedf9761b47497c6e3ead0d771cfbace",
     "small-graphs": "5f8951909348c438e5ec238017aacac58a4efbb716672e920c18bffcd60a2ff4",
     "survey": "553a179df0a676b8e4c3a916dfe76790b25352531b874fba62248ddd70878151",
@@ -34,6 +37,13 @@ GOLDEN = {
 C4 = "Cr"
 DIAMOND = "Cz"
 BUDGET_GRAPH = "F~~~w"  # K7: one solver node is never enough
+HOUSE = encode_graph6(from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 4)]))
+BOWTIE = encode_graph6(from_edge_list(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]))
+TWO_TRIANGLES = encode_graph6(from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+
+
+def _relabelled(g6: str, perm: list[int]) -> str:
+    return encode_graph6(relabel(parse_graph6(g6), perm))
 
 
 def _connected(max_n: int) -> list[str]:
@@ -155,12 +165,61 @@ def _construct_commands(tmp) -> list[list[str]]:
     return cmds
 
 
+def _exclusion_commands(tmp) -> list[list[str]]:
+    # exempt graphs arrive relabelled, beside graphs of the same order and
+    # size (the bowtie shares n = 5, m = 6 with the house) and plain cycles
+    exclude = tmp / "exclude.g6"
+    exclude.write_text(f"{DIAMOND}\n{HOUSE}\n")
+    house = _relabelled(HOUSE, [3, 0, 4, 2, 1])
+    stream = tmp / "stream.g6"
+    stream.write_text(
+        "\n".join(
+            [
+                _relabelled(DIAMOND, [2, 3, 0, 1]),
+                house,
+                BOWTIE,
+                DIAMOND,
+                "C~",
+                C4,
+                "Bw",
+                "Dhc",
+                "D~{",
+                _relabelled("Dhc", [4, 2, 0, 1, 3]),
+            ]
+        )
+        + "\n"
+    )
+    cmds = [
+        ["survey", "--file", str(stream), "--exclude", str(exclude), "--workers", w, "--format", fmt]
+        for w in ("1", "2")
+        for fmt in ("text", "json", "csv")
+    ]
+    cmds += [
+        ["survey", "--file", str(stream), "-k", "3", "--format", "csv"],
+        ["survey", "--file", str(stream), "-k", "5", "--exclude", str(exclude), "--format", "csv"],
+        ["survey", "--file", str(stream), "-k", "5", "--workers", "2", "--format", "csv"],
+        ["survey", "--enumerate", "5", "--exclude", str(exclude), "--format", "csv"],
+    ]
+    for case in (
+        [house, "--exclude", str(exclude)],
+        [BOWTIE, "--exclude", str(exclude)],
+        [_relabelled(DIAMOND, [1, 0, 3, 2]), "--exclude", str(exclude)],
+        ["Bw", "-k", "3"],
+        ["Dhc", "-k", "5"],
+        ["Dhc", "-k", "4"],
+        [TWO_TRIANGLES, "-k", "6"],
+    ):
+        cmds += [["check", "--graph6", *case, "--format", fmt] for fmt in ("text", "json", "csv")]
+    return cmds
+
+
 GROUPS = {
     "survey": _survey_commands,
     "check": _check_commands,
     "small-graphs": _small_graph_commands,
     "family": _family_commands,
     "construct": _construct_commands,
+    "exclusions": _exclusion_commands,
 }
 
 

@@ -197,6 +197,11 @@ def test_graph6_rejects_out_of_range_byte():
         parse_graph6("C" + chr(30))
 
 
+def test_graph6_rejects_non_ascii_text():
+    with pytest.raises(GraphFormatError, match="non-ASCII"):
+        parse_graph6("C\u00e9")
+
+
 def test_graph6_rejects_large_order_header():
     with pytest.raises(GraphFormatError):
         parse_graph6("~??" + "?" * 100)

@@ -181,17 +181,22 @@ def test_ingest_empty_stream():
     assert list(ingest_graph6("")) == []
 
 
+BAD_LINES = ["BADLINE", "C\u00e9"]
+
+
 def test_ingest_bad_line_aborts_with_line_number():
-    with pytest.raises(GraphFormatError) as exc:
-        list(ingest_graph6("C~\nBADLINE\n"))
-    assert "line 2" in str(exc.value)
+    for bad in BAD_LINES:
+        with pytest.raises(GraphFormatError) as exc:
+            list(ingest_graph6(f"C~\n{bad}\n"))
+        assert "line 2" in str(exc.value)
 
 
 def test_ingest_skip_mode_records_failure():
-    failures: list[IngestFailure] = []
-    graphs = list(ingest_graph6("C~\nBADLINE\n", skip_errors=True, failures=failures))
-    assert len(graphs) == 1
-    assert len(failures) == 1 and failures[0].line_no == 2
+    for bad in BAD_LINES:
+        failures: list[IngestFailure] = []
+        graphs = list(ingest_graph6(f"C~\n{bad}\n", skip_errors=True, failures=failures))
+        assert len(graphs) == 1
+        assert len(failures) == 1 and failures[0].line_no == 2
 
 
 def test_bound_spec_validation():
@@ -252,13 +257,31 @@ def test_survey_order_independence(universe6):
 
 
 def test_survey_parallel_matches_sequential(universe6):
-    spec = conjecture_bound(5)
-    seq = survey(universe6, spec, workers=1)
-    par = survey(universe6, spec, workers=2)
-    assert json.dumps(seq.to_json_dict(), sort_keys=True) == json.dumps(
-        par.to_json_dict(), sort_keys=True
-    )
-    assert seq.to_csv() == par.to_csv()
+    # the second spec lists a diamond and K5 in other labelings; its
+    # exclusion codes travel to the workers with the pickled spec
+    k5 = encode_graph6(relabel(complete(5), [4, 3, 2, 1, 0]))
+    for spec in (conjecture_bound(5), BoundSpec(k=4, exclusions=("Cv", k5))):
+        seq = survey(universe6, spec, workers=1)
+        par = survey(universe6, spec, workers=2)
+        assert json.dumps(seq.to_json_dict(), sort_keys=True) == json.dumps(
+            par.to_json_dict(), sort_keys=True
+        )
+        assert seq.to_csv() == par.to_csv()
+    assert sum(r.status == "excluded" for r in par.records) == 3  # C4, diamond, K5
+
+
+def test_survey_canonicalises_only_order_and_size_matches(monkeypatch):
+    # only the diamond shares (n, m) = (4, 5) with the exclusion: one call
+    # for the exclusion itself, one for the diamond
+    survey_module = sys.modules["cycleiso.survey"]  # the package attribute is the function
+    calls = []
+    real = survey_module.canonical_code
+    monkeypatch.setattr(survey_module, "canonical_code", lambda g: calls.append(g) or real(g))
+    spec = BoundSpec(k=4, exclusions=(encode_graph6(relabel(diamond(), [3, 1, 0, 2])),))
+    stream = [complete(4), diamond(), cycle(4), cycle(5), complete(5), graph_from_bitmask(4, 0)]
+    report = survey(stream, spec)
+    assert len(calls) == 2
+    assert [r.status for r in report.records][:3] == ["below", "excluded", "excluded"]
 
 
 def test_survey_violations_are_findings_not_errors():
@@ -273,8 +296,6 @@ def test_report_shapes(universe6):
     data = report.to_json_dict()
     assert set(data) == {"spec", "totals", "violations", "equalities"}
     assert "metadata" not in data
-    timed = report.to_json_dict(include_timing=True)
-    assert "wall_time_s" in timed["metadata"]
     csv = report.to_csv().splitlines()
     assert csv[0] == "graph6,n,m,k,iota,bound_num,bound_den,status,extremal_class"
     assert len(csv) == 31
