@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import re
 import sys
 import time
@@ -93,7 +92,7 @@ def _load_graph(args) -> Graph:
         if getattr(args, "graph6", None):
             return parse_graph6(args.graph6)
         if getattr(args, "file", None):
-            with open(args.file, encoding="ascii") as fh:
+            with open(args.file, encoding="ascii", errors="replace") as fh:
                 text = fh.read()
             if _looks_like_graph6(text):
                 return parse_graph6(text)
@@ -217,7 +216,7 @@ def _cmd_construct(args) -> int:
 def _cmd_cons(args) -> int:
     try:
         if args.tree:
-            with open(args.tree, encoding="ascii") as fh:
+            with open(args.tree, encoding="ascii", errors="replace") as fh:
                 tg = parse_edge_list(fh.read())
         else:
             tg = parse_edge_list(sys.stdin.read())
@@ -299,9 +298,10 @@ def _survey_spec(args) -> BoundSpec:
         spec = conjecture_bound(3 if args.bound_c3 else 4 if args.bound_c4 else args.k)
     if args.exclude:
         try:
-            with open(args.exclude, encoding="ascii") as fh:
-                exclusions = tuple(ln.strip() for ln in fh if ln.strip())
-            spec = dataclasses.replace(spec, exclusions=exclusions)
+            with open(args.exclude, encoding="ascii", errors="replace") as fh:
+                lines = [ln.strip() for ln in fh]
+            list(ingest_graph6(lines))  # format errors cite the file line
+            spec = dataclasses.replace(spec, exclusions=tuple(filter(None, lines)))
         except (OSError, ValueError) as exc:
             raise CliError(f"bad exclusion list: {exc}") from None
     return spec
@@ -357,11 +357,13 @@ def _report_output(args, report: SurveyReport, timing: dict[str, float]) -> None
 
 
 def _cmd_survey(args) -> int:
+    if args.workers < 1:  # --workers is accepted for compatibility only
+        raise CliError("worker count must be at least 1")
     spec = _survey_spec(args)
     started = time.perf_counter()
     graphs = _survey_graphs(args)
     loaded = time.perf_counter()
-    report = survey(graphs, spec, workers=args.workers, node_budget=args.budget)
+    report = survey(graphs, spec, node_budget=args.budget)
     solved = time.perf_counter()
     timing = {
         "enumerate_s" if args.enumerate is not None else "ingest_s": loaded - started,
@@ -395,13 +397,6 @@ def _cmd_check(args) -> int:
             ],
         )
     return {"violation": EXIT_VIOLATIONS, "budget_exhausted": EXIT_BUDGET}.get(rec.status, EXIT_OK)
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("CYCLEISO_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _add_graph_input(p: argparse.ArgumentParser) -> None:
@@ -487,7 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="survey every connected graph with at most N vertices",
             )
             p.add_argument("--skip-bad", action="store_true", help="skip malformed graph6 lines")
-            p.add_argument("--workers", type=int, default=_default_workers())
+            p.add_argument(
+                "--workers", type=int, default=1, help="accepted; surveys run in one process"
+            )
             p.add_argument(
                 "--timing", action="store_true", help="report input, solve and wall time"
             )

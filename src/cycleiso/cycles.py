@@ -82,14 +82,6 @@ def _iter_cycles(g: Graph, k: int, mask: VertexSet) -> Iterator[CycleWitness]:
             path.pop()
 
 
-def _contains_cycle_generic(g: Graph, k: int) -> Optional[CycleWitness]:
-    # backtracking path used to cross-check the k=4 fast path
-    _check_k(k)
-    for wit in _iter_cycles(g, k, g.full_mask):
-        return wit
-    return None
-
-
 def all_cycles(g: Graph, k: int) -> list[CycleWitness]:
     """Every k-cycle subgraph exactly once, deduplicated up to rotation/reflection."""
     _check_k(k)

@@ -43,7 +43,6 @@ would be the most valuable possible output.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -350,7 +349,7 @@ class BoundSpec:
     c: int = 1
     d: int = 6
     exclusions: tuple[str, ...] = ()
-    #: canonical codes of the exclusions by (order, size); pickled with the spec
+    #: canonical codes of the exclusions by (order, size)
     _codes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -517,33 +516,8 @@ def check_graph(g: Graph, spec: BoundSpec, node_budget: Optional[int] = None) ->
     return SurveyRecord(g6, n, m, k, iota, bound, status, tag)
 
 
-def _worker(args) -> list[SurveyRecord]:
-    chunk, spec, node_budget = args
-    return [check_graph(g, spec, node_budget) for g in chunk]
-
-
 def survey(
-    graphs: Iterable[Graph],
-    spec: BoundSpec,
-    workers: int = 1,
-    node_budget: Optional[int] = None,
+    graphs: Iterable[Graph], spec: BoundSpec, node_budget: Optional[int] = None
 ) -> SurveyReport:
-    """Evaluate the bound for every graph of the stream.
-
-    Records keep the input order regardless of worker count, so parallel
-    and sequential runs produce identical reports.
-    """
-    if workers < 1:
-        raise ValueError("worker count must be at least 1")
-    graphs = list(graphs)
-    if workers == 1 or len(graphs) < 2 * workers:
-        records = [check_graph(g, spec, node_budget) for g in graphs]
-    else:
-        records = [None] * len(graphs)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _worker, [(graphs[i::workers], spec, node_budget) for i in range(workers)]
-            )
-            for i, part in enumerate(parts):
-                records[i::workers] = part
-    return SurveyReport(spec=spec, records=records)
+    """Evaluate the bound for every graph of the stream, in input order."""
+    return SurveyReport(spec=spec, records=[check_graph(g, spec, node_budget) for g in graphs])

@@ -238,7 +238,8 @@ def test_survey_enumerate_below_one_exits_one(capsys, n):
     assert err.startswith("error: ")
 
 
-def test_survey_enumerate_above_eight_fails_before_enumerating(capsys, monkeypatch):
+@pytest.fixture
+def no_enumeration(monkeypatch):
     # a cold cache and a poisoned canonical form: any enumeration would raise
     def refuse(g):
         raise AssertionError("enumeration started")
@@ -246,6 +247,9 @@ def test_survey_enumerate_above_eight_fails_before_enumerating(capsys, monkeypat
     survey_module = sys.modules["cycleiso.survey"]  # the package attribute is survey()
     survey_module._connected_codes.cache_clear()
     monkeypatch.setattr(survey_module, "canonical_code", refuse)
+
+
+def test_survey_enumerate_above_eight_fails_before_enumerating(capsys, no_enumeration):
     code, out, err = run_cli(capsys, "survey", "--enumerate", "9")
     assert code == 1
     assert out == ""
@@ -253,6 +257,41 @@ def test_survey_enumerate_above_eight_fails_before_enumerating(capsys, monkeypat
         "error: built-in enumeration supports 1 <= n <= 8; "
         "ingest larger graphs from a graph6 stream\n"
     )
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_survey_worker_count_below_one_fails_before_enumerating(capsys, no_enumeration, workers):
+    assert run_cli(capsys, "survey", "--enumerate", "8", "--workers", workers) == (
+        1, "", "error: worker count must be at least 1\n"
+    )
+
+
+NON_ASCII_EDGE_LIST = "n 3\n0 1\n1 \u00e9\n".encode()  # the last id is UTF-8 bytes
+
+
+@pytest.mark.parametrize("argv", [("exact", "--file"), ("cons", "--tree")])
+def test_non_ascii_input_file_cites_its_line(capsys, tmp_path, argv):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(NON_ASCII_EDGE_LIST)
+    assert run_cli(capsys, *argv, str(path)) == (
+        1, "", "error: line 3: non-integer vertex id\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("Cz\nBADLINE\n", "line 2: graph6 string has 7 bytes, expected 2"),
+        ("\nCz\n\nBADLINE\n", "line 4: graph6 string has 7 bytes, expected 2"),
+        ("Cz\nC\u00e9\n", "line 2: non-ASCII character"),
+    ],
+)
+def test_bad_exclusion_cites_its_file_line(capsys, tmp_path, text, error):
+    listing = tmp_path / "exempt.g6"
+    listing.write_bytes(text.encode())
+    code, out, err = run_cli(capsys, "survey", "--graph6", "Cz", "--exclude", str(listing))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: bad exclusion list: {error}")
 
 
 @pytest.mark.parametrize("text", ["3\n0 1\n", "C~ C~\n"])

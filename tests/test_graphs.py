@@ -1,5 +1,3 @@
-import pickle
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,11 +254,3 @@ def test_graph_immutable_and_hashable():
     assert g == cycle(4)
     assert len({g, cycle(4)}) == 1
     assert vertices_of(g.full_mask) == (0, 1, 2, 3)
-
-
-def test_graph_pickle_round_trip_keeps_equality_and_hash():
-    for g in (cycle(4), diamond(), complete(1), graph_from_bitmask(0, 0)):
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            h = pickle.loads(pickle.dumps(g, protocol))
-            assert h == g and hash(h) == hash(g)
-            assert h.adj == g.adj and isinstance(h.adj, tuple)

@@ -10,7 +10,9 @@ point.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import Optional
 
+from cycleiso.cycles import _iter_cycles
 from cycleiso.graphs import Graph, from_edge_list
 
 
@@ -65,6 +67,12 @@ def oracle_has_k_cycle(g: Graph, k: int) -> bool:
         if all(adj[perm[i]] >> perm[(i + 1) % k] & 1 for i in range(k)):
             return True
     return False
+
+
+def contains_cycle_generic(g: Graph, k: int) -> Optional[tuple[int, ...]]:
+    """First k-cycle of the library's backtracking search, which find_cycle
+    bypasses at k = 4; the two paths cross-check each other."""
+    return next(_iter_cycles(g, k, g.full_mask), None)
 
 
 def oracle_all_k_cycles(g: Graph, k: int) -> set[frozenset[tuple[int, int]]]:
