@@ -31,8 +31,6 @@ from .graphs import (
     GraphFormatError,
     boundary_edge_count,
     closed_neighborhood,
-    connected_components,
-    delete_closed_neighborhood,
     encode_graph6,
     from_edge_list,
     parse_edge_list,
@@ -85,9 +83,7 @@ __all__ = [
     "closed_neighborhood",
     "compose_gluing",
     "conjecture_bound",
-    "connected_components",
     "construct",
-    "delete_closed_neighborhood",
     "encode_graph6",
     "enumerate_connected",
     "enumerate_trees",

@@ -23,6 +23,7 @@ from .constructive import bound_value, construct
 from .family import Tree, build, canonical_isolating_set, enumerate_trees, recognize
 from .graphs import (
     Graph,
+    GraphFormatError,
     encode_graph6,
     mask_of,
     parse_edge_list,
@@ -84,25 +85,30 @@ def _parse_bound(text: str, k: int) -> BoundSpec:
     return BoundSpec(k=k, a=a, b=b, c=c, d=d)
 
 
+def _read_text(path: str) -> str:
+    """A file's text; undecodable bytes become U+FFFD, never a valid graph6 byte."""
+    try:
+        with open(path, encoding="ascii", errors="replace") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _load_graph(args) -> Graph:
     sources = [s for s in ("graph6", "file") if getattr(args, s, None)]
     if len(sources) > 1:
         raise CliError("give at most one of --graph6 and --file")
-    try:
-        if getattr(args, "graph6", None):
-            return parse_graph6(args.graph6)
-        if getattr(args, "file", None):
-            with open(args.file, encoding="ascii", errors="replace") as fh:
-                text = fh.read()
-            if _looks_like_graph6(text):
-                return parse_graph6(text)
-            return parse_edge_list(text)
-        line = sys.stdin.readline()
-        if not line.strip():
-            raise CliError("no graph on stdin")
-        return parse_graph6(line)
-    except OSError as exc:
-        raise CliError(str(exc)) from None
+    if getattr(args, "graph6", None):
+        return parse_graph6(args.graph6)
+    if getattr(args, "file", None):
+        text = _read_text(args.file)
+        if _looks_like_graph6(text):
+            return parse_graph6(text)
+        return parse_edge_list(text)
+    line = sys.stdin.readline()
+    if not line.strip():
+        raise CliError("no graph on stdin")
+    return parse_graph6(line)
 
 
 def _looks_like_graph6(text: str) -> bool:
@@ -139,7 +145,7 @@ def _cmd_verify(args) -> int:
         "k": args.k,
         "set": list(cert.vertices),
         "valid": cert.valid,
-        "residual_components": [list(emb) for _, emb in cert.residual],
+        "residual_components": [list(vertices_of(mask)) for mask in cert.residual],
     }
     _emit(
         args,
@@ -155,11 +161,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_exact(args) -> int:
     g = _load_graph(args)
-    try:
-        res = iota_exact(g, args.k, args.budget)
-    except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    res = iota_exact(g, args.k, args.budget)
     payload = {
         "k": args.k,
         "iota": res.iota,
@@ -182,11 +184,7 @@ def _cmd_construct(args) -> int:
     if args.k != 4:
         raise CliError("the constructive bound is implemented for k=4 only")
     g = _load_graph(args)
-    try:
-        d, trace = construct(g)
-    except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    d, trace = construct(g)
     size = d.bit_count()
     limit = bound_value(g.m)
     payload = {
@@ -214,14 +212,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_cons(args) -> int:
-    try:
-        if args.tree:
-            with open(args.tree, encoding="ascii", errors="replace") as fh:
-                tg = parse_edge_list(fh.read())
-        else:
-            tg = parse_edge_list(sys.stdin.read())
-    except OSError as exc:
-        raise CliError(str(exc)) from None
+    tg = parse_edge_list(_read_text(args.tree) if args.tree else sys.stdin.read())
     tree = Tree(tg.n, tuple(tg.edges()))
     g, decomp = build(tree, args.k)
     payload = {
@@ -298,11 +289,13 @@ def _survey_spec(args) -> BoundSpec:
         spec = conjecture_bound(3 if args.bound_c3 else 4 if args.bound_c4 else args.k)
     if args.exclude:
         try:
-            with open(args.exclude, encoding="ascii", errors="replace") as fh:
-                lines = [ln.strip() for ln in fh]
-            list(ingest_graph6(lines))  # format errors cite the file line
-            spec = dataclasses.replace(spec, exclusions=tuple(filter(None, lines)))
-        except (OSError, ValueError) as exc:
+            lines = [ln.strip() for ln in _read_text(args.exclude).split("\n")]
+            try:
+                spec = dataclasses.replace(spec, exclusions=tuple(filter(None, lines)))
+            except GraphFormatError:
+                list(ingest_graph6(lines))  # raises the same error citing its file line
+                raise
+        except (CliError, ValueError) as exc:
             raise CliError(f"bad exclusion list: {exc}") from None
     return spec
 
@@ -316,18 +309,14 @@ def _survey_graphs(args) -> list[Graph]:
         if args.enumerate > ENUMERATION_MAX_N:
             raise CliError(ENUMERATION_RANGE_ERROR)
         return [g for order in range(1, args.enumerate + 1) for g in enumerate_connected(order)]
-    failures: list[IngestFailure] = []
     if args.graph6:
-        source: object = args.graph6
+        source = args.graph6
     elif args.file:
-        try:  # undecodable bytes become U+FFFD, never a valid graph6 byte
-            with open(args.file, encoding="ascii", errors="replace") as fh:
-                source = fh.read()
-        except OSError as exc:
-            raise CliError(str(exc)) from None
+        source = _read_text(args.file)
     else:
         source = sys.stdin.read()
-    graphs = list(ingest_graph6(source, skip_errors=args.skip_bad, failures=failures))
+    failures: list[IngestFailure] = []
+    graphs = list(ingest_graph6(source, failures if args.skip_bad else None))
     for failure in failures:
         print(f"skipped line {failure.line_no}: {failure.error}", file=sys.stderr)
     return graphs
@@ -506,6 +495,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
+    except BudgetExceededError as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -198,21 +198,28 @@ def _single_bit(mask: VertexSet) -> int:
 def construct(g: Graph) -> tuple[VertexSet, CaseTrace]:
     """Isolating set of size <= floor((m_i+1)/6) per connected component.
 
-    Components isomorphic to the plain 4-cycle are rejected: no isolating
-    set of theirs meets the bound.  Raises BudgetExceededError when the
-    exact fallback runs out of FALLBACK_NODE_BUDGET nodes.
+    Components isomorphic to the plain 4-cycle are rejected before any is
+    solved: no isolating set of theirs meets the bound.  Raises
+    BudgetExceededError when the exact fallback runs out of
+    FALLBACK_NODE_BUDGET nodes.
     """
+    pieces = _split(g, 0)
+    if any(p.tag == "C4" for p in pieces):
+        raise ValueError("excluded graph C4: a component is a plain 4-cycle")
+    d, steps = _solve_pieces(pieces)
+    return d, CaseTrace(tuple(steps))
+
+
+def _solve_pieces(pieces: list[_Comp]) -> tuple[VertexSet, list[TraceStep]]:
+    """Solve each piece and lift its set and trace steps to the parent's ids."""
+    d = 0
     steps: list[TraceStep] = []
-    out = 0
-    for mask in component_masks(g):
-        sub, emb = induced_subgraph(g, mask)
-        if is_c4_graph(sub):
-            raise ValueError("excluded graph C4: a component is a plain 4-cycle")
-        local, local_steps = _construct(sub)
+    for piece in pieces:
+        local, local_steps = _construct(piece)
         for i in bits(local):
-            out |= 1 << emb[i]
-        steps.extend(_lift(s, emb) for s in local_steps)
-    return out, CaseTrace(tuple(steps))
+            d |= 1 << piece.emb[i]
+        steps.extend(_lift(s, piece.emb) for s in local_steps)
+    return d, steps
 
 
 def _lift(step: TraceStep, emb: tuple[int, ...]) -> TraceStep:
@@ -224,11 +231,12 @@ def _lift(step: TraceStep, emb: tuple[int, ...]) -> TraceStep:
     )
 
 
-def _construct(g: Graph) -> tuple[VertexSet, list[TraceStep]]:
+def _construct(piece: _Comp) -> tuple[VertexSet, list[TraceStep]]:
     """Connected recursion with validation and exact-solver fallback."""
+    g = piece.sub
     try:
         d, steps = _dispatch(g)
-        ok = _isolates(g, d) and _within_contract(g, d)
+        ok = _isolates(g, d) and _within_contract(piece, d)
     except (_DispatchError, StopIteration):
         ok = False
     if not ok:
@@ -249,10 +257,9 @@ def _isolates(g: Graph, d: VertexSet) -> bool:
     return find_cycle(g, 4, alive) is None
 
 
-def _within_contract(g: Graph, d: VertexSet) -> bool:
-    m = g.m
-    special = is_diamond(g) or recognize(g, 4) is not None
-    limit = (m + 1) // 6 if special else m // 6
+def _within_contract(piece: _Comp, d: VertexSet) -> bool:
+    m = piece.sub.m
+    limit = (m + 1) // 6 if piece.tag in ("diamond", "extremal") else m // 6
     return d.bit_count() <= limit
 
 
@@ -268,22 +275,14 @@ def _result(
     recursed = recursed or []
     if lemma_s is not None and not check_gluing_hypothesis(g, lemma_s, direct, 4):
         raise _DispatchError("gluing hypothesis violated in a structural branch")
-    d = direct
-    sub_steps: list[TraceStep] = []
-    pieces = []
-    for comp in recursed:
-        local, local_steps = _construct(comp.sub)
-        for i in bits(local):
-            d |= 1 << comp.emb[i]
-        sub_steps.extend(_lift(s, comp.emb) for s in local_steps)
-        pieces.append(comp.emb)
+    d, sub_steps = _solve_pieces(recursed)
     head = TraceStep(
         label=label,
         working=vertices_of(working),
         increment=vertices_of(direct),
-        recursed=tuple(pieces),
+        recursed=tuple(c.emb for c in recursed),
     )
-    return d, [head] + sub_steps
+    return direct | d, [head] + sub_steps
 
 
 def _dispatch(g: Graph) -> tuple[VertexSet, list[TraceStep]]:
@@ -574,6 +573,7 @@ def _subcase_2_1(
     outside = g.full_mask & ~smask
     pieces = component_masks(g, outside)
     gv_mask = next(p for p in pieces if p >> v & 1)
+    gv = _Comp(g, gv_mask)
     other_masks = [p for p in pieces if p != gv_mask]
 
     c1 = sum(1 for c in picked if c.tag == "C4")
@@ -589,7 +589,6 @@ def _subcase_2_1(
         and e_v1_out == 1
         and all_single
     ):
-        gv = _Comp(g, gv_mask)
         if gv.tag == "diamond":
             d = 1 << v1
             for c in h3:
@@ -619,7 +618,7 @@ def _subcase_2_1(
                 d |= c.conn_mask()
             return _result(g, "Subcase 2.1(i):member", smask, d)
 
-    recursed = [_Comp(g, gv_mask)] + [_Comp(g, p) for p in other_masks]
+    recursed = [gv] + [_Comp(g, p) for p in other_masks]
     if c1 == 0 and c2 == 0:
         d_s = 0
         for c in h3:

@@ -160,13 +160,6 @@ def induced_subgraph(g: Graph, keep: Union[VertexSet, Iterable[int]]) -> tuple[G
     return Graph(len(embedding), adj), embedding
 
 
-def delete_closed_neighborhood(
-    g: Graph, d: Union[VertexSet, Iterable[int]]
-) -> tuple[Graph, tuple[int, ...]]:
-    """G - N[D] on the surviving vertices, with the embedding back into g."""
-    return induced_subgraph(g, g.full_mask & ~closed_neighborhood(g, d))
-
-
 def component_masks(g: Graph, within: VertexSet | None = None) -> list[VertexSet]:
     """Vertex masks of the connected components of g (or of g restricted to a mask)."""
     alive = g.full_mask if within is None else as_mask(g, within)
@@ -184,11 +177,6 @@ def component_masks(g: Graph, within: VertexSet | None = None) -> list[VertexSet
         out.append(comp)
         alive &= ~comp
     return out
-
-
-def connected_components(g: Graph) -> tuple[tuple[Graph, tuple[int, ...]], ...]:
-    """Connected components as (subgraph, embedding into g) pairs."""
-    return tuple(induced_subgraph(g, m) for m in component_masks(g))
 
 
 def is_connected(g: Graph) -> bool:

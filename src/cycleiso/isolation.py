@@ -2,9 +2,10 @@
 
 A set D is k-cycle-isolating for G when G - N[D] has no k-cycle subgraph.
 The exact solver works per connected component (isolation numbers add over
-components), and inside a component runs iterative-deepening search: any
-isolating set must meet the closed neighbourhood of every surviving cycle,
-so branching over N[V(C)] for one surviving cycle C is sound and complete.
+components), on the component's vertex mask in the input's own ids, and
+inside a component runs iterative-deepening search: any isolating set must
+meet the closed neighbourhood of every surviving cycle, so branching over
+N[V(C)] for one surviving cycle C is sound and complete.
 Among optimal sets the lexicographically least (as a sorted id tuple) is
 returned, so outputs are stable enough for golden tests.
 """
@@ -22,7 +23,6 @@ from .graphs import (
     bits,
     closed_neighborhood,
     component_masks,
-    induced_subgraph,
     mask_of,
     vertices_of,
 )
@@ -49,13 +49,13 @@ class BudgetExceededError(RuntimeError):
 class IsolationCertificate:
     """Verdict for one candidate set, with the residual components of G - N[D].
 
-    Each residual component is a (subgraph, embedding into G) pair.
+    Each residual component is a vertex mask of G.
     """
 
     k: int
     members: VertexSet
     valid: bool
-    residual: tuple[tuple[Graph, tuple[int, ...]], ...]
+    residual: tuple[VertexSet, ...]
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -79,16 +79,17 @@ def verify(g: Graph, d: Union[VertexSet, Iterable[int]], k: int) -> IsolationCer
         raise ValueError("cycle length must be at least 3")
     dm = as_mask(g, d)
     alive = g.full_mask & ~closed_neighborhood(g, dm)
-    residual = tuple(induced_subgraph(g, m) for m in component_masks(g, alive))
+    residual = tuple(component_masks(g, alive))
     valid = find_cycle(g, k, alive) is None
     return IsolationCertificate(k=k, members=dm, valid=valid, residual=residual)
 
 
 class _Search:
-    """Iterative-deepening search for one connected component."""
+    """Iterative-deepening search for one connected component, in g's ids."""
 
-    def __init__(self, g: Graph, k: int, budget: int | None):
+    def __init__(self, g: Graph, comp: VertexSet, k: int, budget: int | None):
         self.g = g
+        self.comp = comp
         self.k = k
         self.budget = budget
         self.explored = 0
@@ -103,7 +104,7 @@ class _Search:
         """Can chosen be extended by `remaining` vertices with ids >= lo?"""
         self._tick(lower)
         g = self.g
-        alive = g.full_mask & ~closed_neighborhood(g, chosen)
+        alive = self.comp & ~closed_neighborhood(g, chosen)
         cyc = find_cycle(g, self.k, alive)
         if cyc is None:
             return True
@@ -122,7 +123,7 @@ class _Search:
         return False
 
     def solve(self) -> tuple[int, VertexSet]:
-        for size in range(self.g.n + 1):
+        for size in range(self.comp.bit_count() + 1):
             if self.feasible(0, size, 0, size):
                 return size, self.lex_min_witness(size)
         raise AssertionError("the full vertex set always isolates")
@@ -131,7 +132,7 @@ class _Search:
         chosen = 0
         lo = 0
         for slot in range(size):
-            for v in range(lo, self.g.n):
+            for v in bits(self.comp >> lo << lo):
                 if self.feasible(chosen | (1 << v), size - slot - 1, v + 1, size):
                     chosen |= 1 << v
                     lo = v + 1
@@ -157,12 +158,11 @@ def iota_exact(g: Graph, k: int, node_budget: int | None = None) -> ExactResult:
     total = 0
     witness = 0
     explored = 0
-    for comp_mask in component_masks(g):
-        sub, emb = induced_subgraph(g, comp_mask)
-        if find_cycle(sub, k) is None:
+    for comp in component_masks(g):
+        if find_cycle(g, k, comp) is None:
             continue
         budget = None if node_budget is None else node_budget - explored
-        search = _Search(sub, k, budget)
+        search = _Search(g, comp, k, budget)
         try:
             size, local = search.solve()
         except BudgetExceededError as exc:
@@ -171,8 +171,7 @@ def iota_exact(g: Graph, k: int, node_budget: int | None = None) -> ExactResult:
             ) from None
         explored += search.explored
         total += size
-        for i in bits(local):
-            witness |= 1 << emb[i]
+        witness |= local
     return ExactResult(iota=total, witness=witness, explored=explored)
 
 

@@ -308,21 +308,15 @@ class IngestFailure:
 
 
 def ingest_graph6(
-    source: Union[str, bytes, TextIO, Iterable[str]],
-    skip_errors: bool = False,
+    source: Union[str, TextIO, Iterable[str]],
     failures: Optional[list[IngestFailure]] = None,
 ) -> Iterator[Graph]:
     """Parse newline-separated graph6 records, tracking line numbers.
 
-    With skip_errors a malformed line is recorded (when a failures list is
-    supplied) and skipped; otherwise it aborts with the line number.
+    With a failures list a malformed line is recorded there and skipped;
+    without one it aborts with the line number.
     """
-    if isinstance(source, bytes):
-        lines: Iterable[str] = source.decode("ascii", "replace").splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
+    lines = source.splitlines() if isinstance(source, str) else source
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -330,10 +324,9 @@ def ingest_graph6(
         try:
             yield parse_graph6(line)
         except GraphFormatError as exc:
-            if not skip_errors:
+            if failures is None:
                 raise GraphFormatError(f"line {line_no}: {exc}") from None
-            if failures is not None:
-                failures.append(IngestFailure(line_no, line, str(exc)))
+            failures.append(IngestFailure(line_no, line, str(exc)))
 
 
 # -- bound specification and records ------------------------------------------

@@ -6,6 +6,7 @@ universe fixtures, so the connected-graph enumeration up to order 8 happens
 once.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -107,33 +108,50 @@ def test_criterion_04_exhaustive_k3(universe8):
     report(4, ok, f"violations={len(rep.violations)}, equalities={eq}")
 
 
+#: sha256 over every graph of universe8: graph6, iota_exact(g, 4) (iota,
+#: witness, explored), then the construct set and every trace step (label,
+#: working, increment, recursed), or the rejection of the plain 4-cycle;
+#: taken from the implementation before the solver moved to component masks
+ORDER8_DIGEST = "8e4b53a70773f1b69a1c489a6e82705e4f980cfd49f516bd62d6ef88d686f703"
+
+
 def test_criterion_05_constructive_exhaustive(universe8):
     checked = 0
     fallbacks = 0
     failures = []
+    digest = hashlib.sha256()
     from cycleiso.constructive import TRACE_LABELS
 
     for g in universe8:
+        exact = iota_exact(g, 4)
+        digest.update(f"{encode_graph6(g)} {exact.iota} {exact.witness} {exact.explored}\n".encode())
         if is_c4_graph(g):
+            with pytest.raises(ValueError) as exc:
+                construct(g)
+            digest.update(f"error {exc.value}\n".encode())
             continue
         checked += 1
         d, trace = construct(g)
+        digest.update(f"set {d}\n".encode())
+        for s in trace.steps:
+            digest.update(f"{s.label} {s.working} {s.increment} {s.recursed}\n".encode())
         size = d.bit_count()
         if trace.used_fallback():
             fallbacks += 1
         if (
             not verify(g, d, 4).valid
             or size > (g.m + 1) // 6
-            or size < iota_exact(g, 4).iota
+            or size < exact.iota
             or not set(trace.labels) <= TRACE_LABELS
         ):
             failures.append(encode_graph6(g))
     ok = not failures and fallbacks == 0
+    ok &= digest.hexdigest() == ORDER8_DIGEST
     report(
         5,
         ok,
         f"{checked} graphs: sound sets within floor((m+1)/6), "
-        f"failures={failures[:3]}, fallbacks={fallbacks}",
+        f"failures={failures[:3]}, fallbacks={fallbacks}, digest={digest.hexdigest()}",
     )
 
 

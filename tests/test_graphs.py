@@ -6,11 +6,11 @@ from cycleiso.graphs import (
     GraphFormatError,
     boundary_edge_count,
     closed_neighborhood,
-    connected_components,
-    delete_closed_neighborhood,
+    component_masks,
     encode_graph6,
     format_edge_list,
     from_edge_list,
+    induced_subgraph,
     mask_of,
     parse_edge_list,
     parse_graph6,
@@ -64,13 +64,18 @@ def test_closed_neighborhood_contains_input():
 
 def test_delete_closed_neighborhood_c4():
     g = cycle(4)
-    rest, emb = delete_closed_neighborhood(g, {0})
+    alive = g.full_mask & ~closed_neighborhood(g, {0})
+    assert alive == 1 << 2
+    rest, emb = induced_subgraph(g, alive)
     assert rest.n == 1 and rest.m == 0
     assert emb == (2,)
 
 
 def test_delete_closed_neighborhood_diamond_apex():
-    rest, emb = delete_closed_neighborhood(diamond(), {1})
+    g = diamond()
+    alive = g.full_mask & ~closed_neighborhood(g, {1})
+    assert alive == 0
+    rest, emb = induced_subgraph(g, alive)
     assert rest.n == 0 and emb == ()
 
 
@@ -78,7 +83,7 @@ def test_delete_closed_neighborhood_pendant_cycle():
     # pendant vertex 4 anchors the cycle at 0; oracle: N[{4}] = {4, 0},
     # survivors 1, 2, 3 carry the two surviving cycle edges
     g = c4_plus()
-    rest, emb = delete_closed_neighborhood(g, {4})
+    rest, emb = induced_subgraph(g, g.full_mask & ~closed_neighborhood(g, {4}))
     assert emb == (1, 2, 3)
     assert rest.m == 2
 
@@ -86,36 +91,38 @@ def test_delete_closed_neighborhood_pendant_cycle():
 def test_deleted_vertices_not_adjacent_to_members():
     g = c4_plus()
     for v in range(g.n):
-        rest, emb = delete_closed_neighborhood(g, {v})
-        for kept in emb:
+        alive = g.full_mask & ~closed_neighborhood(g, {v})
+        for kept in vertices_of(alive):
             assert not g.adj[v] >> kept & 1 and kept != v
 
 
 def test_connected_components_single():
-    split = connected_components(cycle(4))
-    assert len(split) == 1
-    assert split[0][0].n == 4
+    g = cycle(4)
+    masks = component_masks(g)
+    assert masks == [g.full_mask]
+    sub, _ = induced_subgraph(g, masks[0])
+    assert sub == g
 
 
 def test_connected_components_union():
     g = disjoint_union(cycle(4), diamond())
-    split = connected_components(g)
+    split = [induced_subgraph(g, m) for m in component_masks(g)]
+    assert [emb for _, emb in split] == [(0, 1, 2, 3), (4, 5, 6, 7)]
     assert [sub.n for sub, _ in split] == [4, 4]
     assert [sub.m for sub, _ in split] == [4, 5]
 
 
 def test_connected_components_empty_graph():
-    assert len(connected_components(from_edge_list(0, []))) == 0
+    assert component_masks(from_edge_list(0, [])) == []
 
 
 def test_components_partition_and_no_cross_edges():
     g = disjoint_union(c4_plus(), cycle(3))
-    split = connected_components(g)
+    masks = component_masks(g)
     seen = []
-    for _, emb in split:
-        seen.extend(emb)
+    for m in masks:
+        seen.extend(vertices_of(m))
     assert sorted(seen) == list(range(g.n))
-    masks = [mask_of(emb) for _, emb in split]
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             assert boundary_edge_count(g, masks[i], masks[j]) == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleiso.graphs import from_edge_list, mask_of, vertices_of
+from cycleiso.graphs import Graph, from_edge_list, induced_subgraph, mask_of, relabel, vertices_of
 from cycleiso.isolation import (
     BudgetExceededError,
     check_gluing_hypothesis,
@@ -39,13 +39,20 @@ def test_verify_empty_set_on_c4():
     assert len(cert.residual) == 1
 
 
-def test_verify_residual_embeddings():
+def test_verify_residual_component_masks():
     g = c4_plus()
     cert = verify(g, {4}, 4)
     assert cert.valid  # the pendant's closed neighbourhood opens the cycle
-    (sub, emb), = cert.residual
-    assert emb == (1, 2, 3)
-    assert sub.m == 2
+    (mask,) = cert.residual
+    assert mask == mask_of([1, 2, 3])
+    assert induced_subgraph(g, mask)[0].m == 2
+    cert = verify(interleaved_c4_and_diamond(), 0, 4)
+    assert cert.residual == (mask_of([0, 2, 4, 6]), mask_of([1, 3, 5, 7]))
+
+
+def interleaved_c4_and_diamond():
+    """A 4-cycle on the even ids and a diamond on the odd ones."""
+    return relabel(disjoint_union(cycle(4), diamond()), [0, 2, 4, 6, 1, 3, 5, 7])
 
 
 def test_iota_basics():
@@ -60,6 +67,22 @@ def test_iota_disjoint_union_adds():
     res = iota_exact(g, 4)
     assert res.iota == 2
     assert verify(g, res.witness, 4).valid
+
+
+def test_iota_exact_searches_components_in_input_ids(monkeypatch):
+    g = interleaved_c4_and_diamond()
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    res = iota_exact(g, 4)
+    assert built == []  # no component is copied into a renumbered graph
+    assert res.iota == 2
+    assert vertices_of(res.witness) == (0, 1)
 
 
 def test_iota_witness_always_verifies(universe6):
@@ -218,8 +241,6 @@ def test_compose_valid_whenever_hypothesis_holds(data):
 
 
 def iota_exact_on_complement(g, s):
-    from cycleiso.graphs import induced_subgraph
-
     sub, emb = induced_subgraph(g, g.full_mask & ~s)
     local = iota_exact(sub, 4).witness
     out = 0

@@ -193,7 +193,7 @@ def test_ingest_bad_line_aborts_with_line_number():
 def test_ingest_skip_mode_records_failure():
     for bad in BAD_LINES:
         failures: list[IngestFailure] = []
-        graphs = list(ingest_graph6(f"C~\n{bad}\n", skip_errors=True, failures=failures))
+        graphs = list(ingest_graph6(f"C~\n{bad}\n", failures))
         assert len(graphs) == 1
         assert len(failures) == 1 and failures[0].line_no == 2
 
