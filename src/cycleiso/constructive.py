@@ -42,7 +42,6 @@ from .graphs import (
     boundary_edge_count,
     closed_neighborhood,
     component_masks,
-    induced_subgraph,
     is_connected,
     mask_of,
     vertices_of,
@@ -127,22 +126,20 @@ def bound_value(m: int) -> Fraction:
     return Fraction(m + 1, 6)
 
 
-def is_c4_graph(g: Graph) -> bool:
-    return g.n == 4 and g.m == 4 and all(d == 2 for d in g.degrees())
-
-
-def is_diamond(g: Graph) -> bool:
-    return g.n == 4 and g.m == 5
-
-
 def classify_component(h: Graph) -> ComponentClass:
     if not is_connected(h):
         raise ValueError("classification requires a connected graph")
-    if is_c4_graph(h):
+    return _classify(h, h.full_mask, h.m)
+
+
+def _classify(g: Graph, mask: VertexSet, m: int) -> ComponentClass:
+    """Class of the connected subgraph of g induced on mask, with m edges."""
+    n = mask.bit_count()
+    if n == 4 and m == 4 and all((g.adj[v] & mask).bit_count() == 2 for v in bits(mask)):
         return ComponentClass("C4")
-    if is_diamond(h):
+    if n == 4 and m == 5:
         return ComponentClass("diamond")
-    decomp = recognize(h, 4)
+    decomp = recognize(g, 4, mask)
     if decomp is not None:
         return ComponentClass("extremal", decomp)
     return ComponentClass("other")
@@ -153,28 +150,26 @@ class _DispatchError(Exception):
 
 
 class _Comp:
-    """One connected component of a residual graph, with its classification."""
+    """One connected component of a residual graph: a vertex mask of the
+    input graph, with its edge count and classification."""
 
-    __slots__ = ("mask", "sub", "emb", "cls", "_index")
+    __slots__ = ("mask", "m", "cls")
 
     def __init__(self, g: Graph, mask: VertexSet):
         self.mask = mask
-        self.sub, self.emb = induced_subgraph(g, mask)
-        self.cls = classify_component(self.sub)
-        self._index = {v: i for i, v in enumerate(self.emb)}
+        self.m = _span_edges(g, mask)
+        self.cls = _classify(g, mask, self.m)
 
     @property
     def tag(self) -> str:
         return self.cls.tag
 
     def conn_mask(self) -> VertexSet:
-        d = self.cls.decomposition
-        return mask_of(self.emb[i] for i in bits(d.connection_vertices))
+        return self.cls.decomposition.connection_vertices
 
-    def anchor_of(self, parent_vertex: int) -> int:
-        """Connection vertex (parent ids) of the constituent holding parent_vertex."""
-        d = self.cls.decomposition
-        return self.emb[d.connection_of(self._index[parent_vertex])]
+    def anchor_of(self, w: int) -> int:
+        """Connection vertex of the constituent holding w."""
+        return self.cls.decomposition.connection_of(w)
 
     def swap_set(self, w: int) -> VertexSet:
         """{w} plus the connection vertices minus the one anchoring w.
@@ -185,8 +180,8 @@ class _Comp:
         return (1 << w) | (self.conn_mask() & ~(1 << self.anchor_of(w)))
 
 
-def _split(g: Graph, removed: VertexSet) -> list[_Comp]:
-    return [_Comp(g, m) for m in component_masks(g, g.full_mask & ~removed)]
+def _split(g: Graph, alive: VertexSet) -> list[_Comp]:
+    return [_Comp(g, m) for m in component_masks(g, alive)]
 
 
 def _single_bit(mask: VertexSet) -> int:
@@ -203,102 +198,95 @@ def construct(g: Graph) -> tuple[VertexSet, CaseTrace]:
     BudgetExceededError when the exact fallback runs out of
     FALLBACK_NODE_BUDGET nodes.
     """
-    pieces = _split(g, 0)
+    pieces = _split(g, g.full_mask)
     if any(p.tag == "C4" for p in pieces):
         raise ValueError("excluded graph C4: a component is a plain 4-cycle")
-    d, steps = _solve_pieces(pieces)
+    d, steps = _solve_pieces(g, pieces)
     return d, CaseTrace(tuple(steps))
 
 
-def _solve_pieces(pieces: list[_Comp]) -> tuple[VertexSet, list[TraceStep]]:
-    """Solve each piece and lift its set and trace steps to the parent's ids."""
+def _solve_pieces(g: Graph, pieces: list[_Comp]) -> tuple[VertexSet, list[TraceStep]]:
+    """Solve each piece; the union of their sets and their trace steps."""
     d = 0
     steps: list[TraceStep] = []
     for piece in pieces:
-        local, local_steps = _construct(piece)
-        for i in bits(local):
-            d |= 1 << piece.emb[i]
-        steps.extend(_lift(s, piece.emb) for s in local_steps)
+        local, local_steps = _construct(g, piece)
+        d |= local
+        steps.extend(local_steps)
     return d, steps
 
 
-def _lift(step: TraceStep, emb: tuple[int, ...]) -> TraceStep:
-    return TraceStep(
-        label=step.label,
-        working=tuple(emb[i] for i in step.working),
-        increment=tuple(emb[i] for i in step.increment),
-        recursed=tuple(tuple(emb[i] for i in piece) for piece in step.recursed),
-    )
-
-
-def _construct(piece: _Comp) -> tuple[VertexSet, list[TraceStep]]:
+def _construct(g: Graph, piece: _Comp) -> tuple[VertexSet, list[TraceStep]]:
     """Connected recursion with validation and exact-solver fallback."""
-    g = piece.sub
     try:
-        d, steps = _dispatch(g)
-        ok = _isolates(g, d) and _within_contract(piece, d)
+        d, steps = _dispatch(g, piece)
+        ok = _isolates(g, piece.mask, d) and _within_contract(piece, d)
     except (_DispatchError, StopIteration):
         ok = False
     if not ok:
-        res = iota_exact(g, 4, FALLBACK_NODE_BUDGET)
+        res = iota_exact(g, 4, FALLBACK_NODE_BUDGET, piece.mask)
         d = res.witness
         steps = [
             TraceStep(
                 label="fallback",
-                working=vertices_of(g.full_mask),
+                working=vertices_of(piece.mask),
                 increment=vertices_of(d),
             )
         ]
     return d, steps
 
 
-def _isolates(g: Graph, d: VertexSet) -> bool:
-    alive = g.full_mask & ~closed_neighborhood(g, d)
+def _isolates(g: Graph, p: VertexSet, d: VertexSet) -> bool:
+    alive = p & ~closed_neighborhood(g, d)
     return find_cycle(g, 4, alive) is None
 
 
 def _within_contract(piece: _Comp, d: VertexSet) -> bool:
-    m = piece.sub.m
+    m = piece.m
     limit = (m + 1) // 6 if piece.tag in ("diamond", "extremal") else m // 6
     return d.bit_count() <= limit
 
 
 def _result(
     g: Graph,
+    p: VertexSet,
     label: str,
     working: VertexSet,
     direct: VertexSet,
     recursed: list[_Comp] | None = None,
     lemma_s: VertexSet | None = None,
 ) -> tuple[VertexSet, list[TraceStep]]:
-    """Assemble a branch result: direct part plus recursion on components."""
+    """Assemble a branch result on piece p: direct part plus recursion on components."""
     recursed = recursed or []
-    if lemma_s is not None and not check_gluing_hypothesis(g, lemma_s, direct, 4):
+    if lemma_s is not None and not check_gluing_hypothesis(g, lemma_s, direct, 4, p):
         raise _DispatchError("gluing hypothesis violated in a structural branch")
-    d, sub_steps = _solve_pieces(recursed)
+    d, sub_steps = _solve_pieces(g, recursed)
     head = TraceStep(
         label=label,
         working=vertices_of(working),
         increment=vertices_of(direct),
-        recursed=tuple(c.emb for c in recursed),
+        recursed=tuple(vertices_of(c.mask) for c in recursed),
     )
     return direct | d, [head] + sub_steps
 
 
-def _dispatch(g: Graph) -> tuple[VertexSet, list[TraceStep]]:
-    if find_cycle(g, 4) is None:
-        return _result(g, "base:no-C4", 0, 0)
-    m = g.m
-    if m <= 5:
+def _degree(g: Graph, p: VertexSet, v: int) -> int:
+    return (g.adj[v] & p).bit_count()
+
+
+def _dispatch(g: Graph, piece: _Comp) -> tuple[VertexSet, list[TraceStep]]:
+    p = piece.mask
+    if find_cycle(g, 4, p) is None:
+        return _result(g, p, "base:no-C4", 0, 0)
+    if piece.m <= 5:
         # connected, has a 4-cycle, not the plain C4: diamond or C4-plus-pendant
-        if g.n == 4:
-            d = 1 << min(v for v in range(4) if g.degree(v) == 3)
-        else:
-            d = 1 << min(v for v in range(g.n) if g.degree(v) == 1)
-        return _result(g, "base:m<=5", g.full_mask, d)
-    if g.max_degree == 3:
-        return _case1(g)
-    return _case2(g)
+        want = 3 if p.bit_count() == 4 else 1
+        d = 1 << next(v for v in bits(p) if _degree(g, p, v) == want)
+        return _result(g, p, "base:m<=5", p, d)
+    delta = max(_degree(g, p, v) for v in bits(p))
+    if delta == 3:
+        return _case1(g, p)
+    return _case2(g, piece, delta)
 
 
 # -- maximum degree 3 ----------------------------------------------------------
@@ -308,50 +296,52 @@ def _span_edges(g: Graph, mask: VertexSet) -> int:
     return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
 
 
-def _case1(g: Graph) -> tuple[VertexSet, list[TraceStep]]:
-    cycles = all_cycles(g, 4)
+def _case1(g: Graph, p: VertexSet) -> tuple[VertexSet, list[TraceStep]]:
+    cycles = all_cycles(g, 4, p)
     spans = [(cyc, mask_of(cyc), _span_edges(g, mask_of(cyc))) for cyc in cycles]
     for cyc, mask, se in spans:
         if se == 6:
-            if g.n != 4 or g.m != 6:
+            if mask != p:
                 raise _DispatchError("K4 span inside a larger graph at maximum degree 3")
-            return _result(g, "Case 1:K4", mask, 1)
+            return _result(g, p, "Case 1:K4", mask, p & -p)
     diamonds = [s for s in spans if s[2] == 5]
     if diamonds:
         cyc, mask, _ = min(diamonds, key=lambda s: tuple(sorted(s[0])))
-        return _subcase_1_1(g, mask)
+        return _subcase_1_1(g, p, mask)
     ranked = sorted(
         spans,
-        key=lambda s: (boundary_edge_count(g, s[1], g.full_mask & ~s[1]), tuple(sorted(s[0]))),
+        key=lambda s: (boundary_edge_count(g, s[1], p & ~s[1]), tuple(sorted(s[0]))),
     )
     cyc, mask, _ = ranked[0]
-    e = boundary_edge_count(g, mask, g.full_mask & ~mask)
-    return _subcase_1_2(g, cyc, mask, e)
+    e = boundary_edge_count(g, mask, p & ~mask)
+    return _subcase_1_2(g, p, cyc, mask, e)
 
 
-def _subcase_1_1(g: Graph, wmask: VertexSet) -> tuple[VertexSet, list[TraceStep]]:
+def _subcase_1_1(g: Graph, p: VertexSet, wmask: VertexSet) -> tuple[VertexSet, list[TraceStep]]:
     w = vertices_of(wmask)
     low = [v for v in w if (g.adj[v] & wmask).bit_count() == 2]
     high = [v for v in w if (g.adj[v] & wmask).bit_count() == 3]
     if len(low) != 2 or len(high) != 2:
         raise _DispatchError("diamond span without the 2+2 degree split")
-    carriers = sorted(u for u in low if g.adj[u] & ~wmask)
-    e = sum((g.adj[u] & ~wmask).bit_count() for u in low)
+    rest = p & ~wmask
+    carriers = sorted(u for u in low if g.adj[u] & rest)
+    e = sum((g.adj[u] & rest).bit_count() for u in low)
     if not 1 <= e <= 2 or len(carriers) != e:
         raise _DispatchError("diamond span boundary outside 1..2")
-    comps = _split(g, wmask)
+    comps = _split(g, rest)
 
     if any(c.tag == "C4" for c in comps):
         if len(comps) == 1:
-            return _result(g, "Subcase 1.1(i)", wmask, 1 << carriers[0])
+            return _result(g, p, "Subcase 1.1(i)", wmask, 1 << carriers[0])
         if len(comps) == 2 and all(c.tag == "C4" for c in comps):
-            return _result(g, "Subcase 1.1(i)", wmask, mask_of(carriers))
+            return _result(g, p, "Subcase 1.1(i)", wmask, mask_of(carriers))
         if len(comps) == 2:
             ha = next(c for c in comps if c.tag == "C4")
             hb = next(c for c in comps if c.tag != "C4")
             ux = next(u for u in carriers if g.adj[u] & ha.mask)
             return _result(
                 g,
+                p,
                 "Subcase 1.1(i)",
                 wmask | ha.mask,
                 1 << ux,
@@ -365,7 +355,7 @@ def _subcase_1_1(g: Graph, wmask: VertexSet) -> tuple[VertexSet, list[TraceStep]
             h = comps[0]
             wv = _single_bit(g.adj[carriers[0]] & h.mask)
             d = (1 << wv) if h.tag == "diamond" else h.swap_set(wv)
-            return _result(g, "Subcase 1.1(ii)", wmask | h.mask, d)
+            return _result(g, p, "Subcase 1.1(ii)", wmask | h.mask, d)
         ha = next(c for c in comps if g.adj[carriers[0]] & c.mask)
         hb = next(c for c in comps if c is not ha)
         wa = _single_bit(g.adj[carriers[0]] & ha.mask)
@@ -378,47 +368,48 @@ def _subcase_1_1(g: Graph, wmask: VertexSet) -> tuple[VertexSet, list[TraceStep]
             d = (1 << wb) | ha.conn_mask()
         else:
             d = ha.swap_set(wa) | hb.conn_mask()
-        return _result(g, "Subcase 1.1(ii)", g.full_mask, d)
+        return _result(g, p, "Subcase 1.1(ii)", p, d)
 
     return _result(
-        g, "Subcase 1.1(ii)", wmask, 1 << high[0], recursed=comps, lemma_s=wmask
+        g, p, "Subcase 1.1(ii)", wmask, 1 << high[0], recursed=comps, lemma_s=wmask
     )
 
 
 def _subcase_1_2(
-    g: Graph, cyc: tuple[int, ...], wmask: VertexSet, e: int
+    g: Graph, p: VertexSet, cyc: tuple[int, ...], wmask: VertexSet, e: int
 ) -> tuple[VertexSet, list[TraceStep]]:
-    carriers = sorted(u for u in cyc if g.adj[u] & ~wmask)
+    carriers = sorted(u for u in cyc if g.adj[u] & p & ~wmask)
     if len(carriers) != e:  # maximum degree 3 allows one external edge per vertex
         raise _DispatchError("carrier count does not match the boundary")
     if e == 1:
-        return _sub_1_2_1(g, cyc, wmask, carriers[0])
+        return _sub_1_2_1(g, p, wmask, carriers[0])
     if 2 <= e <= 4:
-        return _sub_1_2_234(g, cyc, wmask, carriers, e)
+        return _sub_1_2_234(g, p, cyc, wmask, carriers, e)
     raise _DispatchError(f"chordless working cycle with boundary {e}")
 
 
 def _sub_1_2_1(
-    g: Graph, cyc: tuple[int, ...], wmask: VertexSet, u1: int
+    g: Graph, p: VertexSet, wmask: VertexSet, u1: int
 ) -> tuple[VertexSet, list[TraceStep]]:
-    v = _single_bit(g.adj[u1] & ~wmask)
+    v = _single_bit(g.adj[u1] & p & ~wmask)
     smask = wmask | (1 << v)
-    comps = _split(g, smask)
+    comps = _split(g, p & ~smask)
     if not comps:
         raise _DispatchError("pendant-cycle base should have been handled earlier")
-    ep = (g.adj[v] & ~smask).bit_count()
+    ep = (g.adj[v] & p & ~smask).bit_count()
     if not 1 <= ep <= 2:
         raise _DispatchError("pendant vertex boundary outside 1..2")
 
     c4s = [c for c in comps if c.tag == "C4"]
     if c4s:
         if len(c4s) == len(comps):
-            return _result(g, "Subcase 1.2.1(i)", smask, 1 << v)
+            return _result(g, p, "Subcase 1.2.1(i)", smask, 1 << v)
         if len(comps) == 2 and len(c4s) == 1:
             ha = c4s[0]
             hb = next(c for c in comps if c is not ha)
             return _result(
                 g,
+                p,
                 "Subcase 1.2.1(i)",
                 smask | ha.mask,
                 1 << v,
@@ -436,29 +427,30 @@ def _sub_1_2_1(
             d = 1 << v
             for c, _ in endpoints:
                 d |= c.conn_mask()
-            return _result(g, "Subcase 1.2.1(ii):member", g.full_mask, d)
+            return _result(g, p, "Subcase 1.2.1(ii):member", p, d)
         d = 1 << v
         for c, wv in endpoints:
             if wv == c.anchor_of(wv):
                 d |= c.conn_mask()
             else:
                 d |= c.conn_mask() & ~(1 << c.anchor_of(wv))
-        return _result(g, "Subcase 1.2.1(ii)", g.full_mask, d)
+        return _result(g, p, "Subcase 1.2.1(ii)", p, d)
 
     return _result(
-        g, "Subcase 1.2.1(ii)", smask, 1 << u1, recursed=comps, lemma_s=smask
+        g, p, "Subcase 1.2.1(ii)", smask, 1 << u1, recursed=comps, lemma_s=smask
     )
 
 
 def _sub_1_2_234(
     g: Graph,
+    p: VertexSet,
     cyc: tuple[int, ...],
     wmask: VertexSet,
     carriers: list[int],
     e: int,
 ) -> tuple[VertexSet, list[TraceStep]]:
     tag = f"Subcase 1.2.{e}"
-    comps = _split(g, wmask)
+    comps = _split(g, p & ~wmask)
 
     if any(c.tag == "C4" for c in comps):
         # with the minimal working cycle a 4-cycle component must take the
@@ -468,8 +460,8 @@ def _sub_1_2_234(
         if e == 4:
             ux = carriers[0]
             w1 = min(bits(g.adj[ux] & comps[0].mask))
-            return _result(g, f"{tag}:G'=C4", wmask, (1 << ux) | (1 << w1))
-        return _result(g, f"{tag}:G'=C4", wmask, 1 << carriers[0])
+            return _result(g, p, f"{tag}:G'=C4", wmask, (1 << ux) | (1 << w1))
+        return _result(g, p, f"{tag}:G'=C4", wmask, 1 << carriers[0])
 
     if any(c.tag == "diamond" for c in comps):
         raise _DispatchError("diamond component despite no diamond span being chosen")
@@ -480,9 +472,9 @@ def _sub_1_2_234(
             h = comps[0]
             if e == 2:
                 w1 = min(bits(g.adj[carriers[0]] & h.mask))
-                return _result(g, f"{tag}(i)", g.full_mask, h.swap_set(w1))
+                return _result(g, p, f"{tag}(i)", p, h.swap_set(w1))
             d = (1 << carriers[0]) | h.conn_mask()
-            return _result(g, f"{tag}(i)", g.full_mask, d)
+            return _result(g, p, f"{tag}(i)", p, d)
         if len(comps) != 2:
             raise _DispatchError("boundary split cannot host a family component")
         # a family component attached by fewer edges would expose one of its
@@ -501,27 +493,27 @@ def _sub_1_2_234(
             w1 = min(bits(g.adj[ux] & h1.mask))
             d_s = h1.swap_set(w1)
         return _result(
-            g, f"{tag}(i)", wmask | h1.mask, d_s, recursed=[h2], lemma_s=wmask | h1.mask
+            g, p, f"{tag}(i)", wmask | h1.mask, d_s, recursed=[h2], lemma_s=wmask | h1.mask
         )
 
     if e == 4:
         ui = cyc[0]
     else:
         ui = min(u for i, u in enumerate(cyc) if cyc[(i + 2) % 4] not in carriers)
-    return _result(g, f"{tag}(ii)", wmask, 1 << ui, recursed=comps, lemma_s=wmask)
+    return _result(g, p, f"{tag}(ii)", wmask, 1 << ui, recursed=comps, lemma_s=wmask)
 
 
 # -- maximum degree >= 4 -------------------------------------------------------
 
 
-def _case2(g: Graph) -> tuple[VertexSet, list[TraceStep]]:
-    delta = g.max_degree
-    v = next(u for u in range(g.n) if g.degree(u) == delta)
-    nv_closed = g.closed_adj(v)
-    rest = g.full_mask & ~nv_closed
+def _case2(g: Graph, piece: _Comp, delta: int) -> tuple[VertexSet, list[TraceStep]]:
+    p = piece.mask
+    v = next(u for u in bits(p) if _degree(g, p, u) == delta)
+    nv_closed = (g.adj[v] & p) | (1 << v)
+    rest = p & ~nv_closed
     if rest == 0:
-        return _result(g, "Case 2:e=0", nv_closed, 1 << v)
-    comps = _split(g, nv_closed)
+        return _result(g, p, "Case 2:e=0", nv_closed, 1 << v)
+    comps = _split(g, rest)
     e = boundary_edge_count(g, nv_closed, rest)
     specials = [c for c in comps if c.tag != "other"]
     others = [c for c in comps if c.tag == "other"]
@@ -530,37 +522,34 @@ def _case2(g: Graph) -> tuple[VertexSet, list[TraceStep]]:
         inner = _span_edges(g, nv_closed)
         if delta == 4 and e == 1 and inner == 4:
             return _result(
-                g, "Case 2:star-bridge", nv_closed, 0, recursed=others, lemma_s=nv_closed
+                g, p, "Case 2:star-bridge", nv_closed, 0, recursed=others, lemma_s=nv_closed
             )
         return _result(
-            g, "Case 2:no-special", nv_closed, 1 << v, recursed=others, lemma_s=nv_closed
+            g, p, "Case 2:no-special", nv_closed, 1 << v, recursed=others, lemma_s=nv_closed
         )
 
     def n_of(c: _Comp) -> VertexSet:
-        out = 0
-        for x in bits(c.mask):
-            out |= g.adj[x] & ~c.mask
-        return out
+        return closed_neighborhood(g, c.mask) & p & ~c.mask
 
     def e_of(c: _Comp) -> int:
         return boundary_edge_count(g, c.mask, nv_closed)
 
     qualifying = [c for c in specials if n_of(c).bit_count() == 1 or e_of(c) <= 2]
     if qualifying:
-        return _subcase_2_1(g, v, nv_closed, specials, qualifying, n_of, e_of)
-    return _subcase_2_2(g, v, delta, nv_closed, comps, specials, others)
+        return _subcase_2_1(g, p, v, specials, qualifying, n_of, e_of)
+    return _subcase_2_2(g, piece, v, delta, nv_closed, specials, others)
 
 
 def _subcase_2_1(
     g: Graph,
+    p: VertexSet,
     v: int,
-    nv_closed: VertexSet,
     specials: list[_Comp],
     qualifying: list[_Comp],
     n_of,
     e_of,
 ) -> tuple[VertexSet, list[TraceStep]]:
-    hstar = min(qualifying, key=lambda c: c.emb)
+    hstar = min(qualifying, key=lambda c: vertices_of(c.mask))
     v1 = min(bits(n_of(hstar)))
     picked = [
         c
@@ -570,11 +559,11 @@ def _subcase_2_1(
     smask = 1 << v1
     for c in picked:
         smask |= c.mask
-    outside = g.full_mask & ~smask
+    outside = p & ~smask
     pieces = component_masks(g, outside)
-    gv_mask = next(p for p in pieces if p >> v & 1)
+    gv_mask = next(q for q in pieces if q >> v & 1)
     gv = _Comp(g, gv_mask)
-    other_masks = [p for p in pieces if p != gv_mask]
+    other_masks = [q for q in pieces if q != gv_mask]
 
     c1 = sum(1 for c in picked if c.tag == "C4")
     c2 = sum(1 for c in picked if c.tag == "diamond")
@@ -593,7 +582,7 @@ def _subcase_2_1(
             d = 1 << v1
             for c in h3:
                 d |= c.conn_mask()
-            return _result(g, "Subcase 2.1(i)", smask, d)
+            return _result(g, p, "Subcase 2.1(i)", smask, d)
         if gv.tag == "extremal":
             u = _single_bit(g.adj[v1] & outside)
             endpoints = [(c, _single_bit(g.adj[v1] & c.mask)) for c in h3]
@@ -602,47 +591,48 @@ def _subcase_2_1(
                 d = (1 << v1) | (gv.conn_mask() & ~(1 << gv.anchor_of(u)))
                 for c, _ in endpoints:
                     d |= c.conn_mask()
-                return _result(g, "Subcase 2.1(i)", smask, d)
+                return _result(g, p, "Subcase 2.1(i)", smask, d)
             stray = [(c, w) for c, w in endpoints if w != c.anchor_of(w)]
             if stray:
-                hs, ws = min(stray, key=lambda cw: cw[0].emb)
+                hs = min(stray, key=lambda cw: vertices_of(cw[0].mask))[0]
                 d = (1 << v1) | gv.conn_mask()
                 for c, w in endpoints:
                     if c is hs:
                         d |= c.conn_mask() & ~(1 << c.anchor_of(w))
                     else:
                         d |= c.conn_mask()
-                return _result(g, "Subcase 2.1(i)", smask, d)
+                return _result(g, p, "Subcase 2.1(i)", smask, d)
             d = (1 << v1) | gv.conn_mask()
             for c, _ in endpoints:
                 d |= c.conn_mask()
-            return _result(g, "Subcase 2.1(i):member", smask, d)
+            return _result(g, p, "Subcase 2.1(i):member", smask, d)
 
-    recursed = [gv] + [_Comp(g, p) for p in other_masks]
+    recursed = [gv] + [_Comp(g, q) for q in other_masks]
     if c1 == 0 and c2 == 0:
         d_s = 0
         for c in h3:
             u_h = min(bits(g.adj[v1] & c.mask))
             d_s |= c.swap_set(u_h)
         return _result(
-            g, "Subcase 2.1(ii)", smask, d_s, recursed=recursed, lemma_s=smask
+            g, p, "Subcase 2.1(ii)", smask, d_s, recursed=recursed, lemma_s=smask
         )
     d_s = 1 << v1
     for c in h3:
         d_s |= c.conn_mask()
-    return _result(g, "Subcase 2.1", smask, d_s, recursed=recursed, lemma_s=smask)
+    return _result(g, p, "Subcase 2.1", smask, d_s, recursed=recursed, lemma_s=smask)
 
 
 def _subcase_2_2(
     g: Graph,
+    piece: _Comp,
     v: int,
     delta: int,
     nv_closed: VertexSet,
-    comps: list[_Comp],
     specials: list[_Comp],
     others: list[_Comp],
 ) -> tuple[VertexSet, list[TraceStep]]:
-    nv_open = g.adj[v]
+    p = piece.mask
+    nv_open = nv_closed & ~(1 << v)
     smask = nv_closed
     for c in specials:
         smask |= c.mask
@@ -666,18 +656,18 @@ def _subcase_2_2(
             d_s |= c.conn_mask()
 
     if not others:
-        if delta == 4 and (c1, c2, c3) == (1, 0, 0) and g.m == 11:
+        if delta == 4 and (c1, c2, c3) == (1, 0, 0) and piece.m == 11:
             hstar = next(c for c in specials if c.tag == "C4")
             best_u = None
             best_cnt = -1
-            for x in sorted(bits(hstar.mask)):
+            for x in bits(hstar.mask):
                 hood = (g.adj[x] & hstar.mask) | (1 << x)
                 cnt = sum((g.adj[y] & nv_open).bit_count() for y in bits(hood))
                 if cnt > best_cnt:
                     best_u, best_cnt = x, cnt
             if best_cnt < 2:
                 raise _DispatchError("no cycle vertex sees two bridge edges")
-            return _result(g, "Subcase 2.2(i):rescue", smask, 1 << best_u)
-        return _result(g, "Subcase 2.2(i)", smask, d_s)
+            return _result(g, p, "Subcase 2.2(i):rescue", smask, 1 << best_u)
+        return _result(g, p, "Subcase 2.2(i)", smask, d_s)
 
-    return _result(g, "Subcase 2.2(ii)", smask, d_s, recursed=others, lemma_s=smask)
+    return _result(g, p, "Subcase 2.2(ii)", smask, d_s, recursed=others, lemma_s=smask)

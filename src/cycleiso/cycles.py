@@ -82,7 +82,7 @@ def _iter_cycles(g: Graph, k: int, mask: VertexSet) -> Iterator[CycleWitness]:
             path.pop()
 
 
-def all_cycles(g: Graph, k: int) -> list[CycleWitness]:
-    """Every k-cycle subgraph exactly once, deduplicated up to rotation/reflection."""
+def all_cycles(g: Graph, k: int, alive: VertexSet | None = None) -> list[CycleWitness]:
+    """Every k-cycle among the `alive` vertices exactly once, up to rotation/reflection."""
     _check_k(k)
-    return list(_iter_cycles(g, k, g.full_mask))
+    return list(_iter_cycles(g, k, g.full_mask if alive is None else alive))

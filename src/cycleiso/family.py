@@ -124,50 +124,55 @@ def expected_size(t: int, k: int) -> int:
     return (k + 2) * t - 1
 
 
-def recognize(g: Graph, k: int) -> Optional[ConsDecomposition]:
+def recognize(
+    g: Graph, k: int, within: VertexSet | None = None
+) -> Optional[ConsDecomposition]:
     """Decomposition witnessing membership in the family, or None.
 
-    Candidate constituent cycles are the chordless k-cycles whose vertices
-    all have degree 2 in g except exactly one of degree 3; the degree
-    pattern forces them to be pairwise disjoint, so no search is needed.
+    With `within`, the subgraph induced on that vertex mask is recognised
+    and the decomposition is given in g's ids.  Candidate constituent
+    cycles are the chordless k-cycles whose vertices all have degree 2
+    except exactly one of degree 3; the degree pattern forces them to be
+    pairwise disjoint, so no search is needed.
     """
     if k < 3:
         raise ValueError("cycle length must be at least 3")
-    if g.n == 0 or g.n % (k + 1):
+    alive = g.full_mask if within is None else within
+    n = alive.bit_count()
+    if n == 0 or n % (k + 1):
         return None
-    t = g.n // (k + 1)
-    if g.m != expected_size(t, k):
+    t = n // (k + 1)
+    adj = g.adj
+    if sum((adj[v] & alive).bit_count() for v in bits(alive)) != 2 * expected_size(t, k):
         return None
-    degrees = g.degrees()
     candidates = []
-    for cyc in all_cycles(g, k):
-        degs = [degrees[v] for v in cyc]
+    for cyc in all_cycles(g, k, alive):
+        degs = [(adj[v] & alive).bit_count() for v in cyc]
         if sorted(degs) != [2] * (k - 1) + [3]:
             continue
         cm = mask_of(cyc)
-        if any((g.adj[v] & cm).bit_count() != 2 for v in cyc):
+        if any((adj[v] & cm).bit_count() != 2 for v in cyc):
             continue  # chord inside the cycle
-        candidates.append(cyc)
+        candidates.append((cyc, degs.index(3)))
     used = 0
     constituents = []
-    for cyc in candidates:
+    for cyc, start in candidates:
         cm = mask_of(cyc)
         if cm & used:
             return None
         used |= cm
-        attach = next(v for v in cyc if degrees[v] == 3)
-        outside = g.adj[attach] & ~cm
+        attach = cyc[start]
+        outside = adj[attach] & alive & ~cm
         if outside.bit_count() != 1:
             return None
         connection = next(bits(outside))
-        start = cyc.index(attach)
         cycle = tuple(cyc[(start + j) % k] for j in range(k))
         constituents.append(
             Constituent(connection=connection, attachment=attach, cycle=cycle)
         )
     if used.bit_count() != t * k:
         return None
-    rest = g.full_mask & ~used
+    rest = alive & ~used
     if rest.bit_count() != t:
         return None
     anchors = {c.connection for c in constituents}

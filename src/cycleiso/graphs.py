@@ -94,15 +94,8 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
 
-    @property
-    def max_degree(self) -> int:
-        return max((row.bit_count() for row in self.adj), default=0)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
-
-    def closed_adj(self, v: int) -> VertexSet:
-        return self.adj[v] | (1 << v)
 
 
 def as_mask(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexSet:
@@ -144,20 +137,6 @@ def closed_neighborhood(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexS
     for v in bits(m):
         out |= g.adj[v]
     return out
-
-
-def induced_subgraph(g: Graph, keep: Union[VertexSet, Iterable[int]]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph on `keep`, renumbered 0.., plus the embedding local id -> parent id."""
-    m = as_mask(g, keep)
-    embedding = vertices_of(m)
-    index = {v: i for i, v in enumerate(embedding)}
-    adj = [0] * len(embedding)
-    for i, v in enumerate(embedding):
-        row = 0
-        for u in bits(g.adj[v] & m):
-            row |= 1 << index[u]
-        adj[i] = row
-    return Graph(len(embedding), adj), embedding
 
 
 def component_masks(g: Graph, within: VertexSet | None = None) -> list[VertexSet]:

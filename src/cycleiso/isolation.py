@@ -113,7 +113,8 @@ class _Search:
         key = (chosen, lo)
         if self.failed.get(key, -1) >= remaining:
             return False
-        hood = closed_neighborhood(g, mask_of(cyc))
+        # under `within`, a cycle's neighbours outside the mask are not candidates
+        hood = closed_neighborhood(g, mask_of(cyc)) & self.comp
         for v in bits(hood):
             if v < lo:
                 continue
@@ -142,23 +143,28 @@ class _Search:
         return chosen
 
 
-def iota_exact(g: Graph, k: int, node_budget: int | None = None) -> ExactResult:
+def iota_exact(
+    g: Graph, k: int, node_budget: int | None = None, within: VertexSet | None = None
+) -> ExactResult:
     """Exact k-cycle isolation number with a lex-least optimal witness.
 
-    Components are solved independently and summed.  Unbudgeted runs are
-    only allowed up to order UNBUDGETED_MAX_N; larger graphs must pass an
-    explicit node budget so runtimes stay predictable.
+    With `within`, the subgraph induced on that vertex mask is solved and
+    the witness is given in g's ids.  Components are solved independently
+    and summed.  Unbudgeted runs are only allowed up to order
+    UNBUDGETED_MAX_N; larger graphs must pass an explicit node budget so
+    runtimes stay predictable.
     """
     if k < 3:
         raise ValueError("cycle length must be at least 3")
-    if node_budget is None and g.n > UNBUDGETED_MAX_N:
+    alive = g.full_mask if within is None else as_mask(g, within)
+    if node_budget is None and alive.bit_count() > UNBUDGETED_MAX_N:
         raise ValueError(
             f"graphs with more than {UNBUDGETED_MAX_N} vertices require an explicit node_budget"
         )
     total = 0
     witness = 0
     explored = 0
-    for comp in component_masks(g):
+    for comp in component_masks(g, alive):
         if find_cycle(g, k, comp) is None:
             continue
         budget = None if node_budget is None else node_budget - explored
@@ -180,23 +186,29 @@ def check_gluing_hypothesis(
     s: Union[VertexSet, Iterable[int]],
     d: Union[VertexSet, Iterable[int]],
     k: int,
+    within: VertexSet | None = None,
 ) -> bool:
     """Does (S, D) satisfy the gluing hypothesis?
 
     True when D isolates the induced subgraph G[S] and every component of
     G[S] - N[D] sends at most one edge out of S.  Under that condition an
     isolating set of G - S extends D to an isolating set of all of G.
+    With `within`, G is the subgraph induced on that vertex mask: S must
+    lie inside it, and only edges to the rest of the mask leave S.
     """
     if k < 3:
         raise ValueError("cycle length must be at least 3")
+    alive = g.full_mask if within is None else as_mask(g, within)
     sm = as_mask(g, s)
     dm = as_mask(g, d)
+    if sm & ~alive:
+        raise ValueError("S must be contained in the vertex mask")
     if dm & ~sm:
         raise ValueError("D must be contained in S")
     residual = sm & ~closed_neighborhood(g, dm)
     if find_cycle(g, k, residual) is not None:
         return False
-    outside = g.full_mask & ~sm
+    outside = alive & ~sm
     for comp in component_masks(g, residual):
         out_edges = sum((g.adj[v] & outside).bit_count() for v in bits(comp))
         if out_edges > 1:

@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from cycleiso.cli import main as cli_main
-from cycleiso.constructive import bound_value, construct, is_c4_graph
+from cycleiso.constructive import bound_value, classify_component, construct
 from cycleiso.family import (
     Tree,
     build,
@@ -39,6 +39,7 @@ from util import (
     diamond,
     disjoint_union,
     graph_from_bitmask,
+    induced_subgraph,
     oracle_connected_class_count,
 )
 
@@ -125,7 +126,7 @@ def test_criterion_05_constructive_exhaustive(universe8):
     for g in universe8:
         exact = iota_exact(g, 4)
         digest.update(f"{encode_graph6(g)} {exact.iota} {exact.witness} {exact.explored}\n".encode())
-        if is_c4_graph(g):
+        if classify_component(g).tag == "C4":
             with pytest.raises(ValueError) as exc:
                 construct(g)
             digest.update(f"error {exc.value}\n".encode())
@@ -207,8 +208,6 @@ def test_criterion_08_gluing_property():
         if not check_gluing_hypothesis(g, s, d, 4):
             continue
         accepted += 1
-        from cycleiso.graphs import induced_subgraph
-
         sub, emb = induced_subgraph(g, g.full_mask & ~s)
         rest = mask_of(emb[i] for i in range(sub.n) if iota_exact(sub, 4).witness >> i & 1)
         cert = compose_gluing(g, s, d, rest, 4)

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,12 +8,12 @@ from cycleiso.constructive import (
     FALLBACK_NODE_BUDGET,
     TRACE_LABELS,
     bound_value,
+    TraceStep,
     classify_component,
     construct,
-    is_c4_graph,
 )
 from cycleiso.family import Tree, build
-from cycleiso.graphs import from_edge_list, mask_of
+from cycleiso.graphs import Graph, encode_graph6, from_edge_list, mask_of, vertices_of
 from cycleiso.isolation import BudgetExceededError, iota_exact, verify
 from util import c4_plus, complete, cycle, diamond, disjoint_union, k23_with_tail, path
 
@@ -80,6 +82,75 @@ def test_construct_disconnected_sums_components():
     assert verify(g, d, 4).valid
 
 
+def test_construct_builds_no_graph(monkeypatch):
+    # every piece is a vertex mask of the input, so no renumbered copy is
+    # built and sets and trace steps come out in input ids
+    cases = [
+        (k23_with_tail(9), (5,), ("Case 2:no-special", "base:no-C4", "base:no-C4")),
+        (build(K13_PLUS, 4)[0], (0, 1, 2, 3, 4), ("Subcase 2.1(i):member",)),
+        (disjoint_union(diamond(), complete(4)), (1, 4), ("base:m<=5", "Case 1:K4")),
+    ]
+
+    def no_graph(self, *args):
+        raise AssertionError("construct built a Graph")
+
+    monkeypatch.setattr(Graph, "__init__", no_graph)
+    traces = []
+    for g, want, labels in cases:
+        d, trace = construct(g)
+        assert vertices_of(d) == want
+        assert trace.labels == labels
+        traces.append(trace)
+    assert traces[0].steps[0] == TraceStep(
+        "Case 2:no-special", (0, 1, 2, 3, 5), (5,), ((4,), (6, 7, 8))
+    )
+    assert traces[2].steps[1] == TraceStep("Case 1:K4", (4, 5, 6, 7), (4,))
+
+
+#: sha256 over construct's set and every trace step on _hung_corpus(1, 800);
+#: taken from the implementation that copied each piece into a renumbered graph
+HUNG_CORPUS_DIGEST = "7974af8f3d963fd78772572bf509d3ac76cb4416d26a6b155401975ab0f08fda"
+
+
+def _hung_corpus(seed: int, count: int) -> list[Graph]:
+    """Random connected graphs (n 8-18) with up to four hung 4-cycles or
+    diamonds, shuffled, so the recursion reaches pieces with neighbours
+    outside them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(8, 18)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 1.2 / n]
+        for _ in range(rng.randint(0, 4)):
+            a = rng.randrange(n)
+            edges += [(n, n + 1), (n + 1, n + 2), (n + 2, n + 3), (n + 3, n)]
+            if rng.random() < 0.5:
+                edges.append((n, n + 2))
+            edges.append((a, n + rng.randrange(4)))
+            n += 4
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append(from_edge_list(n, [(perm[u], perm[v]) for u, v in edges]))
+    return out
+
+
+def test_hung_corpus_digest():
+    digest = hashlib.sha256()
+    for g in _hung_corpus(1, 800):
+        try:
+            d, trace = construct(g)
+        except ValueError:
+            digest.update(f"{encode_graph6(g)} error\n".encode())
+            continue
+        assert verify(g, d, 4).valid
+        assert not trace.used_fallback()
+        digest.update(f"{encode_graph6(g)} {d}\n".encode())
+        for s in trace.steps:
+            digest.update(f"{s.label} {s.working} {s.increment} {s.recursed}\n".encode())
+    assert digest.hexdigest() == HUNG_CORPUS_DIGEST
+
+
 def test_trace_increments_union_is_output():
     g, _ = build(Tree(3, ((0, 1), (1, 2))), 4)
     d, trace = construct(g)
@@ -88,7 +159,7 @@ def test_trace_increments_union_is_output():
 
 def test_trace_labels_are_known(universe7):
     for g in universe7:
-        if is_c4_graph(g):
+        if classify_component(g).tag == "C4":
             continue
         _, trace = construct(g)
         assert set(trace.labels) <= TRACE_LABELS
@@ -96,7 +167,7 @@ def test_trace_labels_are_known(universe7):
 
 def test_exhaustive_soundness_n7(universe7):
     for g in universe7:
-        if is_c4_graph(g):
+        if classify_component(g).tag == "C4":
             continue
         d, trace = construct(g)
         size = d.bit_count()
@@ -110,7 +181,7 @@ def test_equality_cases_n7(universe7):
     attained = [
         g
         for g in universe7
-        if not is_c4_graph(g) and iota_exact(g, 4).iota == bound_value(g.m)
+        if classify_component(g).tag != "C4" and iota_exact(g, 4).iota == bound_value(g.m)
     ]
     shapes = sorted((g.n, g.m) for g in attained)
     assert shapes == [(4, 5), (5, 5)]

@@ -1,12 +1,13 @@
 import pytest
 
 from cycleiso.cycles import all_cycles, find_cycle
-from cycleiso.graphs import from_edge_list, induced_subgraph
+from cycleiso.graphs import from_edge_list
 from util import (
     complete,
     contains_cycle_generic,
     cycle,
     diamond,
+    induced_subgraph,
     oracle_all_k_cycles,
     oracle_has_k_cycle,
 )

@@ -10,14 +10,21 @@ from cycleiso.graphs import (
     encode_graph6,
     format_edge_list,
     from_edge_list,
-    induced_subgraph,
     mask_of,
     parse_edge_list,
     parse_graph6,
     relabel,
     vertices_of,
 )
-from util import c4_plus, complete, cycle, diamond, disjoint_union, graph_from_bitmask
+from util import (
+    c4_plus,
+    complete,
+    cycle,
+    diamond,
+    disjoint_union,
+    graph_from_bitmask,
+    induced_subgraph,
+)
 
 
 def test_from_edge_list_c4():

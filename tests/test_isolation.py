@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleiso.graphs import Graph, from_edge_list, induced_subgraph, mask_of, relabel, vertices_of
+from cycleiso.graphs import Graph, from_edge_list, mask_of, relabel, vertices_of
 from cycleiso.isolation import (
     BudgetExceededError,
     check_gluing_hypothesis,
@@ -19,6 +19,7 @@ from util import (
     diamond,
     disjoint_union,
     graph_from_bitmask,
+    induced_subgraph,
     oracle_iota,
 )
 

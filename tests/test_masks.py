@@ -1,0 +1,103 @@
+"""The vertex-mask arguments agree with a renumbered copy of the subgraph.
+
+`all_cycles(g, k, alive)`, `recognize(g, k, within)`,
+`iota_exact(g, k, budget, within)` and
+`check_gluing_hypothesis(g, s, d, k, within)` work on the subgraph induced
+on a mask, in g's ids.  Each must equal the same call on the
+`induced_subgraph` copy with its answer mapped back through the embedding.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from cycleiso.cycles import all_cycles
+from cycleiso.family import ConsDecomposition, Constituent, Tree, build, recognize
+from cycleiso.graphs import Graph, from_edge_list, mask_of, relabel
+from cycleiso.isolation import check_gluing_hypothesis, iota_exact
+from util import graph_from_bitmask, induced_subgraph, path
+
+
+def _lift(decomp: ConsDecomposition | None, emb: tuple[int, ...]):
+    if decomp is None:
+        return None
+    return ConsDecomposition(
+        k=decomp.k,
+        connection_vertices=mask_of(emb[i] for i in range(len(emb)) if decomp.connection_vertices >> i & 1),
+        constituents=tuple(
+            Constituent(emb[c.connection], emb[c.attachment], tuple(emb[i] for i in c.cycle))
+            for c in decomp.constituents
+        ),
+        tree_edges=tuple((emb[u], emb[v]) for u, v in decomp.tree_edges),
+    )
+
+
+def _member_with_extras(seed: int) -> tuple[Graph, int]:
+    """cons(T, 4) with extra vertices hung off it, shuffled; and the member's mask."""
+    member, _ = build(Tree(3, ((0, 1), (1, 2))), 4)
+    t = member.n
+    edges = member.edges() + [(3, t), (0, t + 1), (t + 1, t + 2), (t + 2, 0), (t, t + 3)]
+    perm = list(range(t + 4))
+    random.Random(seed).shuffle(perm)
+    g = relabel(from_edge_list(t + 4, edges), perm)
+    return g, mask_of(perm[v] for v in range(t))
+
+
+def _cases() -> list[tuple[Graph, int]]:
+    rng = random.Random(8)
+    out = [_member_with_extras(seed) for seed in range(3)]
+    while len(out) < 60:
+        n = rng.randint(2, 12)
+        pairs = n * (n - 1) // 2
+        edge_bits = sum(1 << i for i in range(pairs) if rng.random() < 0.35)
+        g = graph_from_bitmask(n, edge_bits)
+        out.append((g, rng.getrandbits(n)))
+    return out
+
+
+def _check_mask_case(g: Graph, mask: int, rng: random.Random) -> None:
+    sub, emb = induced_subgraph(g, mask)
+
+    def up(local: int) -> int:
+        return mask_of(emb[i] for i in range(sub.n) if local >> i & 1)
+
+    for k in (3, 4, 5):
+        assert all_cycles(g, k, mask) == [tuple(emb[i] for i in c) for c in all_cycles(sub, k)]
+        assert recognize(g, k, mask) == _lift(recognize(sub, k), emb)
+        got, want = iota_exact(g, k, within=mask), iota_exact(sub, k)
+        assert (got.iota, got.witness, got.explored) == (want.iota, up(want.witness), want.explored)
+    for _ in range(5):
+        s_local = rng.getrandbits(sub.n) if sub.n else 0
+        d_local = s_local & (rng.getrandbits(sub.n) if sub.n else 0)
+        assert check_gluing_hypothesis(g, up(s_local), up(d_local), 4, mask) == (
+            check_gluing_hypothesis(sub, s_local, d_local, 4)
+        )
+
+
+def test_mask_arguments_match_the_renumbered_subgraph():
+    rng = random.Random(13)
+    for g, mask in _cases():
+        _check_mask_case(g, mask, rng)
+
+
+def test_recognize_finds_a_member_on_a_proper_mask():
+    g, mask = _member_with_extras(0)
+    assert mask != g.full_mask
+    assert recognize(g, 4) is None
+    decomp = recognize(g, 4, mask)
+    assert decomp is not None and decomp.tree_size == 3
+    assert decomp.connection_vertices & ~mask == 0
+
+
+def test_gluing_counts_only_edges_inside_the_mask():
+    # S = {1} on the path 0-1-2 sends two edges out of S, but only the one
+    # to 0 stays inside the mask {0, 1}
+    g = path(3)
+    assert not check_gluing_hypothesis(g, 0b010, 0, 4)
+    assert check_gluing_hypothesis(g, 0b010, 0, 4, 0b011)
+    sub, _ = induced_subgraph(g, 0b011)
+    assert check_gluing_hypothesis(sub, 0b10, 0, 4)
+    with pytest.raises(ValueError):
+        check_gluing_hypothesis(g, 0b100, 0, 4, 0b011)

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from cycleiso.cycles import _iter_cycles
-from cycleiso.graphs import Graph, from_edge_list
+from cycleiso.graphs import Graph, VertexSet, as_mask, bits, from_edge_list, vertices_of
 
 
 def path(n: int) -> Graph:
@@ -54,6 +54,19 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
     """Graph from an edge subset encoded over the pairs of range(n) in order."""
     pairs = list(combinations(range(n), 2))
     return from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, tuple[int, ...]]:
+    """Renumbering oracle: the subgraph on `keep` with ids 0.. in increasing
+    parent-id order, plus the embedding local id -> parent id."""
+    m = as_mask(g, keep)
+    embedding = vertices_of(m)
+    index = {v: i for i, v in enumerate(embedding)}
+    adj = [0] * len(embedding)
+    for i, v in enumerate(embedding):
+        for u in bits(g.adj[v] & m):
+            adj[i] |= 1 << index[u]
+    return Graph(len(embedding), adj), embedding
 
 
 def oracle_has_k_cycle(g: Graph, k: int) -> bool:
