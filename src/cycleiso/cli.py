@@ -388,6 +388,17 @@ def _cmd_check(args) -> int:
     return {"violation": EXIT_VIOLATIONS, "budget_exhausted": EXIT_BUDGET}.get(rec.status, EXIT_OK)
 
 
+def _node_budget(text: str) -> int:
+    """argparse type of --budget: a node count N >= 0."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError("node budget must be at least 0")
+    return budget
+
+
 def _add_graph_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph6", help="inline graph6 record")
     p.add_argument("--file", help="edge-list file ('n <count>' header) or graph6 file")
@@ -414,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact", help="exact isolation number with an optimal witness")
     _add_graph_input(p)
     _add_common(p, 4)
-    p.add_argument("--budget", type=int, default=None, help="search node budget")
+    p.add_argument("--budget", type=_node_budget, help="search node budget")
     p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("construct", help="constructive isolating set within (m+1)/6")
@@ -461,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--conjecture", action="store_true", help="preset: (m+1)/(k+2) for the given k"
         )
         p.add_argument("--exclude", help="file of graph6 records exempt from the bound")
-        p.add_argument("--budget", type=int, default=None, help="solver node budget per graph")
+        p.add_argument("--budget", type=_node_budget, help="solver node budget per graph")
         if name == "survey":
             p.add_argument(
                 "--enumerate",

@@ -24,10 +24,10 @@ from .graphs import (
     Graph,
     VertexSet,
     bits,
-    component_masks,
     from_edge_list,
     is_connected,
     mask_of,
+    reach,
     vertices_of,
 )
 
@@ -184,7 +184,7 @@ def recognize(
     tree_edges = tuple(
         (u, v) for u in bits(rest) for v in bits(g.adj[u] & rest) if u < v
     )
-    if len(tree_edges) != t - 1 or len(component_masks(g, rest)) != 1:
+    if len(tree_edges) != t - 1 or reach(adj, rest & -rest, rest) != rest:
         return None
     constituents.sort(key=lambda c: c.connection)
     return ConsDecomposition(

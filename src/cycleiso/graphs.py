@@ -139,27 +139,31 @@ def closed_neighborhood(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexS
     return out
 
 
+def reach(adj: Sequence[VertexSet], start: VertexSet, alive: VertexSet) -> VertexSet:
+    """Vertices of alive joined to the start mask by paths inside alive."""
+    comp = frontier = start
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & alive & ~comp
+        comp |= frontier
+    return comp
+
+
 def component_masks(g: Graph, within: VertexSet | None = None) -> list[VertexSet]:
     """Vertex masks of the connected components of g (or of g restricted to a mask)."""
     alive = g.full_mask if within is None else as_mask(g, within)
     out = []
     while alive:
-        start = alive & -alive
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v] & alive & ~comp
-            comp |= nxt
-            frontier = nxt
+        comp = reach(g.adj, alive & -alive, alive)
         out.append(comp)
         alive &= ~comp
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(component_masks(g)) == 1
+    return g.n <= 1 or reach(g.adj, 1, g.full_mask) == g.full_mask
 
 
 def boundary_edge_count(
@@ -177,6 +181,7 @@ def boundary_edge_count(
 
 
 def encode_graph6(g: Graph) -> str:
+    """graph6 of g; survey._encode writes its pair order under any vertex order."""
     if g.n > GRAPH6_MAX_N:
         raise GraphFormatError(f"graph6 support is limited to n <= {GRAPH6_MAX_N}")
     out = [g.n + 63]
@@ -223,15 +228,20 @@ def parse_graph6(text: Union[str, bytes]) -> Graph:
     pad = 6 * (len(data) - 1) - nbits
     if stream & ((1 << pad) - 1):
         raise GraphFormatError("graph6 padding bits are not zero")
-    stream >>= pad
+    return Graph(n, adjacency_from_code(n, stream >> pad))
+
+
+def adjacency_from_code(n: int, code: int) -> list[VertexSet]:
+    """Rows of the graph whose graph6 pair bits, x(0,1) most significant, are
+    code: an unpadded graph6 payload, or a code of survey._encode."""
     adj = [0] * n
     for j in range(n - 1, 0, -1):
         for i in range(j - 1, -1, -1):
-            if stream & 1:
+            if code & 1:
                 adj[j] |= 1 << i
                 adj[i] |= 1 << j
-            stream >>= 1
-    return Graph(n, adj)
+            code >>= 1
+    return adj
 
 
 # -- edge-list text format ----------------------------------------------------

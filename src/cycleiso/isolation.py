@@ -21,6 +21,7 @@ from .graphs import (
     VertexSet,
     as_mask,
     bits,
+    boundary_edge_count,
     closed_neighborhood,
     component_masks,
     mask_of,
@@ -210,8 +211,7 @@ def check_gluing_hypothesis(
         return False
     outside = alive & ~sm
     for comp in component_masks(g, residual):
-        out_edges = sum((g.adj[v] & outside).bit_count() for v in bits(comp))
-        if out_edges > 1:
+        if boundary_edge_count(g, comp, outside) > 1:
             return False
     return True
 

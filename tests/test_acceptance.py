@@ -115,11 +115,32 @@ def test_criterion_04_exhaustive_k3(universe8):
 #: taken from the implementation before the solver moved to component masks
 ORDER8_DIGEST = "8e4b53a70773f1b69a1c489a6e82705e4f980cfd49f516bd62d6ef88d686f703"
 
+#: trace labels that construct never fires on universe8 (14 of 28 fire)
+UNIVERSE8_UNFIRED = frozenset(
+    {
+        "Case 2:star-bridge",
+        "Subcase 1.2.1(i)",
+        "Subcase 1.2.1(ii):member",
+        "Subcase 1.2.2(i)",
+        "Subcase 1.2.3(i)",
+        "Subcase 1.2.4(i)",
+        "Subcase 2.1",
+        "Subcase 2.1(i)",
+        "Subcase 2.1(i):member",
+        "Subcase 2.1(ii)",
+        "Subcase 2.2(i)",
+        "Subcase 2.2(i):rescue",
+        "Subcase 2.2(ii)",
+        "fallback",
+    }
+)
+
 
 def test_criterion_05_constructive_exhaustive(universe8):
     checked = 0
     fallbacks = 0
     failures = []
+    fired = set()
     digest = hashlib.sha256()
     from cycleiso.constructive import TRACE_LABELS
 
@@ -134,6 +155,7 @@ def test_criterion_05_constructive_exhaustive(universe8):
         checked += 1
         d, trace = construct(g)
         digest.update(f"set {d}\n".encode())
+        fired.update(trace.labels)
         for s in trace.steps:
             digest.update(f"{s.label} {s.working} {s.increment} {s.recursed}\n".encode())
         size = d.bit_count()
@@ -148,11 +170,14 @@ def test_criterion_05_constructive_exhaustive(universe8):
             failures.append(encode_graph6(g))
     ok = not failures and fallbacks == 0
     ok &= digest.hexdigest() == ORDER8_DIGEST
+    unfired = TRACE_LABELS - fired
+    ok &= unfired == UNIVERSE8_UNFIRED
     report(
         5,
         ok,
         f"{checked} graphs: sound sets within floor((m+1)/6), "
-        f"failures={failures[:3]}, fallbacks={fallbacks}, digest={digest.hexdigest()}",
+        f"failures={failures[:3]}, fallbacks={fallbacks}, digest={digest.hexdigest()}, "
+        f"unfired={sorted(unfired)}",
     )
 
 

@@ -266,6 +266,28 @@ def test_survey_worker_count_below_one_fails_before_enumerating(capsys, no_enume
     )
 
 
+BUDGET_COMMANDS = [("exact",), ("check", "--bound-c4"), ("survey", "--bound-c4")]
+
+
+@pytest.mark.parametrize("command", BUDGET_COMMANDS)
+def test_negative_budget_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--graph6", "C~", "--budget", "-1")
+    assert (code, out) == (1, "")
+    assert "argument --budget: node budget must be at least 0" in err
+
+
+def test_survey_negative_budget_fails_before_enumerating(capsys, no_enumeration):
+    code, out, err = run_cli(capsys, "survey", "--enumerate", "8", "--budget", "-1")
+    assert (code, out) == (1, "")
+    assert "argument --budget: node budget must be at least 0" in err
+
+
+@pytest.mark.parametrize("command", BUDGET_COMMANDS)
+@pytest.mark.parametrize("g6, expected", [("Bg", 0), ("C~", 3)])
+def test_zero_budget_is_valid(capsys, command, g6, expected):
+    assert run_cli(capsys, *command, "--graph6", g6, "--budget", "0")[0] == expected
+
+
 NON_ASCII_EDGE_LIST = "n 3\n0 1\n1 \u00e9\n".encode()  # the last id is UTF-8 bytes
 
 

@@ -13,7 +13,14 @@ from cycleiso.constructive import (
     construct,
 )
 from cycleiso.family import Tree, build
-from cycleiso.graphs import Graph, encode_graph6, from_edge_list, mask_of, vertices_of
+from cycleiso.graphs import (
+    Graph,
+    encode_graph6,
+    from_edge_list,
+    mask_of,
+    parse_graph6,
+    vertices_of,
+)
 from cycleiso.isolation import BudgetExceededError, iota_exact, verify
 from util import c4_plus, complete, cycle, diamond, disjoint_union, k23_with_tail, path
 
@@ -111,6 +118,24 @@ def test_construct_builds_no_graph(monkeypatch):
 #: taken from the implementation that copied each piece into a renumbered graph
 HUNG_CORPUS_DIGEST = "7974af8f3d963fd78772572bf509d3ac76cb4416d26a6b155401975ab0f08fda"
 
+#: trace labels that construct never fires on _hung_corpus(1, 800) (16 of 28 fire)
+HUNG_CORPUS_UNFIRED = frozenset(
+    {
+        "Case 1:K4",
+        "Subcase 1.2.1(ii):member",
+        "Subcase 1.2.2(i)",
+        "Subcase 1.2.2:G'=C4",
+        "Subcase 1.2.3(i)",
+        "Subcase 1.2.3:G'=C4",
+        "Subcase 1.2.4(i)",
+        "Subcase 1.2.4:G'=C4",
+        "Subcase 2.1(i):member",
+        "Subcase 2.2(i)",
+        "Subcase 2.2(i):rescue",
+        "fallback",
+    }
+)
+
 
 def _hung_corpus(seed: int, count: int) -> list[Graph]:
     """Random connected graphs (n 8-18) with up to four hung 4-cycles or
@@ -137,6 +162,7 @@ def _hung_corpus(seed: int, count: int) -> list[Graph]:
 
 def test_hung_corpus_digest():
     digest = hashlib.sha256()
+    fired = set()
     for g in _hung_corpus(1, 800):
         try:
             d, trace = construct(g)
@@ -146,9 +172,24 @@ def test_hung_corpus_digest():
         assert verify(g, d, 4).valid
         assert not trace.used_fallback()
         digest.update(f"{encode_graph6(g)} {d}\n".encode())
+        fired.update(trace.labels)
         for s in trace.steps:
             digest.update(f"{s.label} {s.working} {s.increment} {s.recursed}\n".encode())
     assert digest.hexdigest() == HUNG_CORPUS_DIGEST
+    assert TRACE_LABELS - fired == HUNG_CORPUS_UNFIRED
+
+
+def test_subcase_2_2_counts_only_piece_neighbours():
+    # in the second step v = 0 has the neighbour 5 outside its piece;
+    # counting it moves an entry vertex and gives (0, 5, 8)
+    g = parse_graph6("P?iA?_SPCAD?G@_IOk?C_@W?")
+    assert (g.n, g.m) == (17, 27)
+    d, trace = construct(g)
+    assert vertices_of(d) == (0, 5, 7)
+    assert trace.labels == ("Subcase 2.1", "Subcase 2.2(ii)", "base:no-C4")
+    assert trace.steps[1] == TraceStep(
+        "Subcase 2.2(ii)", (0, 3, 4, 7, 8, 10, 13, 14, 16), (0, 7), ((2, 11, 12),)
+    )
 
 
 def test_trace_increments_union_is_output():
