@@ -6,6 +6,15 @@ components), on the component's vertex mask in the input's own ids, and
 inside a component runs iterative-deepening search: any isolating set must
 meet the closed neighbourhood of every surviving cycle, so branching over
 N[V(C)] for one surviving cycle C is sound and complete.
+Whether a node can still succeed depends on the chosen vertices only through
+the alive set comp - N[chosen], so failures are memoised on (alive set,
+lowest candidate id) and branches that reach one residual by different sets
+share an entry.  Before branching, a node packs surviving cycles greedily:
+cycles whose candidate sets N[V(C)] are pairwise disjoint each need their
+own vertex, so a node with more of them than vertices left fails at once
+(the packing argument behind Caro-Hansberg isolation lower bounds).  On the
+extremal family cons(T, C_k) the packing is tight, so a tree of t <= 9
+vertices costs at most a few dozen nodes.
 Among optimal sets the lexicographically least (as a sorted id tuple) is
 returned, so outputs are stable enough for golden tests.
 """
@@ -101,42 +110,58 @@ class _Search:
         if self.budget is not None and self.explored > self.budget:
             raise BudgetExceededError(lower, None, self.explored)
 
-    def feasible(self, chosen: VertexSet, remaining: int, lo: int, lower: int) -> bool:
-        """Can chosen be extended by `remaining` vertices with ids >= lo?"""
+    def feasible(self, alive: VertexSet, remaining: int, lo: int, lower: int) -> bool:
+        """Can `remaining` more vertices with ids >= lo isolate the alive set?"""
         self._tick(lower)
         g = self.g
-        alive = self.comp & ~closed_neighborhood(g, chosen)
-        cyc = find_cycle(g, self.k, alive)
+        k = self.k
+        comp = self.comp
+        cyc = find_cycle(g, k, alive)
         if cyc is None:
             return True
         if remaining == 0:
             return False
-        key = (chosen, lo)
+        key = (alive, lo)
         if self.failed.get(key, -1) >= remaining:
             return False
         # under `within`, a cycle's neighbours outside the mask are not candidates
-        hood = closed_neighborhood(g, mask_of(cyc)) & self.comp
+        hood = closed_neighborhood(g, mask_of(cyc)) & comp
+        # cycles with pairwise disjoint candidate sets each need their own vertex
+        rest = alive & ~closed_neighborhood(g, hood)
+        packed = 1
+        while packed <= remaining:
+            other = find_cycle(g, k, rest)
+            if other is None:
+                break
+            packed += 1
+            rest &= ~closed_neighborhood(g, closed_neighborhood(g, mask_of(other)) & comp)
+        if packed > remaining:
+            self.failed[key] = remaining
+            return False
         for v in bits(hood):
             if v < lo:
                 continue
-            if self.feasible(chosen | (1 << v), remaining - 1, lo, lower):
+            if self.feasible(alive & ~closed_neighborhood(g, 1 << v), remaining - 1, lo, lower):
                 return True
         self.failed[key] = remaining
         return False
 
     def solve(self) -> tuple[int, VertexSet]:
         for size in range(self.comp.bit_count() + 1):
-            if self.feasible(0, size, 0, size):
+            if self.feasible(self.comp, size, 0, size):
                 return size, self.lex_min_witness(size)
         raise AssertionError("the full vertex set always isolates")
 
     def lex_min_witness(self, size: int) -> VertexSet:
         chosen = 0
+        alive = self.comp
         lo = 0
         for slot in range(size):
             for v in bits(self.comp >> lo << lo):
-                if self.feasible(chosen | (1 << v), size - slot - 1, v + 1, size):
+                trial = alive & ~closed_neighborhood(self.g, 1 << v)
+                if self.feasible(trial, size - slot - 1, v + 1, size):
                     chosen |= 1 << v
+                    alive = trial
                     lo = v + 1
                     break
             else:

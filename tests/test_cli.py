@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from cycleiso.cli import _parse_bound, main
+from cycleiso.family import Tree, build
 from cycleiso.graphs import encode_graph6, format_edge_list
 from util import cycle, diamond, k23_with_tail
 
@@ -335,6 +336,14 @@ def test_file_sniffs_graph6_or_edge_list(capsys, tmp_path, text):
     assert run_cli(capsys, "exact", "--file", str(path)) == (
         0, "iota: 1\nwitness: 0\nexplored: 4\n", ""
     )
+
+
+def test_exact_on_the_equality_family_within_budget(capsys):
+    path9 = Tree(9, tuple((i, i + 1) for i in range(8)))
+    g6 = encode_graph6(build(path9, 4)[0])
+    code, out, _ = run_cli(capsys, "exact", "--graph6", g6, "-k", "4", "--budget", "100")
+    assert code == 0
+    assert "iota: 9\n" in out
 
 
 @pytest.mark.parametrize(

@@ -430,6 +430,15 @@ def test_rescue_branch_star_over_square():
     assert d.bit_count() == 1 == g.m // 6
 
 
+def test_subcase_2_2_i_fires_on_the_first_order_9_graph():
+    # the first connected graph of order 9, in enumeration order, whose
+    # trace fires Subcase 2.2(i); no graph of order at most 8 fires it
+    g = parse_graph6("H??EXw{")
+    d, trace = _assert_sound(g, "Subcase 2.2(i)")
+    assert vertices_of(d) == (6, 7)
+    assert trace.steps == (TraceStep("Subcase 2.2(i)", tuple(range(9)), (6, 7)),)
+
+
 def test_big_combined_graph_stays_sound():
     # several family members tied into one big graph through a hub path
     t1, _ = build(Tree(2, ((0, 1),)), 4)

@@ -113,12 +113,17 @@ def test_verify_extremal_equality():
 
 
 def test_equality_on_members_exact(universe6):
-    for n in (1, 2, 3):
-        for tree in enumerate_trees(n):
-            for k in (3, 4, 5):
+    # the equality case of the (m+1)/(k+2) bound, solved rather than read off
+    # the construction; at k = 4 and 5 every tree with t <= 8 (48 trees, up
+    # to 48 vertices)
+    for k, t_max in ((3, 3), (4, 8), (5, 8)):
+        for t in range(1, t_max + 1):
+            for tree in enumerate_trees(t):
                 g, decomp = build(tree, k)
-                budget = None if g.n <= 20 else 10**6
-                assert iota_exact(g, k, budget).iota == decomp.tree_size
+                res = iota_exact(g, k, node_budget=1_000)
+                assert res.iota == decomp.tree_size == t
+                assert g.m + 1 == t * (k + 2)
+                assert verify(g, res.witness, k).valid
 
 
 def test_enumerate_trees_counts():

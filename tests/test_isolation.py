@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleiso.graphs import Graph, from_edge_list, mask_of, relabel, vertices_of
+from cycleiso.family import Tree, build, enumerate_trees
+from cycleiso.graphs import Graph, from_edge_list, mask_of, parse_graph6, relabel, vertices_of
 from cycleiso.isolation import (
     BudgetExceededError,
     check_gluing_hypothesis,
@@ -21,6 +22,7 @@ from util import (
     graph_from_bitmask,
     induced_subgraph,
     oracle_iota,
+    oracle_lex_least_witness,
 )
 
 
@@ -107,21 +109,43 @@ def test_iota_witness_is_lex_least():
     assert vertices_of(iota_exact(g, 4).witness) == (0, 4)
 
 
+def _hung_cycles(rng: random.Random, k: int, cycles: int) -> Graph:
+    """A random connected base with `cycles` k-cycles each hung by one edge,
+    10-14 vertices in all, shuffled.  Cycles hung near each other share
+    candidates, which the packing prune must not count twice."""
+    n = rng.randint(max(10, cycles * k + 1), 14)
+    base = n - cycles * k
+    edges = [(rng.randrange(v), v) for v in range(1, base)]
+    edges += [(u, v) for u in range(base) for v in range(u + 1, base) if rng.random() < 1.5 / base]
+    for i in range(cycles):
+        start = base + i * k
+        edges += [(start + j, start + (j + 1) % k) for j in range(k)]
+        edges.append((rng.randrange(base), start + rng.randrange(k)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 def test_iota_lex_least_vs_oracle(universe6):
-    from itertools import combinations
-
-    from util import oracle_is_isolating
-
     rng = random.Random(99)
-    for g in rng.sample([g for g in universe6 if g.n >= 5], 25):
-        res = iota_exact(g, 4)
-        best = next(
-            members
-            for size in range(g.n + 1)
-            for members in combinations(range(g.n), size)
-            if oracle_is_isolating(g, members, 4)
-        )
-        assert vertices_of(res.witness) == best
+    cases = [(g, 4) for g in rng.sample([g for g in universe6 if g.n >= 5], 25)]
+    # inputs where the alive-set memo and the packing prune both fire: the
+    # paper's equality family and graphs with several pendant cycles
+    for k in (3, 4, 5):
+        for t in (1, 2, 3):
+            for tree in enumerate_trees(t):
+                g, _ = build(tree, k)
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                cases.append((relabel(g, perm), k))
+    for _ in range(12):
+        cases.append((_hung_cycles(rng, 4, rng.randint(2, 3)), 4))
+    for _ in range(4):
+        cases.append((_hung_cycles(rng, 5, 2), 5))
+    for g, k in cases:
+        best = oracle_lex_least_witness(g, k)
+        res = iota_exact(g, k)
+        assert (res.iota, vertices_of(res.witness)) == (len(best), best)
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,6 +169,31 @@ def test_additivity_on_random_unions(data):
     k = data.draw(st.sampled_from([3, 4]))
     union = disjoint_union(g1, g2)
     assert iota_exact(union, k).iota == iota_exact(g1, k).iota + iota_exact(g2, k).iota
+
+
+#: a graph of 18 vertices on which the witness phase meets residuals that
+#: the iterative deepening already failed on, below the first branch
+REVISITED_RESIDUALS = "QA?OO?@?GBa?g?@@`?GC@g?@SS?"
+
+
+def test_memo_is_keyed_on_the_lowest_candidate_id():
+    g = parse_graph6(REVISITED_RESIDUALS)
+    res = iota_exact(g, 4)
+    assert vertices_of(res.witness) == oracle_lex_least_witness(g, 4) == (7, 13)
+    # `cycleiso exact` prints this count; a memo keyed on the alive set
+    # alone would reuse failures found under a lower id bound and print 45
+    assert res.explored == 58
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_work_on_the_equality_family(k):
+    # without the packing prune the count grows about fivefold per tree
+    # vertex (24,448 nodes at t = 7)
+    explored = []
+    for t in range(5, 10):
+        g, _ = build(Tree(t, tuple((i, i + 1) for i in range(t - 1))), k)
+        explored.append(iota_exact(g, k, node_budget=1_000).explored)
+    assert explored == [26, 34, 43, 53, 64]
 
 
 def test_budget_exhaustion_carries_bounds():

@@ -103,13 +103,25 @@ def oracle_all_k_cycles(g: Graph, k: int) -> set[frozenset[tuple[int, int]]]:
 
 
 def _perm_has_k_cycle(adj: dict[int, set[int]], keep: list[int], k: int) -> bool:
-    if len(keep) < k:
-        return False
-    for perm in permutations(keep, k):
-        if perm[0] != min(perm) or perm[1] > perm[-1]:
-            continue
-        if all(perm[(i + 1) % k] in adj[perm[i]] for i in range(k)):
-            return True
+    """Scan k-permutations inside each component of keep; a cycle lies in one
+    component, and each is tried from its least vertex in one direction."""
+    left = set(keep)
+    while left:
+        part = {left.pop()}
+        todo = list(part)
+        while todo:
+            for u in adj[todo.pop()] & left:
+                left.discard(u)
+                part.add(u)
+                todo.append(u)
+        order = sorted(part)
+        for i, s in enumerate(order):
+            for rest in permutations(order[i + 1:], k - 1):
+                if rest[0] > rest[-1]:
+                    continue  # the reflection repeats the same cycle
+                perm = (s,) + rest
+                if all(perm[(j + 1) % k] in adj[perm[j]] for j in range(k)):
+                    return True
     return False
 
 
@@ -126,13 +138,18 @@ def oracle_is_isolating(g: Graph, members: tuple[int, ...], k: int) -> bool:
     return not _perm_has_k_cycle(adj, keep, k)
 
 
-def oracle_iota(g: Graph, k: int) -> int:
-    """Increasing-size subset scan with no pruning."""
+def oracle_lex_least_witness(g: Graph, k: int) -> tuple[int, ...]:
+    """Increasing-size subset scan with no pruning; combinations come in lex
+    order, so the first isolating set is the lex-least optimal one."""
     for size in range(g.n + 1):
         for members in combinations(range(g.n), size):
             if oracle_is_isolating(g, members, k):
-                return size
+                return members
     raise AssertionError("unreachable: the whole vertex set isolates")
+
+
+def oracle_iota(g: Graph, k: int) -> int:
+    return len(oracle_lex_least_witness(g, k))
 
 
 def oracle_connected_class_count(n: int) -> int:
