@@ -308,12 +308,10 @@ def _case1(g: Graph, p: VertexSet) -> tuple[VertexSet, list[TraceStep]]:
     if diamonds:
         cyc, mask, _ = min(diamonds, key=lambda s: tuple(sorted(s[0])))
         return _subcase_1_1(g, p, mask)
-    ranked = sorted(
-        spans,
-        key=lambda s: (boundary_edge_count(g, s[1], p & ~s[1]), tuple(sorted(s[0]))),
+    # with no K4 or diamond span a vertex set holds one 4-cycle, so keys are unique
+    e, _, cyc, mask = min(
+        (boundary_edge_count(g, m, p & ~m), sorted(c), c, m) for c, m, _ in spans
     )
-    cyc, mask, _ = ranked[0]
-    e = boundary_edge_count(g, mask, p & ~mask)
     return _subcase_1_2(g, p, cyc, mask, e)
 
 

@@ -6,10 +6,10 @@ components), on the component's vertex mask in the input's own ids, and
 inside a component runs iterative-deepening search: any isolating set must
 meet the closed neighbourhood of every surviving cycle, so branching over
 N[V(C)] for one surviving cycle C is sound and complete.
-Whether a node can still succeed depends on the chosen vertices only through
-the alive set comp - N[chosen], so failures are memoised on (alive set,
-lowest candidate id) and branches that reach one residual by different sets
-share an entry.  Before branching, a node packs surviving cycles greedily:
+A node's state is (alive set comp - N[chosen], vertices left), and failures
+are memoised on the alive set: a failed entry refutes every candidate in
+N[V(C)] & comp, whichever branch reached that residual and whichever branch
+asks next.  Before branching, a node packs surviving cycles greedily:
 cycles whose candidate sets N[V(C)] are pairwise disjoint each need their
 own vertex, so a node with more of them than vertices left fails at once
 (the packing argument behind Caro-Hansberg isolation lower bounds).  On the
@@ -103,63 +103,62 @@ class _Search:
         self.k = k
         self.budget = budget
         self.explored = 0
-        self.failed: dict[tuple[VertexSet, int], int] = {}
+        self.lower = 0  # the size being tried or witnessed
+        #: alive set -> the largest vertex count refuted on it
+        self.failed: dict[VertexSet, int] = {}
 
-    def _tick(self, lower: int) -> None:
+    def _tick(self) -> None:
         self.explored += 1
         if self.budget is not None and self.explored > self.budget:
-            raise BudgetExceededError(lower, None, self.explored)
+            raise BudgetExceededError(self.lower, None, self.explored)
 
-    def feasible(self, alive: VertexSet, remaining: int, lo: int, lower: int) -> bool:
-        """Can `remaining` more vertices with ids >= lo isolate the alive set?"""
-        self._tick(lower)
+    def feasible(self, alive: VertexSet, remaining: int) -> bool:
+        """Can `remaining` more vertices of the component isolate the alive set?"""
+        self._tick()
         g = self.g
         k = self.k
         comp = self.comp
         cyc = find_cycle(g, k, alive)
         if cyc is None:
             return True
-        if remaining == 0:
-            return False
-        key = (alive, lo)
-        if self.failed.get(key, -1) >= remaining:
+        if remaining == 0 or self.failed.get(alive, -1) >= remaining:
             return False
         # under `within`, a cycle's neighbours outside the mask are not candidates
         hood = closed_neighborhood(g, mask_of(cyc)) & comp
         # cycles with pairwise disjoint candidate sets each need their own vertex
         rest = alive & ~closed_neighborhood(g, hood)
         packed = 1
-        while packed <= remaining:
-            other = find_cycle(g, k, rest)
-            if other is None:
-                break
+        while packed <= remaining and (other := find_cycle(g, k, rest)) is not None:
             packed += 1
             rest &= ~closed_neighborhood(g, closed_neighborhood(g, mask_of(other)) & comp)
-        if packed > remaining:
-            self.failed[key] = remaining
-            return False
-        for v in bits(hood):
-            if v < lo:
-                continue
-            if self.feasible(alive & ~closed_neighborhood(g, 1 << v), remaining - 1, lo, lower):
-                return True
-        self.failed[key] = remaining
+        if packed <= remaining:
+            for v in bits(hood):
+                if self.feasible(alive & ~closed_neighborhood(g, 1 << v), remaining - 1):
+                    return True
+        self.failed[alive] = remaining
         return False
 
     def solve(self) -> tuple[int, VertexSet]:
         for size in range(self.comp.bit_count() + 1):
-            if self.feasible(self.comp, size, 0, size):
+            self.lower = size
+            if self.feasible(self.comp, size):
                 return size, self.lex_min_witness(size)
         raise AssertionError("the full vertex set always isolates")
 
     def lex_min_witness(self, size: int) -> VertexSet:
+        """Lex-least isolating set of `size` = iota vertices: each slot takes
+        the least v past the last pick whose residual some `size - slot - 1`
+        vertices of any ids isolate.  If the picks so far open the lex-least
+        optimal D and some v below D's next member d passed, the picks, v and
+        its completion would be an optimal set with more members below d than
+        D, so below D in sorted order: hence the walk picks d."""
         chosen = 0
         alive = self.comp
         lo = 0
         for slot in range(size):
             for v in bits(self.comp >> lo << lo):
                 trial = alive & ~closed_neighborhood(self.g, 1 << v)
-                if self.feasible(trial, size - slot - 1, v + 1, size):
+                if self.feasible(trial, size - slot - 1):
                     chosen |= 1 << v
                     alive = trial
                     lo = v + 1

@@ -338,6 +338,14 @@ def test_file_sniffs_graph6_or_edge_list(capsys, tmp_path, text):
     )
 
 
+def test_exact_prints_nodes_of_the_alive_set_memo(capsys):
+    # the graph of test_isolation's REVISITED_RESIDUALS: the witness walk
+    # reuses the failures deepening recorded on the same alive sets
+    assert run_cli(capsys, "exact", "--graph6", "QA?OO?@?GBa?g?@@`?GC@g?@SS?") == (
+        0, "iota: 2\nwitness: 7,13\nexplored: 47\n", ""
+    )
+
+
 def test_exact_on_the_equality_family_within_budget(capsys):
     path9 = Tree(9, tuple((i, i + 1) for i in range(8)))
     g6 = encode_graph6(build(path9, 4)[0])

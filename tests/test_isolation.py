@@ -5,9 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycleiso.family import Tree, build, enumerate_trees
-from cycleiso.graphs import Graph, from_edge_list, mask_of, parse_graph6, relabel, vertices_of
+from cycleiso.graphs import (
+    Graph,
+    component_masks,
+    encode_graph6,
+    from_edge_list,
+    mask_of,
+    parse_graph6,
+    relabel,
+    vertices_of,
+)
 from cycleiso.isolation import (
     BudgetExceededError,
+    _Search,
     check_gluing_hypothesis,
     compose_gluing,
     iota_exact,
@@ -23,6 +33,7 @@ from util import (
     induced_subgraph,
     oracle_iota,
     oracle_lex_least_witness,
+    oracle_refutes,
 )
 
 
@@ -176,13 +187,34 @@ def test_additivity_on_random_unions(data):
 REVISITED_RESIDUALS = "QA?OO?@?GBa?g?@@`?GC@g?@SS?"
 
 
-def test_memo_is_keyed_on_the_lowest_candidate_id():
+def test_memo_is_keyed_on_the_alive_set():
     g = parse_graph6(REVISITED_RESIDUALS)
     res = iota_exact(g, 4)
     assert vertices_of(res.witness) == oracle_lex_least_witness(g, 4) == (7, 13)
-    # `cycleiso exact` prints this count; a memo keyed on the alive set
-    # alone would reuse failures found under a lower id bound and print 45
-    assert res.explored == 58
+    # `cycleiso exact` prints this count; a memo keyed on the alive set with
+    # the lowest candidate id re-searches those residuals and prints 58
+    assert res.explored == 47
+
+
+def _checked_failed_entries(g, k):
+    entries = 0
+    for comp in component_masks(g, g.full_mask):
+        search = _Search(g, comp, k, None)
+        search.solve()
+        for alive, r in search.failed.items():
+            assert oracle_refutes(g, k, comp, alive, r), (encode_graph6(g), k, alive, r)
+        entries += len(search.failed)
+    return entries
+
+
+def test_every_failed_entry_is_a_refutation(universe8):
+    # a failed entry answers for every candidate, whichever branch asks later
+    assert _checked_failed_entries(parse_graph6(REVISITED_RESIDUALS), 4) == 9
+    for k in (4, 5):
+        for t in range(1, 5):
+            g, _ = build(Tree(t, tuple((i, i + 1) for i in range(t - 1))), k)
+            _checked_failed_entries(g, k)
+    assert sum(_checked_failed_entries(g, 3) for g in universe8) == 15
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -202,6 +234,17 @@ def test_budget_exhaustion_carries_bounds():
         iota_exact(g, 4, node_budget=1)
     assert exc.value.lower_bound >= 0
     assert exc.value.explored >= 1
+
+
+@pytest.mark.parametrize("budget, lower", [(0, 0), (1, 1), (2, 2), (46, 2)])
+def test_budget_exhaustion_reports_the_deepening_size(budget, lower):
+    # iota is 2 here and deepening takes 29 nodes, so budget 46 runs out in
+    # the witness walk, where the size being witnessed is the bound
+    g = parse_graph6(REVISITED_RESIDUALS)
+    with pytest.raises(BudgetExceededError) as exc:
+        iota_exact(g, 4, node_budget=budget)
+    assert exc.value.lower_bound == lower
+    assert exc.value.explored == budget + 1
 
 
 def test_budget_required_beyond_twenty_vertices():

@@ -1,10 +1,10 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own algorithms: cycle
-existence scans raw vertex permutations, isolation numbers scan subsets in
-increasing size, and isomorphism deduplication inserts whole permutation
-orbits into a seen-set.  They are slow and obviously correct, which is the
-point.
+existence scans raw vertex permutations or every walk of distinct vertices,
+isolation numbers scan subsets in increasing size, and isomorphism
+deduplication inserts whole permutation orbits into a seen-set.  They are
+slow and obviously correct, which is the point.
 """
 
 from __future__ import annotations
@@ -102,40 +102,46 @@ def oracle_all_k_cycles(g: Graph, k: int) -> set[frozenset[tuple[int, int]]]:
     return found
 
 
-def _perm_has_k_cycle(adj: dict[int, set[int]], keep: list[int], k: int) -> bool:
-    """Scan k-permutations inside each component of keep; a cycle lies in one
-    component, and each is tried from its least vertex in one direction."""
-    left = set(keep)
-    while left:
-        part = {left.pop()}
-        todo = list(part)
-        while todo:
-            for u in adj[todo.pop()] & left:
-                left.discard(u)
-                part.add(u)
-                todo.append(u)
-        order = sorted(part)
-        for i, s in enumerate(order):
-            for rest in permutations(order[i + 1:], k - 1):
-                if rest[0] > rest[-1]:
-                    continue  # the reflection repeats the same cycle
-                perm = (s,) + rest
-                if all(perm[(j + 1) % k] in adj[perm[j]] for j in range(k)):
-                    return True
-    return False
+def _has_k_cycle(adj: dict[int, set[int]], keep: list[int], k: int) -> bool:
+    """Scan sequences of k distinct vertices of keep whose consecutive pairs
+    are adjacent, for one that closes; each cycle is tried from its least
+    vertex, so the sequence grows only through larger ids."""
+
+    def closes(seq: tuple[int, ...]) -> bool:
+        if len(seq) == k:
+            return seq[0] in adj[seq[-1]]
+        return any(closes(seq + (u,)) for u in adj[seq[-1]] if u > seq[0] and u not in seq)
+
+    return any(closes((s,)) for s in keep)
 
 
-def oracle_is_isolating(g: Graph, members: tuple[int, ...], k: int) -> bool:
+def oracle_is_isolating(
+    g: Graph, members: tuple[int, ...], k: int, alive: Optional[VertexSet] = None
+) -> bool:
+    """Does alive - N[members] (all of g by default) hold no k-cycle?"""
     hood = set(members)
     for v in members:
         for u in range(g.n):
             if g.adj[v] >> u & 1:
                 hood.add(u)
-    keep = [v for v in range(g.n) if v not in hood]
+    alive = g.full_mask if alive is None else alive
+    keep = [v for v in range(g.n) if alive >> v & 1 and v not in hood]
     adj = {
         v: {u for u in keep if g.adj[v] >> u & 1} for v in keep
     }
-    return not _perm_has_k_cycle(adj, keep, k)
+    return not _has_k_cycle(adj, keep, k)
+
+
+def oracle_refutes(g: Graph, k: int, comp: VertexSet, alive: VertexSet, r: int) -> bool:
+    """True when no r vertices of comp leave alive - N[X] free of k-cycles.
+
+    Subsets of exactly r vertices (all of comp if it is smaller) suffice,
+    since adding vertices to an isolating set keeps it isolating."""
+    members = vertices_of(comp)
+    return not any(
+        oracle_is_isolating(g, chosen, k, alive)
+        for chosen in combinations(members, min(r, len(members)))
+    )
 
 
 def oracle_lex_least_witness(g: Graph, k: int) -> tuple[int, ...]:
