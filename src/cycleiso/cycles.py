@@ -4,8 +4,10 @@ Cycles are reported as not-necessarily-induced subgraphs: a witness is an
 ordered tuple of k distinct vertices in which consecutive entries (and the
 last/first pair) are adjacent.  Length 4 gets a common-neighbour fast path:
 a graph has a 4-cycle exactly when two distinct vertices share at least two
-common neighbours.  Everything else uses pruned path backtracking, which is
-plenty for the desk-scale graphs this package targets.
+common neighbours.  Everything else uses one explicit-stack depth-first
+search over paths rooted at each cycle's least vertex, whose last position
+draws only from the root's neighbours, so every leaf it reaches closes a
+cycle; that is plenty for the desk-scale graphs this package targets.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ def find_cycle(g: Graph, k: int, alive: VertexSet | None = None) -> Optional[Cyc
         return None
     if k == 4:
         return _find_c4(g, mask)
-    for wit in _iter_cycles(g, k, mask):
-        return wit
-    return None
+    return next(_iter_cycles(g, k, mask), None)
 
 
 def _find_c4(g: Graph, mask: VertexSet) -> Optional[CycleWitness]:
@@ -49,37 +49,54 @@ def _find_c4(g: Graph, mask: VertexSet) -> Optional[CycleWitness]:
 
 
 def _iter_cycles(g: Graph, k: int, mask: VertexSet) -> Iterator[CycleWitness]:
-    """All k-cycles within mask, one canonical witness each.
+    """All k-cycles within mask, one canonical witness each, in lex order.
 
     Canonical form: the cycle is rooted at its least vertex s, every other
     vertex exceeds s, and the second entry is smaller than the last (this
     kills the rotation and reflection duplicates).
+
+    One explicit-stack DFS per root: `stack[i]` holds the candidates still
+    untried for path position i, taken lowest id first.  Both ends of the
+    path lie in N(s) above s, so a root needs two such neighbours and
+    position 1 skips the highest of them.  Positions 2..k-2 extend the path
+    through unused neighbours above s; position k-1 draws only from N(s)
+    above path[1], so each of its candidates closes a canonical cycle and
+    is reported without descending.  These filters drop only paths that
+    cannot close canonically, and every position is tried in increasing id
+    order, so witnesses come out in lexicographic tuple order: the first is
+    the lex-least, which the solver's node counts and witnesses depend on.
     """
     adj = g.adj
+    last = k - 1
+    path = [0] * k
+    stack = [0] * k
     for s in bits(mask):
         higher = mask & ~((1 << (s + 1)) - 1)
-        path = [s]
+        closing = adj[s] & higher
+        if closing.bit_count() < 2:
+            continue
+        path[0] = s
+        stack[1] = closing ^ (1 << (closing.bit_length() - 1))
         used = 1 << s
-
-        def extend(v: int, depth: int) -> Iterator[CycleWitness]:
-            nonlocal used
-            if depth == k:
-                if adj[v] >> s & 1 and path[1] < v:
-                    yield tuple(path)
-                return
-            for w in bits(adj[v] & higher & ~used):
-                path.append(w)
-                used |= 1 << w
-                yield from extend(w, depth + 1)
-                used ^= 1 << w
-                path.pop()
-
-        for w in bits(adj[s] & higher):
-            path.append(w)
-            used |= 1 << w
-            yield from extend(w, 2)
-            used ^= 1 << w
-            path.pop()
+        i = 1
+        while i:
+            cand = stack[i]
+            if not cand:
+                i -= 1
+                used ^= 1 << path[i]
+                continue
+            low = cand & -cand
+            stack[i] = cand ^ low
+            path[i] = w = low.bit_length() - 1
+            if i == last:
+                yield tuple(path)
+                continue
+            used |= low
+            i += 1
+            if i == last:
+                stack[i] = adj[w] & closing & ~used & ~((2 << path[1]) - 1)
+            else:
+                stack[i] = adj[w] & higher & ~used
 
 
 def all_cycles(g: Graph, k: int, alive: VertexSet | None = None) -> list[CycleWitness]:

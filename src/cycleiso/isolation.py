@@ -9,12 +9,15 @@ N[V(C)] for one surviving cycle C is sound and complete.
 A node's state is (alive set comp - N[chosen], vertices left), and failures
 are memoised on the alive set: a failed entry refutes every candidate in
 N[V(C)] & comp, whichever branch reached that residual and whichever branch
-asks next.  Before branching, a node packs surviving cycles greedily:
-cycles whose candidate sets N[V(C)] are pairwise disjoint each need their
-own vertex, so a node with more of them than vertices left fails at once
-(the packing argument behind Caro-Hansberg isolation lower bounds).  On the
-extremal family cons(T, C_k) the packing is tight, so a tree of t <= 9
-vertices costs at most a few dozen nodes.
+asks next.  Each search also memoises the first surviving cycle of every
+alive set it asks about (or None), so iterative deepening, the packing and
+the witness walk run the cycle search once per residual, and every node
+names the cycle it branches on.  Before branching, a node packs surviving
+cycles greedily: cycles whose candidate sets N[V(C)] are pairwise disjoint
+each need their own vertex, so a node with more of them than vertices left
+fails at once (the packing argument behind Caro-Hansberg isolation lower
+bounds).  On the extremal family cons(T, C_k) the packing is tight, so a
+tree of t <= 9 vertices costs at most a few dozen nodes.
 Among optimal sets the lexicographically least (as a sorted id tuple) is
 returned, so outputs are stable enough for golden tests.
 """
@@ -22,9 +25,9 @@ returned, so outputs are stable enough for golden tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
-from .cycles import find_cycle
+from .cycles import CycleWitness, find_cycle
 from .graphs import (
     Graph,
     VertexSet,
@@ -106,19 +109,27 @@ class _Search:
         self.lower = 0  # the size being tried or witnessed
         #: alive set -> the largest vertex count refuted on it
         self.failed: dict[VertexSet, int] = {}
+        #: alive set -> its first surviving cycle, or None once it is isolated
+        self.cycles: dict[VertexSet, Optional[CycleWitness]] = {}
 
     def _tick(self) -> None:
         self.explored += 1
         if self.budget is not None and self.explored > self.budget:
             raise BudgetExceededError(self.lower, None, self.explored)
 
+    def cycle(self, alive: VertexSet) -> Optional[CycleWitness]:
+        """find_cycle on the alive set, asked at most once per search."""
+        cycles = self.cycles
+        if alive not in cycles:
+            cycles[alive] = find_cycle(self.g, self.k, alive)
+        return cycles[alive]
+
     def feasible(self, alive: VertexSet, remaining: int) -> bool:
         """Can `remaining` more vertices of the component isolate the alive set?"""
         self._tick()
         g = self.g
-        k = self.k
         comp = self.comp
-        cyc = find_cycle(g, k, alive)
+        cyc = self.cycle(alive)
         if cyc is None:
             return True
         if remaining == 0 or self.failed.get(alive, -1) >= remaining:
@@ -128,7 +139,7 @@ class _Search:
         # cycles with pairwise disjoint candidate sets each need their own vertex
         rest = alive & ~closed_neighborhood(g, hood)
         packed = 1
-        while packed <= remaining and (other := find_cycle(g, k, rest)) is not None:
+        while packed <= remaining and (other := self.cycle(rest)) is not None:
             packed += 1
             rest &= ~closed_neighborhood(g, closed_neighborhood(g, mask_of(other)) & comp)
         if packed <= remaining:
@@ -190,10 +201,10 @@ def iota_exact(
     witness = 0
     explored = 0
     for comp in component_masks(g, alive):
-        if find_cycle(g, k, comp) is None:
-            continue
         budget = None if node_budget is None else node_budget - explored
         search = _Search(g, comp, k, budget)
+        if search.cycle(comp) is None:
+            continue
         try:
             size, local = search.solve()
         except BudgetExceededError as exc:

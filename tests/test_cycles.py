@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cycleiso.cycles import all_cycles, find_cycle
@@ -9,6 +11,7 @@ from util import (
     diamond,
     induced_subgraph,
     oracle_all_k_cycles,
+    oracle_canonical_cycles,
     oracle_has_k_cycle,
 )
 
@@ -66,6 +69,19 @@ def test_all_cycles_deduplicated_and_valid(universe6):
             for wit in wits:
                 witness_is_valid(g, wit, k)
             assert {edge_set(w, k) for w in wits} == oracle_all_k_cycles(g, k)
+
+
+def test_witnesses_come_in_lex_order(universe7):
+    # the solver's node counts and lex-least witnesses depend on which cycle
+    # comes first, so the order is pinned, not just the set of cycles
+    rng = random.Random(12)
+    for g in universe7:
+        for alive in (g.full_mask, *(rng.getrandbits(g.n) for _ in range(3))):
+            for k in range(3, 8):
+                expected = oracle_canonical_cycles(g, k, alive)
+                assert all_cycles(g, k, alive) == expected
+                if k != 4:
+                    assert find_cycle(g, k, alive) == (expected[0] if expected else None)
 
 
 def test_existence_matches_oracle_exhaustive(universe7):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycleiso import isolation
 from cycleiso.family import Tree, build, enumerate_trees
 from cycleiso.graphs import (
     Graph,
@@ -226,6 +227,35 @@ def test_work_on_the_equality_family(k):
         g, _ = build(Tree(t, tuple((i, i + 1) for i in range(t - 1))), k)
         explored.append(iota_exact(g, k, node_budget=1_000).explored)
     assert explored == [26, 34, 43, 53, 64]
+
+
+def test_each_alive_set_is_searched_once(monkeypatch):
+    # deepening, packing and the witness walk come back to the same residuals;
+    # the search's cycle memo answers them without a second cycle search
+    asked = []
+    find_cycle = isolation.find_cycle
+
+    def counting(g, k, alive=None):
+        asked.append(alive)
+        return find_cycle(g, k, alive)
+
+    monkeypatch.setattr(isolation, "find_cycle", counting)
+
+    def explored(g, k):
+        # each of these graphs is connected, so one iota_exact is one search
+        assert len(component_masks(g, g.full_mask)) == 1
+        asked.clear()
+        res = iota_exact(g, k, node_budget=1_000)
+        assert len(asked) == len(set(asked))
+        return res.explored
+
+    assert explored(parse_graph6(REVISITED_RESIDUALS), 4) == 47
+    for k in (4, 5):
+        counts = []
+        for t in range(4, 10):
+            g, _ = build(Tree(t, tuple((i, i + 1) for i in range(t - 1))), k)
+            counts.append(explored(g, k))
+        assert counts[1:] == [26, 34, 43, 53, 64]
 
 
 def test_budget_exhaustion_carries_bounds():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -65,6 +66,17 @@ def test_least_deletion_filter_matches_unfiltered_augmentation(
                     adj[u] |= 1 << (n - 1)
                 codes.add(canonical_code(Graph(n, adj)))
         assert tuple(sorted(codes)) == _connected_codes(n)
+
+
+#: sha256 of repr([_connected_codes(n) for n in range(1, 9)]); a rewrite of
+#: the enumerator must reproduce every code tuple, not just the class counts
+CONNECTED_CODES8_DIGEST = "d83aa67972652a3a20c9abcc71c02fd8c131a2eef38eadb97f666cfc3da8752f"
+
+
+def test_enumeration_code_tuples_are_pinned(connected_codes8):
+    assert [len(codes) for codes in connected_codes8] == [1, 1, 2, 6, 21, 112, 853, 11117]
+    digest = hashlib.sha256(repr(connected_codes8).encode()).hexdigest()
+    assert digest == CONNECTED_CODES8_DIGEST
 
 
 def test_enumerate_rejects_out_of_range():

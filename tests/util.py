@@ -102,6 +102,29 @@ def oracle_all_k_cycles(g: Graph, k: int) -> set[frozenset[tuple[int, int]]]:
     return found
 
 
+def oracle_canonical_cycles(g: Graph, k: int, alive: VertexSet) -> list[tuple[int, ...]]:
+    """Every canonical k-cycle witness inside alive, sorted as tuples.
+
+    A canonical witness is k distinct vertices of alive, rooted at its least
+    vertex, with consecutive entries (and the last and first) adjacent and
+    the second entry below the last; every cycle has exactly one."""
+    keep = [v for v in range(g.n) if alive >> v & 1]
+    found = []
+
+    def grow(seq: tuple[int, ...]) -> None:
+        if len(seq) == k:
+            if g.adj[seq[-1]] >> seq[0] & 1 and seq[1] < seq[-1]:
+                found.append(seq)
+            return
+        for u in keep:
+            if u > seq[0] and u not in seq and g.adj[seq[-1]] >> u & 1:
+                grow(seq + (u,))
+
+    for s in keep:
+        grow((s,))
+    return sorted(found)
+
+
 def _has_k_cycle(adj: dict[int, set[int]], keep: list[int], k: int) -> bool:
     """Scan sequences of k distinct vertices of keep whose consecutive pairs
     are adjacent, for one that closes; each cycle is tried from its least
