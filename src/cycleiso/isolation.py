@@ -36,7 +36,6 @@ from .graphs import (
     boundary_edge_count,
     closed_neighborhood,
     component_masks,
-    mask_of,
     vertices_of,
 )
 
@@ -105,6 +104,8 @@ class _Search:
         self.comp = comp
         self.k = k
         self.budget = budget
+        #: closed rows N[v] = adj[v] | v, read without validating masks
+        self.rows = [row | 1 << v for v, row in enumerate(g.adj)]
         self.explored = 0
         self.lower = 0  # the size being tried or witnessed
         #: alive set -> the largest vertex count refuted on it
@@ -124,27 +125,44 @@ class _Search:
             cycles[alive] = find_cycle(self.g, self.k, alive)
         return cycles[alive]
 
+    def closed(self, mask: VertexSet) -> VertexSet:
+        """N[mask], the union of the closed rows of its vertices."""
+        rows = self.rows
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= rows[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def candidates(self, cyc: CycleWitness) -> VertexSet:
+        """N[V(C)] & comp: under `within`, a cycle's neighbours outside the
+        mask are not candidates."""
+        rows = self.rows
+        out = 0
+        for v in cyc:
+            out |= rows[v]
+        return out & self.comp
+
     def feasible(self, alive: VertexSet, remaining: int) -> bool:
         """Can `remaining` more vertices of the component isolate the alive set?"""
         self._tick()
-        g = self.g
-        comp = self.comp
         cyc = self.cycle(alive)
         if cyc is None:
             return True
         if remaining == 0 or self.failed.get(alive, -1) >= remaining:
             return False
-        # under `within`, a cycle's neighbours outside the mask are not candidates
-        hood = closed_neighborhood(g, mask_of(cyc)) & comp
+        hood = self.candidates(cyc)
         # cycles with pairwise disjoint candidate sets each need their own vertex
-        rest = alive & ~closed_neighborhood(g, hood)
+        rest = alive & ~self.closed(hood)
         packed = 1
         while packed <= remaining and (other := self.cycle(rest)) is not None:
             packed += 1
-            rest &= ~closed_neighborhood(g, closed_neighborhood(g, mask_of(other)) & comp)
+            rest &= ~self.closed(self.candidates(other))
         if packed <= remaining:
+            rows = self.rows
             for v in bits(hood):
-                if self.feasible(alive & ~closed_neighborhood(g, 1 << v), remaining - 1):
+                if self.feasible(alive & ~rows[v], remaining - 1):
                     return True
         self.failed[alive] = remaining
         return False
@@ -168,7 +186,7 @@ class _Search:
         lo = 0
         for slot in range(size):
             for v in bits(self.comp >> lo << lo):
-                trial = alive & ~closed_neighborhood(self.g, 1 << v)
+                trial = alive & ~self.rows[v]
                 if self.feasible(trial, size - slot - 1):
                     chosen |= 1 << v
                     alive = trial

@@ -17,6 +17,18 @@ The generators found this way generate the whole automorphism group.
 Empty and complete graphs skip the search: every order gives them the same
 code, and their group is the symmetric group.
 
+Refinement works on the ordered partition, a vertex's colour being the
+index of its cell.  A round ranks every vertex by (colour, sorted neighbour
+colours).  The colour is the primary key, so this global sort keeps the
+cells in order and splits each cell in place by its own signatures: a
+round ranks signatures only inside cells of two or more vertices (a
+singleton cannot split), and a discrete partition ends refinement at once.
+Refinement stops at an equitable partition, where the vertices of a cell
+have equally many neighbours in each cell.  Individualising x there splits
+its cell into {x} and the rest, which changes the neighbour counts only of
+the neighbours of x, so the first round after it examines only the cells
+that meet N(x).
+
 The enumerator yields one representative per isomorphism class of connected
 graphs on up to eight vertices, built by vertex augmentation with
 canonical-form deduplication.  A child of an (n-1)-representative P gets a
@@ -34,6 +46,16 @@ P that maps subset S to S' extends, fixing the new vertex, to an
 isomorphism between the two children that maps new vertex to new vertex, so
 the children share their class and their least-deletion verdict.
 
+Most subsets fail the least-deletion test on degree alone, so they are
+dropped before the child is built.  Let d0 be the least degree of a non-cut
+vertex of P, and L the non-cut vertices of degree d0.  A non-cut vertex v
+of P stays non-cut in the child of subset H: the child minus v is the
+connected P - v plus the new vertex, joined to H - v (if H = {v}, then
+|H| = 1 and the rule below never fires).  Its child degree is
+deg_P(v) + [v in H], and the new vertex's is |H|, so the new vertex loses
+to v on degree, and the test rejects H, when |H| > d0 + 1, or when
+|H| = d0 + 1 and some vertex of L lies outside H.
+
 A survey evaluates iota(G, C_k) against a rational bound (a*n + b*m + c)/d
 for every graph of a stream, classifies each record as below / equal /
 violation / excluded, and aggregates violations and equality cases.
@@ -46,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import AbstractSet, Collection, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .graphs import (
     Graph,
@@ -73,21 +95,38 @@ CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 # -- canonical forms -----------------------------------------------------------
 
 
-def _refine(nbrs: Sequence[tuple[int, ...]], colors: list) -> list[int]:
-    while True:
-        sigs = [(c, tuple(sorted([colors[u] for u in row]))) for c, row in zip(colors, nbrs)]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+def _refine(
+    nbrs: Sequence[Collection[int]],
+    cells: list[list[int]],
+    touched: Optional[AbstractSet[int]] = None,
+) -> list[list[int]]:
+    """Refine an ordered partition of the vertices until it is equitable.
 
-
-def _cells(colors: list[int], n: int) -> list[list[int]]:
-    out: dict[int, list[int]] = {}
-    for v in range(n):
-        out.setdefault(colors[v], []).append(v)
-    return [out[c] for c in sorted(out)]
+    A vertex's colour is the index of its cell.  Each round splits every
+    cell by the sorted neighbour colours of its vertices; the parts take the
+    cell's place, in signature order.  Singleton cells are left alone, and
+    with `touched` the first round splits only the cells that meet it.
+    """
+    n = len(nbrs)
+    while len(cells) < n:
+        colors = [0] * n
+        for i, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = i
+        split = []
+        for cell in cells:
+            if len(cell) == 1 or touched is not None and touched.isdisjoint(cell):
+                split.append(cell)
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                parts.setdefault(tuple(sorted([colors[u] for u in nbrs[v]])), []).append(v)
+            split.extend(parts[s] for s in sorted(parts))
+        if len(split) == len(cells):
+            return cells
+        cells = split
+        touched = None
+    return cells
 
 
 def _encode(adj: Sequence[int], order: Sequence[int]) -> int:
@@ -136,7 +175,7 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
     if m == 0 or m == nbits:
         # empty or complete: every vertex order gives the same code
         return (1 << m) - 1, _symmetric_generators(n)
-    nbrs = [tuple(bits(row)) for row in adj]
+    nbrs = [frozenset(bits(row)) for row in adj]
     # no leaf yet: a code of nbits + 1 bits is above every leaf and every prefix
     unset = 1 << nbits
     best = unset
@@ -144,9 +183,8 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
     gens: list[tuple[int, ...]] = []
     fixed: list[int] = []  # fixed[i]: mask of the points gens[i] fixes
 
-    def search(colors: list[int], path: int) -> None:
+    def search(cells: list[list[int]], path: int) -> None:
         nonlocal best, best_leaf
-        cells = _cells(colors, n)
         placed: list[int] = []
         for cell in cells:
             if len(cell) > 1:
@@ -171,7 +209,6 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
             fixed.append(sum(1 << v for v in range(n) if perm[v] == v))
             return
         target = cells[r]
-        c = colors[target[0]]
         tried: list[int] = []
         orbit = list(range(n))
         known = 0
@@ -185,12 +222,12 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
                 if orbit[x] in {orbit[t] for t in tried}:
                     continue
             tried.append(x)
-            # individualise x: it takes colour c, the rest of its cell and
-            # every later cell move up by one
-            child = [col + (col > c or (col == c and v != x)) for v, col in enumerate(colors)]
-            search(_refine(nbrs, child), path | 1 << x)
+            # individualise x: it goes before the rest of its cell, and only
+            # the cells it has neighbours in can split in the first round
+            child = cells[:r] + [[x], [v for v in target if v != x]] + cells[r + 1 :]
+            search(_refine(nbrs, child, nbrs[x]), path | 1 << x)
 
-    search(_refine(nbrs, [0] * n), 0)
+    search(_refine(nbrs, [list(range(n))]), 0)
     return best, gens
 
 
@@ -220,6 +257,22 @@ def _is_least_deletion(adj: Sequence[int]) -> bool:
         and reach(adj, 1 << last, full & ~(1 << v)) == full & ~(1 << v)
         for v in range(last)
     )
+
+
+def _least_non_cut(adj: Sequence[int]) -> tuple[int, int]:
+    """Least degree d0 over the non-cut vertices of a connected graph, and
+    the mask of the non-cut vertices of degree d0."""
+    full = (1 << len(adj)) - 1
+    d0, least = len(adj), 0
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        rest = full & ~(1 << v)
+        if d > d0 or rest and reach(adj, rest & -rest, rest) != rest:
+            continue
+        if d < d0:
+            d0, least = d, 0
+        least |= 1 << v
+    return d0, least
 
 
 def _mask_orbit_representatives(n: int, gens: Sequence[Sequence[int]]) -> Iterable[int]:
@@ -259,7 +312,11 @@ def _connected_codes(n: int) -> tuple[int, ...]:
     for parent_code in _connected_codes(n - 1):
         base = adjacency_from_code(n - 1, parent_code)
         _, gens = _canonical_search(n - 1, base)
+        d0, least = _least_non_cut(base)
         for hood in _mask_orbit_representatives(n - 1, gens):
+            size = hood.bit_count()
+            if size > d0 + 1 or size == d0 + 1 and least & ~hood:
+                continue  # a non-cut vertex of P keeps a smaller degree
             adj = [row | new if hood >> u & 1 else row for u, row in enumerate(base)]
             adj.append(hood)
             if _is_least_deletion(adj):

@@ -365,13 +365,17 @@ def test_survey_timing_adds_only_phase_lines(capsys, source, phase):
     assert code == timed_code == 0
     lines = timed.splitlines()
     timing_lines = [ln for ln in lines if re.fullmatch(r"(\w+|wall time): \d+\.\d{3}s", ln)]
-    assert [ln.split(":")[0] for ln in timing_lines] == [phase, "solve", "wall time"]
-    assert lines[-3:] == timing_lines
-    assert "".join(ln + "\n" for ln in lines[:-3]) == plain
+    assert [ln.split(":")[0] for ln in timing_lines] == [phase, "solve", "format", "wall time"]
+    assert lines[-4:] == timing_lines
+    assert "".join(ln + "\n" for ln in lines[:-4]) == plain
+    _, plain_doc, _ = run_cli(capsys, *base, "--format", "json")
     _, doc, _ = run_cli(capsys, *base, "--timing", "--format", "json")
-    meta = json.loads(doc).pop("metadata")
-    assert sorted(meta) == sorted([f"{phase}_s", "solve_s", "wall_time_s"])
-    assert meta["wall_time_s"] >= meta[f"{phase}_s"] + meta["solve_s"] - 1e-9
+    timed_doc = json.loads(doc)
+    meta = timed_doc.pop("metadata")
+    assert timed_doc == json.loads(plain_doc)
+    phases = [f"{phase}_s", "solve_s", "format_s"]
+    assert sorted(meta) == sorted(phases + ["wall_time_s"])
+    assert meta["wall_time_s"] == pytest.approx(sum(meta[key] for key in phases))
 
 
 def test_survey_exclusion_file(capsys, tmp_path):

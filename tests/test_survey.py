@@ -5,12 +5,24 @@ import sys
 import pytest
 
 from cycleiso.family import Tree, build
-from cycleiso.graphs import Graph, GraphFormatError, bits, encode_graph6, from_edge_list, relabel
+from cycleiso.graphs import (
+    Graph,
+    GraphFormatError,
+    bits,
+    encode_graph6,
+    from_edge_list,
+    is_connected,
+    relabel,
+)
 from cycleiso.survey import (
     BoundSpec,
     IngestFailure,
     _canonical_search,
     _connected_codes,
+    _is_least_deletion,
+    _least_non_cut,
+    _mask_orbit_representatives,
+    _refine,
     canonical_code,
     check_graph,
     conjecture_bound,
@@ -19,7 +31,15 @@ from cycleiso.survey import (
     ingest_graph6,
     survey,
 )
-from util import complete, cycle, diamond, graph_from_bitmask, oracle_connected_class_count
+from util import (
+    complete,
+    cycle,
+    diamond,
+    graph_from_bitmask,
+    induced_subgraph,
+    oracle_connected_class_count,
+    oracle_refine,
+)
 
 
 def test_enumerate_counts_match_known_values():
@@ -66,6 +86,116 @@ def test_least_deletion_filter_matches_unfiltered_augmentation(
                     adj[u] |= 1 << (n - 1)
                 codes.add(canonical_code(Graph(n, adj)))
         assert tuple(sorted(codes)) == _connected_codes(n)
+
+
+def _symmetric_stream(seed: int, count: int) -> list[Graph]:
+    """Shuffled graphs of 9-30 vertices with large symmetric cells: random
+    trees with a sparse overlay and hung 4-cycles or diamonds, and
+    cons(T, C_k) for random trees T at k = 4 and 5."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 2:
+            k = 4 + i % 4 // 2
+            t = rng.randint(2, 30 // (k + 1))
+            g = build(Tree(t, tuple((rng.randrange(v), v) for v in range(1, t))), k)[0]
+            n, edges = g.n, g.edges()
+        else:
+            n = rng.randint(9, 18)
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+            edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 1 / n]
+            for _ in range(rng.randint(0, 3)):
+                a = rng.randrange(n)
+                edges += [(n, n + 1), (n + 1, n + 2), (n + 2, n + 3), (n + 3, n), (a, n)]
+                if rng.random() < 0.5:
+                    edges.append((n, n + 2))
+                n += 4
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append(from_edge_list(n, [(perm[u], perm[v]) for u, v in edges]))
+    return out
+
+
+def _oracle_least_non_cut(g: Graph) -> tuple[int, int]:
+    non_cut = [
+        v for v in range(g.n) if is_connected(induced_subgraph(g, g.full_mask & ~(1 << v))[0])
+    ]
+    d0 = min(g.degree(v) for v in non_cut)
+    return d0, sum(1 << v for v in non_cut if g.degree(v) == d0)
+
+
+def test_least_non_cut_matches_brute_force(universe7):
+    # K3-v-K3 (order 7) is the smallest graph with a cut vertex of least degree
+    for g in universe7 + _symmetric_stream(5, 40):
+        assert _least_non_cut(g.adj) == _oracle_least_non_cut(g)
+
+
+def test_degree_prefilter_drops_only_hoods_the_filter_rejects():
+    # the parent's least degree d0 over its non-cut vertices bounds every
+    # child that can pass the least-deletion test
+    for n in range(2, 8):
+        for parent_code in _connected_codes(n - 1):
+            parent = graph_from_code(n - 1, parent_code)
+            d0, least = _oracle_least_non_cut(parent)
+            _, gens = _canonical_search(parent.n, parent.adj)
+            for hood in _mask_orbit_representatives(parent.n, gens):
+                size = hood.bit_count()
+                if size > d0 + 1 or size == d0 + 1 and least & ~hood:
+                    adj = [row | 1 << (n - 1) if hood >> u & 1 else row
+                           for u, row in enumerate(parent.adj)]
+                    assert not _is_least_deletion(adj + [hood])
+
+
+def test_least_deletion_checks_per_order_are_pinned(cold_enumeration_cache, monkeypatch):
+    # the hoods the degree prefilter lets through; without it every orbit
+    # representative is checked: 1, 2, 8, 44, 333 and 3,771
+    survey_module = sys.modules["cycleiso.survey"]
+    checks = {}
+    real = survey_module._is_least_deletion
+
+    def counting(adj):
+        checks[len(adj)] = checks.get(len(adj), 0) + 1
+        return real(adj)
+
+    monkeypatch.setattr(survey_module, "_is_least_deletion", counting)
+    _connected_codes(7)
+    assert [checks[n] for n in range(2, 8)] == [1, 2, 6, 23, 137, 1192]
+
+
+def _colours(cells: list[list[int]], n: int) -> list[int]:
+    colours = [0] * n
+    for i, cell in enumerate(cells):
+        for v in cell:
+            colours[v] = i
+    return colours
+
+
+def _assert_refine_matches_oracle(g: Graph) -> None:
+    """From the unit partition, and after individualising each vertex of the
+    first non-singleton cell, as the canonical search does."""
+    nbrs = [tuple(bits(row)) for row in g.adj]
+    cells = _refine(nbrs, [list(range(g.n))])
+    assert _colours(cells, g.n) == oracle_refine(nbrs, [0] * g.n)
+    r = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+    if r is None:
+        return
+    for x in cells[r]:
+        child = cells[:r] + [[x], [v for v in cells[r] if v != x]] + cells[r + 1 :]
+        expected = oracle_refine(nbrs, _colours(child, g.n))
+        assert _colours(_refine(nbrs, child, frozenset(nbrs[x])), g.n) == expected
+        assert _colours(_refine(nbrs, child), g.n) == expected
+
+
+def test_refine_matches_simultaneous_rounds_on_universe7(universe7):
+    for g in universe7:
+        _assert_refine_matches_oracle(g)
+
+
+def test_refine_matches_simultaneous_rounds_on_symmetric_graphs():
+    stream = _symmetric_stream(13, 80)
+    assert min(g.n for g in stream) >= 9 and max(g.n for g in stream) <= 30
+    for g in stream:
+        _assert_refine_matches_oracle(g)
 
 
 #: sha256 of repr([_connected_codes(n) for n in range(1, 9)]); a rewrite of

@@ -181,6 +181,19 @@ def oracle_iota(g: Graph, k: int) -> int:
     return len(oracle_lex_least_witness(g, k))
 
 
+def oracle_refine(nbrs, colors: list) -> list[int]:
+    """Colour refinement by simultaneous rounds over every vertex: each
+    round ranks (colour, sorted neighbour colours) over the whole graph,
+    until the ranks stop changing."""
+    while True:
+        sigs = [(c, tuple(sorted([colors[u] for u in row]))) for c, row in zip(colors, nbrs)]
+        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [palette[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
 def oracle_connected_class_count(n: int) -> int:
     """Count connected graphs on n vertices up to isomorphism.
 
