@@ -66,8 +66,12 @@ def _parse_bound(text: str, k: int) -> BoundSpec:
         d = int(den)
     except ValueError:
         raise CliError(f"bound denominator {den!r} is not an integer") from None
+    terms = re.findall(r"[+-]?[^+-]+", num)
+    if not terms or "".join(terms) != num:
+        # an empty numerator, or a sign with no term after it
+        raise CliError(f"bad bound numerator {num!r}")
     a = b = c = 0
-    for term in re.findall(r"[+-]?[^+-]+", num):
+    for term in terms:
         sign = -1 if term.startswith("-") else 1
         term = term.lstrip("+-")
         var = term[-1] if term.endswith(("n", "m")) else ""

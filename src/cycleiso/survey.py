@@ -14,8 +14,10 @@ An element of that group fixes x1..xr, and refinement commutes with
 automorphisms, so it maps the node to itself and the tried child's subtree
 onto the skipped one, leaf codes included: the least code is unchanged.
 The generators found this way generate the whole automorphism group.
-Empty and complete graphs skip the search: every order gives them the same
-code, and their group is the symmetric group.
+Every graph takes the same path through the search, empty and complete
+graphs included.  One union-find routine, `_orbit_ids`, gives the vertex
+orbits of the search and the orbits of the enumerator on neighbourhood
+masks.
 
 Refinement works on the ordered partition, a vertex's colour being the
 index of its cell.  A round ranks every vertex by (colour, sorted neighbour
@@ -141,7 +143,8 @@ def _encode(adj: Sequence[int], order: Sequence[int]) -> int:
 
 
 def _orbit_ids(n: int, perms: Iterable[Sequence[int]]) -> list[int]:
-    """Least vertex of each vertex's orbit under the group the perms generate."""
+    """Least point of each point's orbit, for permutations of 0..n-1: the
+    points are vertices in the search and masks in the enumerator."""
     root = list(range(n))
 
     def find(v: int) -> int:
@@ -157,24 +160,10 @@ def _orbit_ids(n: int, perms: Iterable[Sequence[int]]) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def _symmetric_generators(n: int) -> list[tuple[int, ...]]:
-    """A transposition and an n-cycle, which generate the symmetric group."""
-    if n < 2:
-        return []
-    gens = [(1, 0) + tuple(range(2, n))]
-    if n > 2:
-        gens.append(tuple(range(1, n)) + (0,))
-    return gens
-
-
 def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
     """Canonical code of the graph (n, adj) and a generating set of its
     automorphism group (see the module docstring)."""
     nbits = n * (n - 1) // 2
-    m = sum(row.bit_count() for row in adj) // 2
-    if m == 0 or m == nbits:
-        # empty or complete: every vertex order gives the same code
-        return (1 << m) - 1, _symmetric_generators(n)
     nbrs = [frozenset(bits(row)) for row in adj]
     # no leaf yet: a code of nbits + 1 bits is above every leaf and every prefix
     unset = 1 << nbits
@@ -187,7 +176,7 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
         nonlocal best, best_leaf
         placed: list[int] = []
         for cell in cells:
-            if len(cell) > 1:
+            if len(cell) != 1:  # order 0 has one empty cell
                 break
             placed.append(cell[0])
         r = len(placed)
@@ -231,9 +220,9 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
     return best, gens
 
 
-def canonical_code(g: Graph) -> int:
-    """Canonical adjacency encoding: equal codes <=> isomorphic graphs."""
-    return _canonical_search(g.n, g.adj)[0]
+def canonical_code(n: int, adj: Sequence[int]) -> int:
+    """Canonical adjacency encoding of (n, adj): equal codes <=> isomorphic graphs."""
+    return _canonical_search(n, adj)[0]
 
 
 def graph_from_code(n: int, code: int) -> Graph:
@@ -275,10 +264,9 @@ def _least_non_cut(adj: Sequence[int]) -> tuple[int, int]:
     return d0, least
 
 
-def _mask_orbit_representatives(n: int, gens: Sequence[Sequence[int]]) -> Iterable[int]:
-    """Least mask of each orbit of the group generated by gens on 1..2^n - 1."""
-    if not gens:
-        return range(1, 1 << n)
+def _mask_orbit_representatives(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
+    """Least mask of each orbit of the group generated by gens on 1..2^n - 1,
+    in increasing order."""
     images = []
     for p in gens:
         image = [0] * (1 << n)
@@ -286,21 +274,8 @@ def _mask_orbit_representatives(n: int, gens: Sequence[Sequence[int]]) -> Iterab
             low = mask & -mask
             image[mask] = image[mask ^ low] | 1 << p[low.bit_length() - 1]
         images.append(image)
-    seen = bytearray(1 << n)
-    reps = []
-    for mask in range(1, 1 << n):
-        if seen[mask]:
-            continue
-        reps.append(mask)
-        seen[mask] = 1
-        stack = [mask]
-        while stack:
-            h = stack.pop()
-            for image in images:
-                if not seen[image[h]]:
-                    seen[image[h]] = 1
-                    stack.append(image[h])
-    return reps
+    root = _orbit_ids(1 << n, images)
+    return [mask for mask in range(1, 1 << n) if root[mask] == mask]
 
 
 @lru_cache(maxsize=None)
@@ -320,7 +295,7 @@ def _connected_codes(n: int) -> tuple[int, ...]:
             adj = [row | new if hood >> u & 1 else row for u, row in enumerate(base)]
             adj.append(hood)
             if _is_least_deletion(adj):
-                codes.add(canonical_code(Graph(n, adj)))
+                codes.add(canonical_code(n, adj))
     return tuple(sorted(codes))
 
 
@@ -387,7 +362,7 @@ class BoundSpec:
             raise ValueError("bound denominator must be at least 1")
         object.__setattr__(self, "_codes", {})
         for g in map(parse_graph6, self.exclusions):
-            self._codes.setdefault((g.n, g.m), set()).add(canonical_code(g))
+            self._codes.setdefault((g.n, g.m), set()).add(canonical_code(g.n, g.adj))
 
     def excludes(self, g: Graph) -> bool:
         """Plain k-cycle, or isomorphic to an exclusion.
@@ -398,7 +373,7 @@ class BoundSpec:
         if g.n == self.k and is_connected(g) and all(d == 2 for d in g.degrees()):
             return True
         codes = self._codes.get((g.n, g.m))
-        return codes is not None and canonical_code(g) in codes
+        return codes is not None and canonical_code(g.n, g.adj) in codes
 
     def bound_for(self, n: int, m: int) -> Fraction:
         return Fraction(self.a * n + self.b * m + self.c, self.d)

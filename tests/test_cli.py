@@ -217,6 +217,13 @@ def test_check_violation_exit_code(capsys):
     assert code == 2
 
 
+def test_check_with_an_empty_bound_numerator_exits_one(capsys):
+    # read as bound 0, K4 would be a violation (exit 2)
+    assert run_cli(capsys, "check", "--graph6", "C~", "-k", "4", "--bound", "/6") == (
+        1, "", "error: bad bound numerator ''\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize(
     "graph, extra, code, status",
@@ -242,7 +249,7 @@ def test_survey_enumerate_below_one_exits_one(capsys, n):
 @pytest.fixture
 def no_enumeration(monkeypatch):
     # a cold cache and a poisoned canonical form: any enumeration would raise
-    def refuse(g):
+    def refuse(n, adj):
         raise AssertionError("enumeration started")
 
     survey_module = sys.modules["cycleiso.survey"]  # the package attribute is survey()
@@ -315,6 +322,13 @@ def test_bad_exclusion_cites_its_file_line(capsys, tmp_path, text, error):
     code, out, err = run_cli(capsys, "survey", "--graph6", "Cz", "--exclude", str(listing))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: bad exclusion list: {error}")
+
+
+def test_order_zero_exclusion_matches_order_zero_record(capsys, tmp_path):
+    listing = tmp_path / "exempt.g6"
+    listing.write_text("?\n")
+    code, out, _ = run_cli(capsys, "survey", "--graph6", "?", "--exclude", str(listing))
+    assert (code, out) == (0, "records: 1\n  excluded: 1\n")
 
 
 @pytest.mark.parametrize("text", ["3\n0 1\n", "C~ C~\n"])
@@ -414,3 +428,7 @@ def test_bound_grammar_errors():
         _parse_bound("mn+1/6", 4)
     with pytest.raises(CliError, match=r"bad bound term 'x\*m'"):
         _parse_bound("x*m/6", 4)
+    # a dangling sign or an empty numerator is an error, never a dropped term
+    for text in ("/6", "+/6", "m+/6", "m++1/6"):
+        with pytest.raises(CliError, match="bad bound numerator"):
+            _parse_bound(text, 4)

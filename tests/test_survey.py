@@ -38,6 +38,7 @@ from util import (
     graph_from_bitmask,
     induced_subgraph,
     oracle_connected_class_count,
+    oracle_mask_orbit_minima,
     oracle_refine,
 )
 
@@ -67,9 +68,9 @@ def test_least_deletion_filter_matches_unfiltered_augmentation(
     # from the previous one by canonicalising every one-vertex augmentation
     calls = []
 
-    def counting(g):
-        calls.append(g.n)
-        return canonical_code(g)
+    def counting(n, adj):
+        calls.append(n)
+        return canonical_code(n, adj)
 
     # through sys.modules: the package attribute cycleiso.survey is the survey() function
     monkeypatch.setattr(sys.modules["cycleiso.survey"], "canonical_code", counting)
@@ -84,7 +85,7 @@ def test_least_deletion_filter_matches_unfiltered_augmentation(
                 adj = list(parent.adj) + [hood]
                 for u in bits(hood):
                     adj[u] |= 1 << (n - 1)
-                codes.add(canonical_code(Graph(n, adj)))
+                codes.add(canonical_code(n, adj))
         assert tuple(sorted(codes)) == _connected_codes(n)
 
 
@@ -217,7 +218,7 @@ def test_enumerate_rejects_out_of_range():
 
 
 def test_no_two_representatives_isomorphic(universe6):
-    codes = [canonical_code(g) for g in universe6]
+    codes = [canonical_code(g.n, g.adj) for g in universe6]
     assert len(set((g.n, c) for g, c in zip(universe6, codes))) == len(universe6)
 
 
@@ -226,8 +227,9 @@ def test_canonical_code_invariant_under_relabeling(universe6):
     for g in rng.sample(universe6, 40):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert canonical_code(relabel(g, perm)) == canonical_code(g)
-        assert graph_from_code(g.n, canonical_code(g)).m == g.m
+        h = relabel(g, perm)
+        assert canonical_code(h.n, h.adj) == canonical_code(g.n, g.adj)
+        assert graph_from_code(g.n, canonical_code(g.n, g.adj)).m == g.m
 
 
 def test_permutation_probing_large_orders(universe7, universe8):
@@ -238,7 +240,8 @@ def test_permutation_probing_large_orders(universe7, universe8):
         for g in rng.sample([h for h in pool if h.n >= 7], 60):
             perm = list(range(g.n))
             rng.shuffle(perm)
-            assert canonical_code(relabel(g, perm)) == canonical_code(g)
+            h = relabel(g, perm)
+            assert canonical_code(h.n, h.adj) == canonical_code(g.n, g.adj)
 
 
 def petersen():
@@ -265,6 +268,9 @@ AUTOMORPHISM_GROUP_ORDERS = [
     ("K33", k33, 72),
     ("C8", lambda: cycle(8), 16),
     ("K6", lambda: complete(6), 720),
+    ("empty6", lambda: graph_from_bitmask(6, 0), 720),
+    ("K1", lambda: complete(1), 1),
+    ("K2", lambda: complete(2), 2),
     ("cons(K14,C4)", lambda: build(Tree(5, ((0, 1), (0, 2), (0, 3), (0, 4))), 4)[0], 24 * 2**5),
 ]
 
@@ -290,7 +296,7 @@ def group_order(n, gens):
 def test_generators_are_automorphisms_of_known_group_order(make, order):
     g = make()
     code, gens = _canonical_search(g.n, g.adj)
-    assert code == canonical_code(g)
+    assert code == canonical_code(g.n, g.adj)
     assert all(relabel(g, p) == g for p in gens)
     assert group_order(g.n, gens) == order
 
@@ -301,7 +307,7 @@ def test_generators_are_automorphisms_of_known_group_order(make, order):
 )
 def test_pruned_canonical_code_invariant_under_relabeling(make, order):
     g = make()
-    code = canonical_code(g)
+    code = canonical_code(g.n, g.adj)
     assert graph_from_code(g.n, code).m == g.m
     rng = random.Random(g.n)
     for _ in range(5):
@@ -311,6 +317,17 @@ def test_pruned_canonical_code_invariant_under_relabeling(make, order):
         h_code, h_gens = _canonical_search(h.n, h.adj)
         assert h_code == code
         assert group_order(h.n, h_gens) == order
+
+
+def test_order_zero_has_code_zero():
+    assert canonical_code(0, ()) == 0
+
+
+def test_mask_orbit_representatives_match_brute_force(universe6):
+    # empty and complete graphs go through the search like every other graph
+    for g in universe6 + [graph_from_bitmask(n, 0) for n in range(1, 7)]:
+        _, gens = _canonical_search(g.n, g.adj)
+        assert _mask_orbit_representatives(g.n, gens) == oracle_mask_orbit_minima(g)
 
 
 def test_ingest_single_record():
@@ -413,7 +430,7 @@ def test_survey_canonicalises_only_order_and_size_matches(monkeypatch):
     survey_module = sys.modules["cycleiso.survey"]  # the package attribute is the function
     calls = []
     real = survey_module.canonical_code
-    monkeypatch.setattr(survey_module, "canonical_code", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(survey_module, "canonical_code", lambda n, adj: calls.append(n) or real(n, adj))
     spec = BoundSpec(k=4, exclusions=(encode_graph6(relabel(diamond(), [3, 1, 0, 2])),))
     stream = [complete(4), diamond(), cycle(4), cycle(5), complete(5), graph_from_bitmask(4, 0)]
     report = survey(stream, spec)

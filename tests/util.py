@@ -194,6 +194,20 @@ def oracle_refine(nbrs, colors: list) -> list[int]:
         colors = new
 
 
+def oracle_mask_orbit_minima(g: Graph) -> list[int]:
+    """Least mask of each orbit of Aut(g) on the non-empty vertex subsets,
+    in increasing order; Aut(g) is every vertex permutation that maps each
+    row onto the row of its image."""
+    autos = [
+        p for p in permutations(range(g.n))
+        if all(sum(1 << p[u] for u in bits(g.adj[v])) == g.adj[p[v]] for v in range(g.n))
+    ]
+    return [
+        mask for mask in range(1, 1 << g.n)
+        if all(sum(1 << p[v] for v in bits(mask)) >= mask for p in autos)
+    ]
+
+
 def oracle_connected_class_count(n: int) -> int:
     """Count connected graphs on n vertices up to isomorphism.
 
