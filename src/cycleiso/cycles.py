@@ -36,15 +36,32 @@ def find_cycle(g: Graph, k: int, alive: VertexSet | None = None) -> Optional[Cyc
 
 
 def _find_c4(g: Graph, mask: VertexSet) -> Optional[CycleWitness]:
+    """The first 4-cycle in mask as (u, a, v, b): u is the least vertex of
+    mask that shares two neighbours in mask with a vertex of mask above it,
+    v the least such partner, and a < b their two least common neighbours
+    in mask.  For each u, `twice` collects the vertices reached from two
+    neighbours of u in mask."""
     adj = g.adj
-    for u in bits(mask):
-        for v in bits(mask & ~((1 << (u + 1)) - 1)):
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low  # the vertices of mask above u
+        u = low.bit_length() - 1
+        once = twice = 0
+        hood = adj[u] & mask
+        while hood:
+            w = hood & -hood
+            hood ^= w
+            row = adj[w.bit_length() - 1]
+            twice |= once & row
+            once |= row
+        twice &= rest
+        if twice:
+            v = (twice & -twice).bit_length() - 1
             common = adj[u] & adj[v] & mask
-            if common.bit_count() >= 2:
-                it = bits(common)
-                a = next(it)
-                b = next(it)
-                return (u, a, v, b)
+            a = common & -common
+            b = common ^ a
+            return (u, a.bit_length() - 1, v, (b & -b).bit_length() - 1)
     return None
 
 

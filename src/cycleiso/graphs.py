@@ -61,9 +61,12 @@ class Graph:
             if row >> v & 1:
                 raise ValueError(f"vertex {v} is adjacent to itself")
         for v, row in enumerate(adj):
-            for u in bits(row):
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
                 if not adj[u] >> v & 1:
                     raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+                row ^= low
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "_hash", hash((n, adj)))
@@ -181,7 +184,7 @@ def boundary_edge_count(
 
 
 def encode_graph6(g: Graph) -> str:
-    """graph6 of g; survey._encode writes its pair order under any vertex order."""
+    """graph6 of g; the canonical search in survey writes its pair order under any vertex order."""
     if g.n > GRAPH6_MAX_N:
         raise GraphFormatError(f"graph6 support is limited to n <= {GRAPH6_MAX_N}")
     out = [g.n + 63]
@@ -233,7 +236,7 @@ def parse_graph6(text: Union[str, bytes]) -> Graph:
 
 def adjacency_from_code(n: int, code: int) -> list[VertexSet]:
     """Rows of the graph whose graph6 pair bits, x(0,1) most significant, are
-    code: an unpadded graph6 payload, or a code of survey._encode."""
+    code: an unpadded graph6 payload, or a canonical code of survey."""
     adj = [0] * n
     for j in range(n - 1, 0, -1):
         for i in range(j - 1, -1, -1):

@@ -12,6 +12,7 @@ from util import (
     induced_subgraph,
     oracle_all_k_cycles,
     oracle_canonical_cycles,
+    oracle_first_c4,
     oracle_has_k_cycle,
 )
 
@@ -100,6 +101,22 @@ def test_existence_on_disconnected_graphs(universe6):
         g = disjoint_union(rng.choice(universe6), rng.choice(universe6))
         for k in (3, 4, 5):
             assert (find_cycle(g, k) is not None) == oracle_has_k_cycle(g, k)
+
+
+def test_c4_witness_matches_pair_scan(universe7):
+    # the solver's node counts depend on which 4-cycle comes first, so the
+    # fast path's witness is pinned, not just its existence
+    rng = random.Random(44)
+    for g in universe7:
+        for alive in (g.full_mask, *(rng.getrandbits(g.n) for _ in range(4))):
+            assert find_cycle(g, 4, alive) == oracle_first_c4(g, alive)
+    for _ in range(400):
+        n = rng.randint(1, 16)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, edges)
+        alive = rng.getrandbits(n)
+        assert find_cycle(g, 4, alive) == oracle_first_c4(g, alive)
 
 
 def test_fast_path_agrees_with_generic(universe7):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycleiso.graphs import (
+    Graph,
     GraphFormatError,
     boundary_edge_count,
     closed_neighborhood,
@@ -45,6 +46,24 @@ def test_from_edge_list_rejects_loop():
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(ValueError):
         from_edge_list(3, [(0, 3)])
+
+
+@pytest.mark.parametrize(
+    "n, adj, message",
+    [
+        (-1, [], "vertex count must be non-negative"),
+        (3, [0b110, 0b101], "adjacency length must equal vertex count"),
+        (3, [0b1010, 0b1, 0b0, 0b1], "adjacency length must equal vertex count"),
+        (3, [0b1010, 0b1, 0b0], "vertex 0 has a neighbour id >= 3"),
+        (3, [0b010, 0b011, 0b000], "vertex 1 is adjacent to itself"),
+        (3, [0b110, 0b001, 0b000], "adjacency not symmetric at (0, 2)"),
+    ],
+    ids=["negative-n", "short", "long", "id-out-of-range", "self-loop", "asymmetric"],
+)
+def test_graph_constructor_error_messages(n, adj, message):
+    with pytest.raises(ValueError) as err:
+        Graph(n, adj)
+    assert str(err.value) == message
 
 
 def test_duplicate_edges_collapse():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import sys
 
@@ -37,6 +38,7 @@ from util import (
     diamond,
     graph_from_bitmask,
     induced_subgraph,
+    oracle_automorphism_count,
     oracle_connected_class_count,
     oracle_mask_orbit_minima,
     oracle_refine,
@@ -210,6 +212,17 @@ def test_enumeration_code_tuples_are_pinned(connected_codes8):
     assert digest == CONNECTED_CODES8_DIGEST
 
 
+#: sha256 of repr(_connected_codes(9)), the 261,080 classes of order 9
+CONNECTED_CODES9_DIGEST = "c4373a114548b59d1da6d96f0db2a42ee818924cda667b0a35b8841e8573ef0a"
+
+
+@pytest.mark.slow
+def test_order9_code_tuple_is_pinned(cold_enumeration_cache):
+    codes = _connected_codes(9)
+    assert len(codes) == 261080
+    assert hashlib.sha256(repr(codes).encode()).hexdigest() == CONNECTED_CODES9_DIGEST
+
+
 def test_enumerate_rejects_out_of_range():
     with pytest.raises(ValueError):
         list(enumerate_connected(0))
@@ -317,6 +330,60 @@ def test_pruned_canonical_code_invariant_under_relabeling(make, order):
         h_code, h_gens = _canonical_search(h.n, h.adj)
         assert h_code == code
         assert group_order(h.n, h_gens) == order
+
+
+def test_generators_generate_the_whole_group_on_universe7(universe7):
+    for g in universe7:
+        _, gens = _canonical_search(g.n, g.adj)
+        assert group_order(g.n, gens) == oracle_automorphism_count(g)
+
+
+def test_search_counters_on_universe7_are_pinned(universe7, monkeypatch):
+    # search nodes are refinements; jumping back to the node where a leaf
+    # that repeats the best code leaves the best leaf's path cut them from
+    # 5,650 to 5,148 and the generators from 1,880 to 1,575
+    survey_module = sys.modules["cycleiso.survey"]
+    nodes = []
+    real = survey_module._refine
+    monkeypatch.setattr(survey_module, "_refine", lambda *a: nodes.append(1) or real(*a))
+    generators = sum(len(_canonical_search(g.n, g.adj)[1]) for g in universe7)
+    assert (len(nodes), generators) == (5148, 1575)
+
+
+def _transposition_group_order(n: int, gens) -> int:
+    """Order of the group generated by transpositions: the symmetric group
+    on each component of the graph whose edges they swap."""
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for p in gens:
+        a, b = (v for v in range(n) if p[v] != v)
+        root[find(a)] = find(b)
+    roots = [find(v) for v in range(n)]
+    return math.prod(math.factorial(roots.count(r)) for r in set(roots))
+
+
+@pytest.mark.parametrize(
+    "edges, code, generators, order",
+    [
+        (complete(30).edges(), (1 << 435) - 1, 29, math.factorial(30)),
+        ([], 0, 29, math.factorial(30)),
+        (complete(30).edges()[1:], (1 << 434) - 1, 28, 2 * math.factorial(28)),
+    ],
+    ids=["K30", "empty30", "K30-minus-edge"],
+)
+def test_symmetric_graphs_on_30_vertices(edges, code, generators, order):
+    # without the jump back the search reaches about n^2/2 leaves on these
+    # graphs and keeps 379-435 generators; K30 minus edge 01 has Aut S_2 x S_28
+    g = from_edge_list(30, edges)
+    found, gens = _canonical_search(g.n, g.adj)
+    assert found == code and len(gens) == generators
+    assert all(relabel(g, p) == g and sum(p[v] != v for v in range(30)) == 2 for p in gens)
+    assert _transposition_group_order(30, gens) == order
 
 
 def test_order_zero_has_code_zero():

@@ -82,6 +82,19 @@ def oracle_has_k_cycle(g: Graph, k: int) -> bool:
     return False
 
 
+def oracle_first_c4(g: Graph, alive: VertexSet) -> Optional[tuple[int, int, int, int]]:
+    """The 4-cycle witness (u, a, v, b) that find_cycle(g, 4, alive) must
+    return: the least pair u < v of alive with two common neighbours in
+    alive, a < b the two least of them.  Scans pairs directly."""
+    keep = [v for v in range(g.n) if alive >> v & 1]
+    for i, u in enumerate(keep):
+        for v in keep[i + 1 :]:
+            common = [w for w in keep if g.adj[u] >> w & 1 and g.adj[v] >> w & 1]
+            if len(common) >= 2:
+                return (u, common[0], v, common[1])
+    return None
+
+
 def contains_cycle_generic(g: Graph, k: int) -> Optional[tuple[int, ...]]:
     """First k-cycle of the library's backtracking search, which find_cycle
     bypasses at k = 4; the two paths cross-check each other."""
@@ -206,6 +219,27 @@ def oracle_mask_orbit_minima(g: Graph) -> list[int]:
         mask for mask in range(1, 1 << g.n)
         if all(sum(1 << p[v] for v in bits(mask)) >= mask for p in autos)
     ]
+
+
+def oracle_automorphism_count(g: Graph) -> int:
+    """Order of Aut(g): count the vertex maps, built in id order, that keep
+    each degree and the adjacency to every vertex mapped before."""
+    n, adj = g.n, g.adj
+    image = [0] * n
+
+    def extend(x: int, used: int) -> int:
+        if x == n:
+            return 1
+        total = 0
+        for y in range(n):
+            if used >> y & 1 or adj[y].bit_count() != adj[x].bit_count():
+                continue
+            if all((adj[x] >> w & 1) == (adj[y] >> image[w] & 1) for w in range(x)):
+                image[x] = y
+                total += extend(x + 1, used | 1 << y)
+        return total
+
+    return extend(0, 0)
 
 
 def oracle_connected_class_count(n: int) -> int:
