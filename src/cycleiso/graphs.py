@@ -8,12 +8,20 @@ and exact search.  Graphs are immutable after construction and safe to share.
 
 graph6 support is bit-exact: column-major upper triangle x(0,1), x(0,2),
 x(1,2), x(0,3), ..., six bits per byte, each byte offset by 63.  Only the
-single-byte order header (n <= 62) is supported.
+single-byte order header (n <= 62) is supported.  The 6-bit groups are
+base64's with another alphabet, so binascii packs and unpacks them.  The
+codec and the Graph checks take Python steps per vertex and per set bit,
+never per vertex pair; what work remains per pair runs inside C (str and
+int conversions).  So a sparse graph costs O(n + m) steps, and a dense
+one, with about n^2/2 edges, costs about what a per-pair walk did.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Union
+from binascii import a2b_base64, b2a_base64
+from itertools import accumulate
+from operator import lshift
+from typing import Iterable, Iterator, NoReturn, Sequence, Union
 
 VertexSet = int  # bitmask over vertex ids
 
@@ -43,10 +51,26 @@ def vertices_of(mask: VertexSet) -> tuple[int, ...]:
     return tuple(bits(mask))
 
 
+def _reject(n: int, adj: Sequence[VertexSet]) -> NoReturn:
+    """Raise the first defect of rows that fail Graph's checks: ids and loops
+    over every row first, then the first asymmetric pair in scan order."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"vertex {v} has a neighbour id >= {n}")
+        if row >> v & 1:
+            raise ValueError(f"vertex {v} is adjacent to itself")
+    for v, row in enumerate(adj):
+        for u in bits(row):
+            if not adj[u] >> v & 1:
+                raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+    raise AssertionError("rows passed every check")
+
+
 class Graph:
     """Immutable simple graph: vertex ids 0..n-1, per-vertex neighbour bitmasks."""
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj", "m", "_hash")
 
     def __init__(self, n: int, adj: Sequence[VertexSet]):
         if n < 0:
@@ -54,21 +78,26 @@ class Graph:
         adj = tuple(adj)
         if len(adj) != n:
             raise ValueError("adjacency length must equal vertex count")
-        full = (1 << n) - 1
+        # any failed check hands over to _reject, which names the first defect
+        if adj and (min(adj) < 0 or max(adj) >> n):
+            _reject(n, adj)
+        # Each of the m pairs below the diagonal needs its mirror above it.
+        # The rows then hold 2m bits in all only if no other bit lies above
+        # the diagonal and none on it: no asymmetric pair and no loop.
+        m = 0
         for v, row in enumerate(adj):
-            if row & ~full:
-                raise ValueError(f"vertex {v} has a neighbour id >= {n}")
-            if row >> v & 1:
-                raise ValueError(f"vertex {v} is adjacent to itself")
-        for v, row in enumerate(adj):
+            row &= (1 << v) - 1
+            m += row.bit_count()
             while row:
-                low = row & -row
-                u = low.bit_length() - 1
+                u = row.bit_length() - 1
                 if not adj[u] >> v & 1:
-                    raise ValueError(f"adjacency not symmetric at ({v}, {u})")
-                row ^= low
+                    _reject(n, adj)
+                row ^= 1 << u
+        if 2 * m != sum(map(int.bit_count, adj)):
+            _reject(n, adj)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "_hash", hash((n, adj)))
 
     def __setattr__(self, name, value):
@@ -82,10 +111,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-    @property
-    def m(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
 
     @property
     def full_mask(self) -> VertexSet:
@@ -183,24 +208,35 @@ def boundary_edge_count(
 # -- graph6 ------------------------------------------------------------------
 
 
+# Pair index p of the column-major order x(0,1), x(0,2), x(1,2), x(0,3), ...
+# is the pair (_PAIR_I[p], _PAIR_J[p]); the order does not depend on n.
+_PAIR_I = bytes(i for j in range(1, GRAPH6_MAX_N) for i in range(j))
+_PAIR_J = bytes(j for j in range(1, GRAPH6_MAX_N) for i in range(j))
+
+# graph6 writes a 6-bit group v as the byte v + 63, base64 as _BASE64[v]
+_GRAPH6 = bytes(range(63, 127))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(_GRAPH6, _BASE64)
+_FROM_BASE64 = bytes.maketrans(_BASE64, _GRAPH6)
+
+
 def encode_graph6(g: Graph) -> str:
     """graph6 of g; the canonical search in survey writes its pair order under any vertex order."""
-    if g.n > GRAPH6_MAX_N:
+    n = g.n
+    if n > GRAPH6_MAX_N:
         raise GraphFormatError(f"graph6 support is limited to n <= {GRAPH6_MAX_N}")
-    out = [g.n + 63]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | (g.adj[j] >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out).decode("ascii")
+    nbits = n * (n - 1) // 2
+    # Row j below the diagonal holds x(0,j), ..., x(j-1,j) from bit 0 up.
+    # Shifted to bit j(j-1)/2, the rows sum to the pair bits in reverse.
+    lower = [row & ((1 << j) - 1) for j, row in enumerate(g.adj)]
+    reverse = sum(map(lshift, lower, accumulate(range(n), initial=0)))
+    # pad to whole 6-bit groups, then to whole 24-bit base64 blocks
+    groups = (nbits + 5) // 6
+    blocks = (groups + 3) // 4
+    text = format(reverse, "b").zfill(nbits)[::-1] + "0" * (24 * blocks - nbits)
+    raw = int(text, 2).to_bytes(3 * blocks, "big")
+    body = b2a_base64(raw, newline=False)[:groups].translate(_FROM_BASE64)
+    return chr(n + 63) + body.decode()
 
 
 def parse_graph6(text: Union[str, bytes]) -> Graph:
@@ -223,12 +259,14 @@ def parse_graph6(text: Union[str, bytes]) -> Graph:
     want = 1 + (nbits + 5) // 6
     if len(data) != want:
         raise GraphFormatError(f"graph6 string has {len(data)} bytes, expected {want}")
-    stream = 0
-    for byte in data[1:]:
-        if not 63 <= byte <= 126:
-            raise GraphFormatError(f"graph6 byte {byte!r} outside printable range 63..126")
-        stream = (stream << 6) | (byte - 63)
-    pad = 6 * (len(data) - 1) - nbits
+    body = data[1:]
+    if body and (min(body) < 63 or max(body) > 126):
+        byte = next(b for b in body if not 63 <= b <= 126)
+        raise GraphFormatError(f"graph6 byte {byte!r} outside printable range 63..126")
+    fill = -len(body) % 4  # zero groups up to a whole base64 block
+    stream = int.from_bytes(a2b_base64(body.translate(_TO_BASE64) + b"A" * fill), "big")
+    stream >>= 6 * fill
+    pad = 6 * len(body) - nbits
     if stream & ((1 << pad) - 1):
         raise GraphFormatError("graph6 padding bits are not zero")
     return Graph(n, adjacency_from_code(n, stream >> pad))
@@ -236,14 +274,18 @@ def parse_graph6(text: Union[str, bytes]) -> Graph:
 
 def adjacency_from_code(n: int, code: int) -> list[VertexSet]:
     """Rows of the graph whose graph6 pair bits, x(0,1) most significant, are
-    code: an unpadded graph6 payload, or a canonical code of survey."""
+    code: an unpadded graph6 payload, or a canonical code of survey.  Needs
+    n <= GRAPH6_MAX_N and 0 <= code < 2**(n(n-1)/2)."""
     adj = [0] * n
-    for j in range(n - 1, 0, -1):
-        for i in range(j - 1, -1, -1):
-            if code & 1:
-                adj[j] |= 1 << i
-                adj[i] |= 1 << j
-            code >>= 1
+    last = n * (n - 1) // 2 - 1  # bit of the pair (0, 1)
+    while code:
+        b = code.bit_length() - 1
+        p = last - b
+        i = _PAIR_I[p]
+        j = _PAIR_J[p]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        code ^= 1 << b
     return adj
 
 

@@ -89,8 +89,8 @@ to v on degree, and the test rejects H, when |H| > d0 + 1, or when
 A survey evaluates iota(G, C_k) against a rational bound (a*n + b*m + c)/d
 for every graph of a stream, classifies each record as below / equal /
 violation / excluded, and aggregates violations and equality cases.
-Violations never abort a run: a counterexample to the open conjecture
-would be the most valuable possible output.
+Violations never abort a run: a counterexample to the --conjecture preset
+(m+1)/(k+2) is the most valuable possible output.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ import pytest
 
 from cycleiso.cli import _parse_bound, main
 from cycleiso.family import Tree, build
-from cycleiso.graphs import encode_graph6, format_edge_list
-from util import cycle, diamond, k23_with_tail
+from cycleiso.graphs import encode_graph6, format_edge_list, parse_graph6
+from util import cycle, diamond, k23_with_tail, oracle_iota
 
 
 def run_cli(capsys, *argv):
@@ -432,3 +432,24 @@ def test_bound_grammar_errors():
     for text in ("/6", "+/6", "m+/6", "m++1/6"):
         with pytest.raises(CliError, match="bad bound numerator"):
             _parse_bound(text, 4)
+
+
+# Violators of the --conjecture preset (m+1)/(k+2): each has iota = 2 above
+# the bound, found by solving cubic and generalised Petersen graphs beyond
+# the order-8 enumeration.
+CONJECTURE_PRESET_VIOLATORS = [
+    ("K{O__cI@OP?b", 8, "K{O__cI@OP?b,12,18,8,2,19,10,violation,"),  # truncated tetrahedron
+    ("LF`@?OH@OD?a?b", 8, "LF`@?OH@OD?a?b,13,18,8,2,19,10,violation,"),
+    ("M??F?yOQ@G?C?D?B_", 8, "M??F?yOQ@G?C?D?B_,14,18,8,2,19,10,violation,"),
+    ("MSP@@COCGS?gAI@D?", 9, "MSP@@COCGS?gAI@D?,14,20,9,2,21,11,violation,"),
+    ("OhCGKE?O@@AAAA@@?SOAa", 11, "OhCGKE?O@@AAAA@@?SOAa,16,24,11,2,25,13,violation,"),  # GP(8,2)
+]
+
+
+@pytest.mark.parametrize("g6, k, row", CONJECTURE_PRESET_VIOLATORS)
+def test_conjecture_preset_violators(capsys, g6, k, row):
+    argv = ("survey", "--graph6", g6, "-k", str(k), "--conjecture", "--format", "csv")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.splitlines()[1:] == [row]
+    assert oracle_iota(parse_graph6(g6), k) == 2

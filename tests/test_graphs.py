@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycleiso.graphs import (
+    GRAPH6_MAX_N,
     Graph,
     GraphFormatError,
+    adjacency_from_code,
     boundary_edge_count,
     closed_neighborhood,
     component_masks,
@@ -25,7 +29,21 @@ from util import (
     disjoint_union,
     graph_from_bitmask,
     induced_subgraph,
+    reference_adjacency,
+    reference_graph6,
+    reference_graph_error,
+    reference_parse_graph6,
 )
+
+
+def random_rows(rng: random.Random, n: int, p: float) -> list[int]:
+    adj = [0] * n
+    for j in range(n):
+        for i in range(j):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
 
 
 def test_from_edge_list_c4():
@@ -57,13 +75,51 @@ def test_from_edge_list_rejects_out_of_range():
         (3, [0b1010, 0b1, 0b0], "vertex 0 has a neighbour id >= 3"),
         (3, [0b010, 0b011, 0b000], "vertex 1 is adjacent to itself"),
         (3, [0b110, 0b001, 0b000], "adjacency not symmetric at (0, 2)"),
+        # rows are checked for ids and loops before any pair for symmetry
+        (3, [0b010, 0b000, 0b1000], "vertex 2 has a neighbour id >= 3"),
+        (3, [0b010, 0b000, 0b100], "vertex 2 is adjacent to itself"),
+        (3, [-1, 0b000, 0b000], "vertex 0 has a neighbour id >= 3"),
+        # (2, 1) lacks its mirror below the diagonal, but (0, 2) comes first
+        (3, [0b100, 0b000, 0b010], "adjacency not symmetric at (0, 2)"),
+        # every pair below the diagonal has its mirror; (1, 3) above has none
+        (4, [0b0010, 0b1001, 0b0000, 0b0000], "adjacency not symmetric at (1, 3)"),
     ],
-    ids=["negative-n", "short", "long", "id-out-of-range", "self-loop", "asymmetric"],
+    ids=[
+        "negative-n", "short", "long", "id-out-of-range", "self-loop", "asymmetric",
+        "ids-before-symmetry", "loop-before-symmetry", "negative-row",
+        "first-pair-in-scan-order", "pair-above-only",
+    ],
 )
 def test_graph_constructor_error_messages(n, adj, message):
     with pytest.raises(ValueError) as err:
         Graph(n, adj)
     assert str(err.value) == message
+
+
+def test_graph_constructor_matches_the_reference_on_corrupted_rows():
+    rng = random.Random(16)
+    for _ in range(2000):
+        n = rng.randrange(1, 12)
+        adj = random_rows(rng, n, rng.random())
+        for _ in range(rng.randrange(1, 4)):
+            v = rng.randrange(n)
+            adj[v] ^= 1 << rng.randrange(n + (rng.random() < 0.1))
+        message = reference_graph_error(n, adj)
+        if message is None:
+            assert Graph(n, adj).adj == tuple(adj)
+            continue
+        with pytest.raises(ValueError) as err:
+            Graph(n, adj)
+        assert str(err.value) == message
+
+
+def test_edge_count_is_a_stored_popcount(universe7):
+    rng = random.Random(7)
+    graphs = universe7 + [Graph(n, random_rows(rng, n, 0.3)) for n in range(40)]
+    for g in graphs:
+        assert g.m == sum(row.bit_count() for row in g.adj) // 2
+    with pytest.raises(AttributeError):
+        graphs[-1].m = 0
 
 
 def test_duplicate_edges_collapse():
@@ -180,19 +236,6 @@ def test_boundary_rejects_overlap():
 # -- graph6 --------------------------------------------------------------------
 
 
-def reference_graph6(g) -> str:
-    """Independent graph6 writer: explicit bit-string assembly."""
-    bits = ""
-    for j in range(1, g.n):
-        for i in range(j):
-            bits += "1" if g.adj[i] >> j & 1 else "0"
-    bits += "0" * (-len(bits) % 6)
-    out = chr(g.n + 63)
-    for i in range(0, len(bits), 6):
-        out += chr(int(bits[i : i + 6], 2) + 63)
-    return out
-
-
 def test_graph6_k4_constant():
     k4 = complete(4)
     assert encode_graph6(k4) == "C~"
@@ -208,14 +251,14 @@ def test_graph6_empty_graph():
 def test_graph6_c4_byte():
     # bits x(0,1)..x(2,3) = 1,0,1,1,0,1 -> value 45 -> byte 108 = 'l'
     assert encode_graph6(cycle(4)) == "Cl"
-    assert reference_graph6(cycle(4)) == "Cl"
+    assert reference_graph6(4, cycle(4).adj) == "Cl"
 
 
 def test_graph6_matches_reference_small():
     for n in range(6):
         for mask in range(1 << (n * (n - 1) // 2)):
             g = graph_from_bitmask(n, mask)
-            assert encode_graph6(g) == reference_graph6(g)
+            assert encode_graph6(g) == reference_graph6(g.n, g.adj)
 
 
 def test_graph6_rejects_bad_length():
@@ -236,6 +279,54 @@ def test_graph6_rejects_non_ascii_text():
 def test_graph6_rejects_large_order_header():
     with pytest.raises(GraphFormatError):
         parse_graph6("~??" + "?" * 100)
+
+
+def test_graph6_codec_matches_the_bitwise_reference_for_every_order():
+    # n(n-1)/2 mod 24 has period 48 in n, so n = 0..62 meets every fill of
+    # the last 6-bit group and of the last 24-bit base64 block
+    rng = random.Random(6)
+    for n in range(GRAPH6_MAX_N + 1):
+        nbits = n * (n - 1) // 2
+        for p in (0.0, 0.05, 0.5, 0.95, 1.0):
+            g = Graph(n, random_rows(rng, n, p))
+            text = encode_graph6(g)
+            assert text == reference_graph6(n, g.adj)
+            assert reference_parse_graph6(text) == (n, list(g.adj))
+            assert parse_graph6(text) == g
+            assert parse_graph6(text.encode()) == g
+        code = rng.getrandbits(nbits) if nbits else 0
+        assert adjacency_from_code(n, code) == reference_adjacency(n, code)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph6 string"),
+        (" \n", "empty graph6 string"),
+        (">>graph6<<", "empty graph6 string"),
+        ("~??", "graph6 orders above 62 are not supported"),
+        ("~?" + "?" * 100, "graph6 orders above 62 are not supported"),
+        ("#?", "bad graph6 order byte 35"),
+        (b"\x7f?", "bad graph6 order byte 127"),
+        ("C~~", "graph6 string has 3 bytes, expected 2"),
+        ("E?", "graph6 string has 2 bytes, expected 4"),
+        ("C" + chr(30), "graph6 byte 30 outside printable range 63..126"),
+        ("E?\x7f" + chr(30), "graph6 byte 127 outside printable range 63..126"),
+        (b"E?>\xe9", "graph6 byte 62 outside printable range 63..126"),
+        ("B@", "graph6 padding bits are not zero"),
+        ("D?A", "graph6 padding bits are not zero"),
+        ("C\u00e9", "non-ASCII character '\u00e9' in graph6 text"),
+    ],
+)
+def test_graph6_error_messages(text, message):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph6(text)
+    assert str(err.value) == message
+
+
+def test_graph6_header_and_whitespace_are_accepted():
+    assert parse_graph6(">>graph6<<C~") == complete(4)
+    assert parse_graph6(b" >>graph6<<Cl\n") == cycle(4)
 
 
 @settings(max_examples=200)

@@ -69,6 +69,62 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, tuple[int, ...]]
     return Graph(len(embedding), adj), embedding
 
 
+def reference_graph6(n: int, adj) -> str:
+    """graph6 written one pair bit at a time, x(0,1), x(0,2), x(1,2), ...,
+    six bits per byte, each byte offset by 63."""
+    out = [n + 63]
+    acc = nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = acc << 1 | adj[j] >> i & 1
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return bytes(out).decode("ascii")
+
+
+def reference_adjacency(n: int, code: int) -> list[int]:
+    """Rows whose pair bits, x(0,1) most significant, are code: read one bit
+    at a time from the least significant end, x(n-2, n-1)."""
+    adj = [0] * n
+    for j in range(n - 1, 0, -1):
+        for i in range(j - 1, -1, -1):
+            if code & 1:
+                adj[j] |= 1 << i
+                adj[i] |= 1 << j
+            code >>= 1
+    return adj
+
+
+def reference_parse_graph6(text: str) -> tuple[int, list[int]]:
+    """Order and rows of a well-formed single-header graph6 string, one
+    6-bit group at a time."""
+    n = ord(text[0]) - 63
+    stream = 0
+    for ch in text[1:]:
+        stream = stream << 6 | ord(ch) - 63
+    return n, reference_adjacency(n, stream >> (6 * (len(text) - 1) - n * (n - 1) // 2))
+
+
+def reference_graph_error(n: int, adj) -> Optional[str]:
+    """The message Graph(n, adj) must raise for rows of the right length, or
+    None: every row's ids and loop first, then each (v, u) with u in row v,
+    in increasing v and u, for a missing mirror bit."""
+    for v, row in enumerate(adj):
+        if row & ~((1 << n) - 1):
+            return f"vertex {v} has a neighbour id >= {n}"
+        if row >> v & 1:
+            return f"vertex {v} is adjacent to itself"
+    for v, row in enumerate(adj):
+        for u in range(n):
+            if row >> u & 1 and not adj[u] >> v & 1:
+                return f"adjacency not symmetric at ({v}, {u})"
+    return None
+
+
 def oracle_has_k_cycle(g: Graph, k: int) -> bool:
     """Scan k-permutations for a closed walk with all consecutive pairs adjacent."""
     if g.n < k:
