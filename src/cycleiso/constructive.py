@@ -18,6 +18,11 @@ Each recursion level additionally keeps the strengthened guarantee that a
 graph outside {diamond} + family gets a set of size at most floor(m/6);
 the refined equality branches below exist exactly to preserve it.
 
+Each piece of the recursion is one ComponentClass record, a vertex mask of
+the input graph with its edge count, tag and family decomposition, so sets
+and trace steps come out in input ids.  A ":member" label only marks the
+case of its branch where every endpoint is its own anchor.
+
 Every level is validated (the set isolates, the size bound holds).  If a
 structural step ever fails validation the level falls back to the exact
 solver and marks its trace step "fallback", so the returned set is always
@@ -31,10 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .cycles import all_cycles, find_cycle
-from .family import ConsDecomposition, recognize
+from .family import recognize
 from .graphs import (
     Graph,
     VertexSet,
@@ -111,14 +115,6 @@ class CaseTrace:
         return out
 
 
-@dataclass(frozen=True)
-class ComponentClass:
-    """Structural class of a connected graph: C4, diamond, family member, other."""
-
-    tag: str  # "C4" | "diamond" | "extremal" | "other"
-    decomposition: Optional[ConsDecomposition] = None
-
-
 def bound_value(m: int) -> Fraction:
     """The target bound (m+1)/6 as an exact rational."""
     if m < 0:
@@ -126,50 +122,32 @@ def bound_value(m: int) -> Fraction:
     return Fraction(m + 1, 6)
 
 
-def classify_component(h: Graph) -> ComponentClass:
-    if not is_connected(h):
-        raise ValueError("classification requires a connected graph")
-    return _classify(h, h.full_mask, h.m)
+class ComponentClass:
+    """One connected piece of a graph: a vertex mask of g, its edge count
+    and its structural class, tag "C4", "diamond", "extremal" (a family
+    member, with its decomposition in g's ids) or "other"."""
 
-
-def _classify(g: Graph, mask: VertexSet, m: int) -> ComponentClass:
-    """Class of the connected subgraph of g induced on mask, with m edges."""
-    n = mask.bit_count()
-    if n == 4 and m == 4 and all((g.adj[v] & mask).bit_count() == 2 for v in bits(mask)):
-        return ComponentClass("C4")
-    if n == 4 and m == 5:
-        return ComponentClass("diamond")
-    decomp = recognize(g, 4, mask)
-    if decomp is not None:
-        return ComponentClass("extremal", decomp)
-    return ComponentClass("other")
-
-
-class _DispatchError(Exception):
-    """A structural branch saw a configuration it believes impossible."""
-
-
-class _Comp:
-    """One connected component of a residual graph: a vertex mask of the
-    input graph, with its edge count and classification."""
-
-    __slots__ = ("mask", "m", "cls")
+    __slots__ = ("mask", "m", "tag", "decomposition")
 
     def __init__(self, g: Graph, mask: VertexSet):
         self.mask = mask
-        self.m = _span_edges(g, mask)
-        self.cls = _classify(g, mask, self.m)
-
-    @property
-    def tag(self) -> str:
-        return self.cls.tag
+        self.m = m = _span_edges(g, mask)
+        self.decomposition = None
+        n = mask.bit_count()
+        if n == 4 and m == 4 and all((g.adj[v] & mask).bit_count() == 2 for v in bits(mask)):
+            self.tag = "C4"
+        elif n == 4 and m == 5:
+            self.tag = "diamond"
+        else:
+            self.decomposition = recognize(g, 4, mask)
+            self.tag = "other" if self.decomposition is None else "extremal"
 
     def conn_mask(self) -> VertexSet:
-        return self.cls.decomposition.connection_vertices
+        return self.decomposition.connection_vertices
 
     def anchor_of(self, w: int) -> int:
         """Connection vertex of the constituent holding w."""
-        return self.cls.decomposition.connection_of(w)
+        return self.decomposition.connection_of(w)
 
     def swap_set(self, w: int) -> VertexSet:
         """{w} plus the connection vertices minus the one anchoring w.
@@ -180,8 +158,18 @@ class _Comp:
         return (1 << w) | (self.conn_mask() & ~(1 << self.anchor_of(w)))
 
 
-def _split(g: Graph, alive: VertexSet) -> list[_Comp]:
-    return [_Comp(g, m) for m in component_masks(g, alive)]
+def classify_component(h: Graph) -> ComponentClass:
+    if not is_connected(h):
+        raise ValueError("classification requires a connected graph")
+    return ComponentClass(h, h.full_mask)
+
+
+class _DispatchError(Exception):
+    """A structural branch saw a configuration it believes impossible."""
+
+
+def _split(g: Graph, alive: VertexSet) -> list[ComponentClass]:
+    return [ComponentClass(g, m) for m in component_masks(g, alive)]
 
 
 def _single_bit(mask: VertexSet) -> int:
@@ -205,7 +193,7 @@ def construct(g: Graph) -> tuple[VertexSet, CaseTrace]:
     return d, CaseTrace(tuple(steps))
 
 
-def _solve_pieces(g: Graph, pieces: list[_Comp]) -> tuple[VertexSet, list[TraceStep]]:
+def _solve_pieces(g: Graph, pieces: list[ComponentClass]) -> tuple[VertexSet, list[TraceStep]]:
     """Solve each piece; the union of their sets and their trace steps."""
     d = 0
     steps: list[TraceStep] = []
@@ -216,7 +204,7 @@ def _solve_pieces(g: Graph, pieces: list[_Comp]) -> tuple[VertexSet, list[TraceS
     return d, steps
 
 
-def _construct(g: Graph, piece: _Comp) -> tuple[VertexSet, list[TraceStep]]:
+def _construct(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceStep]]:
     """Connected recursion with validation and exact-solver fallback."""
     try:
         d, steps = _dispatch(g, piece)
@@ -241,7 +229,7 @@ def _isolates(g: Graph, p: VertexSet, d: VertexSet) -> bool:
     return find_cycle(g, 4, alive) is None
 
 
-def _within_contract(piece: _Comp, d: VertexSet) -> bool:
+def _within_contract(piece: ComponentClass, d: VertexSet) -> bool:
     m = piece.m
     limit = (m + 1) // 6 if piece.tag in ("diamond", "extremal") else m // 6
     return d.bit_count() <= limit
@@ -253,7 +241,7 @@ def _result(
     label: str,
     working: VertexSet,
     direct: VertexSet,
-    recursed: list[_Comp] | None = None,
+    recursed: list[ComponentClass] | None = None,
     lemma_s: VertexSet | None = None,
 ) -> tuple[VertexSet, list[TraceStep]]:
     """Assemble a branch result on piece p: direct part plus recursion on components."""
@@ -274,7 +262,7 @@ def _degree(g: Graph, p: VertexSet, v: int) -> int:
     return (g.adj[v] & p).bit_count()
 
 
-def _dispatch(g: Graph, piece: _Comp) -> tuple[VertexSet, list[TraceStep]]:
+def _dispatch(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceStep]]:
     p = piece.mask
     if find_cycle(g, 4, p) is None:
         return _result(g, p, "base:no-C4", 0, 0)
@@ -283,10 +271,11 @@ def _dispatch(g: Graph, piece: _Comp) -> tuple[VertexSet, list[TraceStep]]:
         want = 3 if p.bit_count() == 4 else 1
         d = 1 << next(v for v in bits(p) if _degree(g, p, v) == want)
         return _result(g, p, "base:m<=5", p, d)
-    delta = max(_degree(g, p, v) for v in bits(p))
+    v = max(bits(p), key=lambda u: _degree(g, p, u))
+    delta = _degree(g, p, v)
     if delta == 3:
         return _case1(g, p)
-    return _case2(g, piece, delta)
+    return _case2(g, piece, v, delta)
 
 
 # -- maximum degree 3 ----------------------------------------------------------
@@ -420,19 +409,17 @@ def _sub_1_2_1(
         raise _DispatchError("diamond component despite no diamond span being chosen")
 
     if len(comps) == ep and all(c.tag == "extremal" for c in comps):
-        endpoints = [(c, _single_bit(g.adj[v] & c.mask)) for c in comps]
-        if all(wv == c.anchor_of(wv) for c, wv in endpoints):
-            d = 1 << v
-            for c, _ in endpoints:
-                d |= c.conn_mask()
-            return _result(g, p, "Subcase 1.2.1(ii):member", p, d)
         d = 1 << v
-        for c, wv in endpoints:
-            if wv == c.anchor_of(wv):
-                d |= c.conn_mask()
-            else:
-                d |= c.conn_mask() & ~(1 << c.anchor_of(wv))
-        return _result(g, p, "Subcase 1.2.1(ii)", p, d)
+        member = True
+        for c in comps:
+            wv = _single_bit(g.adj[v] & c.mask)
+            d |= c.conn_mask()
+            if wv != c.anchor_of(wv):
+                # v already covers wv, so the anchor of wv is dropped
+                d &= ~(1 << c.anchor_of(wv))
+                member = False
+        label = "Subcase 1.2.1(ii):member" if member else "Subcase 1.2.1(ii)"
+        return _result(g, p, label, p, d)
 
     return _result(
         g, p, "Subcase 1.2.1(ii)", smask, 1 << u1, recursed=comps, lemma_s=smask
@@ -504,9 +491,10 @@ def _sub_1_2_234(
 # -- maximum degree >= 4 -------------------------------------------------------
 
 
-def _case2(g: Graph, piece: _Comp, delta: int) -> tuple[VertexSet, list[TraceStep]]:
+def _case2(
+    g: Graph, piece: ComponentClass, v: int, delta: int
+) -> tuple[VertexSet, list[TraceStep]]:
     p = piece.mask
-    v = next(u for u in bits(p) if _degree(g, p, u) == delta)
     nv_closed = (g.adj[v] & p) | (1 << v)
     rest = p & ~nv_closed
     if rest == 0:
@@ -526,10 +514,10 @@ def _case2(g: Graph, piece: _Comp, delta: int) -> tuple[VertexSet, list[TraceSte
             g, p, "Case 2:no-special", nv_closed, 1 << v, recursed=others, lemma_s=nv_closed
         )
 
-    def n_of(c: _Comp) -> VertexSet:
+    def n_of(c: ComponentClass) -> VertexSet:
         return closed_neighborhood(g, c.mask) & p & ~c.mask
 
-    def e_of(c: _Comp) -> int:
+    def e_of(c: ComponentClass) -> int:
         return boundary_edge_count(g, c.mask, nv_closed)
 
     qualifying = [c for c in specials if n_of(c).bit_count() == 1 or e_of(c) <= 2]
@@ -542,8 +530,8 @@ def _subcase_2_1(
     g: Graph,
     p: VertexSet,
     v: int,
-    specials: list[_Comp],
-    qualifying: list[_Comp],
+    specials: list[ComponentClass],
+    qualifying: list[ComponentClass],
     n_of,
     e_of,
 ) -> tuple[VertexSet, list[TraceStep]]:
@@ -560,7 +548,7 @@ def _subcase_2_1(
     outside = p & ~smask
     pieces = component_masks(g, outside)
     gv_mask = next(q for q in pieces if q >> v & 1)
-    gv = _Comp(g, gv_mask)
+    gv = ComponentClass(g, gv_mask)
     other_masks = [q for q in pieces if q != gv_mask]
 
     c1 = sum(1 for c in picked if c.tag == "C4")
@@ -582,30 +570,21 @@ def _subcase_2_1(
                 d |= c.conn_mask()
             return _result(g, p, "Subcase 2.1(i)", smask, d)
         if gv.tag == "extremal":
-            u = _single_bit(g.adj[v1] & outside)
-            endpoints = [(c, _single_bit(g.adj[v1] & c.mask)) for c in h3]
-            if u != gv.anchor_of(u):
-                # v1 already covers u, so only the anchor of u is dropped
-                d = (1 << v1) | (gv.conn_mask() & ~(1 << gv.anchor_of(u)))
-                for c, _ in endpoints:
-                    d |= c.conn_mask()
-                return _result(g, p, "Subcase 2.1(i)", smask, d)
+            # gv first, then h3 in vertex order: the order _split yields them
+            endpoints = [(gv, _single_bit(g.adj[v1] & outside))]
+            endpoints += [(c, _single_bit(g.adj[v1] & c.mask)) for c in h3]
             stray = [(c, w) for c, w in endpoints if w != c.anchor_of(w)]
-            if stray:
-                hs = min(stray, key=lambda cw: vertices_of(cw[0].mask))[0]
-                d = (1 << v1) | gv.conn_mask()
-                for c, w in endpoints:
-                    if c is hs:
-                        d |= c.conn_mask() & ~(1 << c.anchor_of(w))
-                    else:
-                        d |= c.conn_mask()
-                return _result(g, p, "Subcase 2.1(i)", smask, d)
-            d = (1 << v1) | gv.conn_mask()
+            d = 1 << v1
             for c, _ in endpoints:
                 d |= c.conn_mask()
-            return _result(g, p, "Subcase 2.1(i):member", smask, d)
+            if stray:
+                # v1 already covers the first stray endpoint, so its anchor is dropped
+                c, w = stray[0]
+                d &= ~(1 << c.anchor_of(w))
+            label = "Subcase 2.1(i)" if stray else "Subcase 2.1(i):member"
+            return _result(g, p, label, smask, d)
 
-    recursed = [gv] + [_Comp(g, q) for q in other_masks]
+    recursed = [gv] + [ComponentClass(g, q) for q in other_masks]
     if c1 == 0 and c2 == 0:
         d_s = 0
         for c in h3:
@@ -622,12 +601,12 @@ def _subcase_2_1(
 
 def _subcase_2_2(
     g: Graph,
-    piece: _Comp,
+    piece: ComponentClass,
     v: int,
     delta: int,
     nv_closed: VertexSet,
-    specials: list[_Comp],
-    others: list[_Comp],
+    specials: list[ComponentClass],
+    others: list[ComponentClass],
 ) -> tuple[VertexSet, list[TraceStep]]:
     p = piece.mask
     nv_open = nv_closed & ~(1 << v)
@@ -635,16 +614,12 @@ def _subcase_2_2(
     for c in specials:
         smask |= c.mask
 
-    def entry_vertex(c: _Comp) -> int:
+    def entry_vertex(c: ComponentClass) -> int:
         for a in bits(nv_open):
             hit = g.adj[a] & c.mask
             if hit:
                 return min(bits(hit))
         raise _DispatchError("special component not attached to the neighbourhood")
-
-    c1 = sum(1 for c in specials if c.tag == "C4")
-    c2 = sum(1 for c in specials if c.tag == "diamond")
-    c3 = sum(1 for c in specials if c.tag == "extremal")
 
     d_s = 1 << v
     for c in specials:
@@ -654,16 +629,15 @@ def _subcase_2_2(
             d_s |= c.conn_mask()
 
     if not others:
-        if delta == 4 and (c1, c2, c3) == (1, 0, 0) and piece.m == 11:
-            hstar = next(c for c in specials if c.tag == "C4")
-            best_u = None
-            best_cnt = -1
-            for x in bits(hstar.mask):
-                hood = (g.adj[x] & hstar.mask) | (1 << x)
-                cnt = sum((g.adj[y] & nv_open).bit_count() for y in bits(hood))
-                if cnt > best_cnt:
-                    best_u, best_cnt = x, cnt
-            if best_cnt < 2:
+        if delta == 4 and [c.tag for c in specials] == ["C4"] and piece.m == 11:
+            hstar = specials[0].mask
+
+            def bridges(x: int) -> int:
+                hood = (g.adj[x] & hstar) | (1 << x)
+                return sum((g.adj[y] & nv_open).bit_count() for y in bits(hood))
+
+            best_u = max(bits(hstar), key=bridges)
+            if bridges(best_u) < 2:
                 raise _DispatchError("no cycle vertex sees two bridge edges")
             return _result(g, p, "Subcase 2.2(i):rescue", smask, 1 << best_u)
         return _result(g, p, "Subcase 2.2(i)", smask, d_s)

@@ -145,7 +145,8 @@ def recognize(
     adj = g.adj
     if sum((adj[v] & alive).bit_count() for v in bits(alive)) != 2 * expected_size(t, k):
         return None
-    candidates = []
+    used = 0
+    constituents = []
     for cyc in all_cycles(g, k, alive):
         degs = [(adj[v] & alive).bit_count() for v in cyc]
         if sorted(degs) != [2] * (k - 1) + [3]:
@@ -153,14 +154,10 @@ def recognize(
         cm = mask_of(cyc)
         if any((adj[v] & cm).bit_count() != 2 for v in cyc):
             continue  # chord inside the cycle
-        candidates.append((cyc, degs.index(3)))
-    used = 0
-    constituents = []
-    for cyc, start in candidates:
-        cm = mask_of(cyc)
         if cm & used:
             return None
         used |= cm
+        start = degs.index(3)
         attach = cyc[start]
         outside = adj[attach] & alive & ~cm
         if outside.bit_count() != 1:

@@ -118,9 +118,6 @@ ENUMERATION_RANGE_ERROR = (
     "ingest larger graphs from a graph6 stream"
 )
 
-#: connected graphs per isomorphism class, order 1..8 (validated in tests)
-CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
-
 
 # -- canonical forms -----------------------------------------------------------
 

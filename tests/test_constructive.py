@@ -389,6 +389,40 @@ def test_high_degree_member_hits_membership_branch():
     assert d.bit_count() == decomp.tree_size == 4
 
 
+def test_member_on_a_path_hits_the_pendant_membership_branch():
+    # cons(P2, C4): the pendant v of the working cycle is the other tree
+    # vertex, and v's one neighbour in the remaining member is its anchor
+    g, decomp = build(Tree(2, ((0, 1),)), 4)
+    d, trace = construct(g)
+    assert d == decomp.connection_vertices == 0b11
+    assert trace.steps == (
+        TraceStep("Subcase 1.2.1(ii):member", tuple(range(10)), (0, 1)),
+    )
+
+
+def test_pendant_branch_drops_the_anchor_of_a_stray_endpoint():
+    # working cycle 0-3 with pendant 4; 4 ties the anchor 5 of one hung
+    # pendant cycle and the cycle vertex 13 of another, whose anchor 10
+    # is dropped since 4 already covers 13
+    g = from_edge_list(
+        15,
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (4, 13),
+         (5, 6), (6, 7), (7, 8), (8, 9), (9, 6),
+         (10, 11), (11, 12), (12, 13), (13, 14), (14, 11)],
+    )
+    d, trace = _assert_sound(g)
+    assert trace.steps == (TraceStep("Subcase 1.2.1(ii)", tuple(range(15)), (4, 5)),)
+
+
+def test_pendant_branch_with_a_stray_endpoint_in_the_hung_corpus():
+    g = _hung_corpus(1, 259)[258]
+    d, trace = _assert_sound(g)
+    assert vertices_of(d) == (4, 5, 10, 28)
+    assert TraceStep(
+        "Subcase 1.2.1(ii)", (0, 2, 5, 6, 7, 8, 21, 25, 26, 30), (5,)
+    ) in trace.steps
+
+
 def test_refined_peel_with_diamond_remainder():
     # vertex 0 ties a 4-cycle to a diamond whose apex is the unique
     # maximum-degree vertex; {0} alone suffices
@@ -414,6 +448,33 @@ def test_refined_peel_with_stray_attachment():
     g = from_edge_list(off + 5, edges)
     d, trace = _assert_sound(g, "Subcase 2.1(i)")
     assert d.bit_count() == 4 == g.m // 6
+
+
+def test_refined_peel_drops_the_anchor_of_the_first_stray_attachment():
+    # as above with two extra pieces tied to leaf 1: only the anchor of the
+    # first one (vertex 20) is dropped
+    base, _ = build(Tree(4, ((0, 1), (0, 2), (0, 3))), 4)
+    piece, _ = build(Tree(1, ()), 4)
+    off = base.n
+    edges = base.edges() + [(1, off + 2), (1, off + 8)]
+    edges += [(off + i + u, off + i + v) for i in (0, 5) for u, v in piece.edges()]
+    g = from_edge_list(off + 10, edges)
+    d, trace = _assert_sound(g, "Subcase 2.1(i)")
+    assert vertices_of(d) == (0, 1, 2, 3, 25)
+
+
+def test_refined_peel_drops_the_anchor_of_a_stray_remainder():
+    # vertex 1, the unique maximum-degree vertex, is a cycle vertex of the
+    # remainder cons(K1, C4) on 0-4, so its anchor 0 is dropped first and
+    # the stray piece on 10-14 keeps its own anchor
+    g = from_edge_list(
+        15,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1), (1, 5),
+         (5, 6), (6, 7), (7, 8), (8, 9), (9, 6),
+         (10, 11), (11, 12), (12, 13), (13, 14), (14, 11), (5, 13)],
+    )
+    d, trace = _assert_sound(g)
+    assert trace.steps == (TraceStep("Subcase 2.1(i)", tuple(range(5, 15)), (5, 10)),)
 
 
 def test_rescue_branch_star_over_square():

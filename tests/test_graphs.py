@@ -378,3 +378,11 @@ def test_graph_immutable_and_hashable():
     assert g == cycle(4)
     assert len({g, cycle(4)}) == 1
     assert vertices_of(g.full_mask) == (0, 1, 2, 3)
+
+
+def test_graph_attributes_cannot_be_deleted():
+    g = cycle(4)
+    for name in ("n", "adj", "m"):
+        with pytest.raises(AttributeError, match="^Graph is immutable$"):
+            delattr(g, name)
+    assert (g.n, g.adj, g.m) == (4, cycle(4).adj, 4)

@@ -1,10 +1,11 @@
 """The vertex-mask arguments agree with a renumbered copy of the subgraph.
 
 `all_cycles(g, k, alive)`, `recognize(g, k, within)`,
-`iota_exact(g, k, budget, within)` and
-`check_gluing_hypothesis(g, s, d, k, within)` work on the subgraph induced
-on a mask, in g's ids.  Each must equal the same call on the
-`induced_subgraph` copy with its answer mapped back through the embedding.
+`iota_exact(g, k, budget, within)`,
+`check_gluing_hypothesis(g, s, d, k, within)` and the constructive piece
+record `ComponentClass(g, mask)` work on the subgraph induced on a mask,
+in g's ids.  Each must equal the same call on the `induced_subgraph` copy
+with its answer mapped back through the embedding.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import random
 
 import pytest
 
+from cycleiso.constructive import ComponentClass, classify_component
 from cycleiso.cycles import all_cycles
 from cycleiso.family import ConsDecomposition, Constituent, Tree, build, recognize
-from cycleiso.graphs import Graph, from_edge_list, mask_of, relabel
+from cycleiso.graphs import Graph, component_masks, from_edge_list, mask_of, relabel
 from cycleiso.isolation import check_gluing_hypothesis, iota_exact
 from util import graph_from_bitmask, induced_subgraph, path
 
@@ -80,6 +82,39 @@ def test_mask_arguments_match_the_renumbered_subgraph():
     rng = random.Random(13)
     for g, mask in _cases():
         _check_mask_case(g, mask, rng)
+
+
+def _hung_graph(rng: random.Random) -> Graph:
+    """A random tree with one to three hung 4-cycles or diamonds, shuffled."""
+    n = rng.randint(3, 9)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    for _ in range(rng.randint(1, 3)):
+        edges += [(n, n + 1), (n + 1, n + 2), (n + 2, n + 3), (n + 3, n)]
+        if rng.random() < 0.5:
+            edges.append((n, n + 2))
+        edges.append((rng.randrange(n), n + rng.randrange(4)))
+        n += 4
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(from_edge_list(n, edges), perm)
+
+
+def test_piece_record_matches_the_renumbered_piece():
+    # the pieces are the components of g minus one vertex, as the
+    # constructive recursion sees them after peeling
+    rng = random.Random(21)
+    cases = [_member_with_extras(seed)[0] for seed in range(3)]
+    cases += [_hung_graph(rng) for _ in range(8)]
+    tags = set()
+    for g in cases:
+        for v in range(g.n):
+            for mask in component_masks(g, g.full_mask & ~(1 << v)):
+                sub, emb = induced_subgraph(g, mask)
+                got, want = ComponentClass(g, mask), classify_component(sub)
+                assert (got.mask, got.tag, got.m) == (mask, want.tag, want.m)
+                assert got.decomposition == _lift(want.decomposition, emb)
+                tags.add(got.tag)
+    assert tags == {"C4", "diamond", "extremal", "other"}
 
 
 def test_recognize_finds_a_member_on_a_proper_mask():
