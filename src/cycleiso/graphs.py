@@ -47,6 +47,22 @@ def bits(mask: VertexSet) -> Iterator[int]:
         mask ^= low
 
 
+_BYTE_BITS = tuple(frozenset(bits(b)) for b in range(256))
+
+
+def bit_set(mask: VertexSet) -> frozenset[int]:
+    """The vertex ids in a mask as a frozenset, read a byte at a time."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    vs: list[int] = []
+    base = 0
+    while mask:
+        vs.extend(base + v for v in _BYTE_BITS[mask & 255])
+        mask >>= 8
+        base += 8
+    return frozenset(vs)
+
+
 def vertices_of(mask: VertexSet) -> tuple[int, ...]:
     return tuple(bits(mask))
 

@@ -8,7 +8,7 @@ whose placed prefix already encodes above the best code is cut.  The search
 also collects automorphisms: two leaves with equal codes give the
 automorphism that maps the one vertex order onto the other.  A child of a
 search node whose path individualised x1..xr is skipped when it lies in the
-orbit of an already tried child under the found generators that fix
+orbit of an already tried child under the known generators that fix
 x1..xr pointwise (McKay-Piperno, "Practical graph isomorphism II", 2014).
 An element of that group fixes x1..xr, and refinement commutes with
 automorphisms, so it maps the node to itself and the tried child's subtree
@@ -19,6 +19,25 @@ graphs included.  One union-find routine, `_merge_orbits`, gives the
 vertex orbits of the search and the orbits of the enumerator on
 neighbourhood masks; a search node keeps its forest and merges only the
 generators found since it last looked.
+
+Twins are seeded as known automorphisms before the search starts.  Two
+vertices u and v with equal open rows (adj[u] == adj[v]) or equal closed
+rows (adj[u] | 1 << u == adj[v] | 1 << v) are twins, and the transposition
+(u v) is an automorphism: an edge uw with w != v maps to vw, an edge since
+w lies in both rows, and every edge meeting neither u nor v, and uv itself,
+maps to itself.  Refinement commutes with automorphisms, so twins share a
+cell of the root partition, and only those cells are scanned; each class
+of twins there gives one transposition per consecutive pair.  The orbit
+test above uses nothing of a generator but that it is an automorphism
+fixing the node's path pointwise, however it was found, so the seeded
+transpositions join the generators, with their fixed points, and the orbit
+test and the jump back below use them unchanged.  Every child they let the
+search skip is the image of a tried child under an element of the group
+the generators generate, as for found generators, so seeded and found
+generators together still generate the whole automorphism group (checked
+against a brute-force count on every connected graph of order <= 7).  On
+pendant leaves and twin-rich graphs this cuts most of the search: K_{1,t}
+takes t refinements instead of t(t+1)/2.
 
 When a leaf repeats the best code, the search jumps back to the node where
 the leaf's path leaves the best leaf's path: the first position where the
@@ -31,10 +50,12 @@ has been searched, up to cuts that each drop only leaves above the best
 code or images of leaves already compared, so every leaf left in the
 second one is the image of a leaf already compared: abandoning it loses no
 code.  The node goes on with its next child, and the orbit test there now
-knows the new generator (McKay-Piperno 2014, as nauty does).  On K_30 this
-cuts the generators from 435, one per pair of vertices, to 29.  Each
-node extends its parent's partial code by the rows of the vertices it
-places, so no prefix is encoded twice.
+knows the new generator (McKay-Piperno 2014, as nauty does).  Without
+seeding, this cut the generators of K_30 from 435, one per pair of
+vertices, to 29; every two vertices of K_30 are closed twins, so those 29,
+one per consecutive pair, now come from seeding and the search adds none.
+Each node extends its parent's partial code by the rows of the vertices
+it places, so no prefix is encoded twice.
 
 Refinement works on the ordered partition, a vertex's colour being the
 index of its cell.  A round ranks every vertex by (colour, sorted neighbour
@@ -104,7 +125,7 @@ from .graphs import (
     Graph,
     GraphFormatError,
     adjacency_from_code,
-    bits,
+    bit_set,
     encode_graph6,
     is_connected,
     parse_graph6,
@@ -170,6 +191,31 @@ def _refine(
     return cells
 
 
+def _twin_swaps(adj: Sequence[int], cells: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Transpositions of twins, one per consecutive pair of each class of
+    vertices with equal open rows or equal closed rows in a cell.
+
+    Open and closed rows share one dict: the open row of v never equals the
+    closed row of u, which holds u, so u would be a neighbour of v and v a
+    member of its own row.
+    """
+    n = len(adj)
+    swaps = []
+    for cell in cells:
+        if len(cell) == 1:
+            continue
+        classes: dict[int, list[int]] = {}
+        for v in cell:
+            classes.setdefault(adj[v], []).append(v)
+            classes.setdefault(adj[v] | 1 << v, []).append(v)
+        for twins in classes.values():
+            for u, v in zip(twins, twins[1:]):
+                perm = list(range(n))
+                perm[u], perm[v] = v, u
+                swaps.append(tuple(perm))
+    return swaps
+
+
 def _find(root: list[int], v: int) -> int:
     while root[v] != v:
         root[v] = v = root[root[v]]
@@ -192,14 +238,7 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
     """Canonical code of the graph (n, adj) and a generating set of its
     automorphism group (see the module docstring)."""
     nbits = n * (n - 1) // 2
-    nbrs = []
-    for row in adj:
-        vs = []
-        while row:
-            low = row & -row
-            vs.append(low.bit_length() - 1)
-            row ^= low
-        nbrs.append(frozenset(vs))
+    nbrs = [bit_set(row) for row in adj]
     # no leaf yet: a code of nbits + 1 bits is above every leaf and every prefix
     unset = 1 << nbits
     best = unset
@@ -207,6 +246,10 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
     gens: list[tuple[int, ...]] = []
     fixed: list[int] = []  # fixed[i]: mask of the points gens[i] fixes
     placed = [0] * n  # placed[:r]: the vertex order of the node being searched
+
+    def add(perm: tuple[int, ...]) -> None:
+        gens.append(perm)
+        fixed.append(sum(1 << v for v in range(n) if perm[v] == v))
 
     def search(cells: list[list[int]], path: int, r: int, partial: int) -> int:
         """Search the node of partition cells, whose first r cells are
@@ -232,8 +275,7 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
             perm = [0] * n
             for u, v in zip(best_leaf, placed):
                 perm[u] = v
-            gens.append(tuple(perm))
-            fixed.append(sum(1 << v for v in range(n) if perm[v] == v))
+            add(tuple(perm))
             # jump back to the node where this leaf's path leaves best_leaf's
             return next(i for i in range(n) if placed[i] != best_leaf[i])
         target = cells[r]
@@ -258,7 +300,11 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
                 return resume
         return n
 
-    search(_refine(nbrs, [list(range(n))]), 0, 0, 0)
+    cells = _refine(nbrs, [list(range(n))])
+    # twin swaps are automorphisms, known before any leaf (see the module docstring)
+    for perm in _twin_swaps(adj, cells):
+        add(perm)
+    search(cells, 0, 0, 0)
     return best, gens
 
 
@@ -277,17 +323,19 @@ def _is_least_deletion(adj: Sequence[int]) -> bool:
     deg = [row.bit_count() for row in adj]
     last = len(adj) - 1
     full = (1 << len(adj)) - 1
-
-    def key(v: int) -> tuple:
-        return deg[v], sorted(deg[u] for u in bits(adj[v]))
-
-    least = key(last)
-    return not any(
-        deg[v] <= deg[last]
-        and key(v) < least
-        and reach(adj, 1 << last, full & ~(1 << v)) == full & ~(1 << v)
-        for v in range(last)
-    )
+    least = None  # the last vertex's sorted neighbour degrees, once a tie needs them
+    for v in range(last):
+        if deg[v] > deg[last]:
+            continue
+        if deg[v] == deg[last]:
+            if least is None:
+                least = sorted(map(deg.__getitem__, bit_set(adj[last])))
+            if sorted(map(deg.__getitem__, bit_set(adj[v]))) >= least:
+                continue
+        rest = full & ~(1 << v)
+        if reach(adj, 1 << last, rest) == rest:
+            return False
+    return True
 
 
 def _least_non_cut(adj: Sequence[int]) -> tuple[int, int]:

@@ -9,6 +9,8 @@ from cycleiso.graphs import (
     Graph,
     GraphFormatError,
     adjacency_from_code,
+    bit_set,
+    bits,
     boundary_edge_count,
     closed_neighborhood,
     component_masks,
@@ -386,3 +388,10 @@ def test_graph_attributes_cannot_be_deleted():
         with pytest.raises(AttributeError, match="^Graph is immutable$"):
             delattr(g, name)
     assert (g.n, g.adj, g.m) == (4, cycle(4).adj, 4)
+
+
+def test_bit_set_matches_bits():
+    rng = random.Random(62)
+    rows = list(range(4096)) + [rng.getrandbits(rng.randint(1, 62)) for _ in range(2000)]
+    for row in rows:
+        assert bit_set(row) == frozenset(bits(row))

@@ -24,6 +24,7 @@ from cycleiso.survey import (
     _least_non_cut,
     _mask_orbit_representatives,
     _refine,
+    _twin_swaps,
     canonical_code,
     check_graph,
     conjecture_bound,
@@ -40,6 +41,7 @@ from util import (
     induced_subgraph,
     oracle_automorphism_count,
     oracle_connected_class_count,
+    oracle_is_least_deletion,
     oracle_mask_orbit_minima,
     oracle_refine,
 )
@@ -147,6 +149,17 @@ def test_degree_prefilter_drops_only_hoods_the_filter_rejects():
                     adj = [row | 1 << (n - 1) if hood >> u & 1 else row
                            for u, row in enumerate(parent.adj)]
                     assert not _is_least_deletion(adj + [hood])
+
+
+def test_least_deletion_matches_full_key_oracle():
+    # every hood of every parent of order <= 6, not only orbit representatives
+    for n in range(2, 8):
+        for parent_code in _connected_codes(n - 1):
+            base = graph_from_code(n - 1, parent_code).adj
+            for hood in range(1, 1 << (n - 1)):
+                adj = [row | 1 << (n - 1) if hood >> u & 1 else row for u, row in enumerate(base)]
+                adj.append(hood)
+                assert _is_least_deletion(adj) == oracle_is_least_deletion(adj)
 
 
 def test_least_deletion_checks_per_order_are_pinned(cold_enumeration_cache, monkeypatch):
@@ -338,16 +351,68 @@ def test_generators_generate_the_whole_group_on_universe7(universe7):
         assert group_order(g.n, gens) == oracle_automorphism_count(g)
 
 
-def test_search_counters_on_universe7_are_pinned(universe7, monkeypatch):
-    # search nodes are refinements; jumping back to the node where a leaf
-    # that repeats the best code leaves the best leaf's path cut them from
-    # 5,650 to 5,148 and the generators from 1,880 to 1,575
+def _search_counters(graphs, monkeypatch) -> tuple[int, int]:
+    """Search nodes, counted as refinements, and generators over the
+    searches of graphs."""
     survey_module = sys.modules["cycleiso.survey"]
     nodes = []
     real = survey_module._refine
-    monkeypatch.setattr(survey_module, "_refine", lambda *a: nodes.append(1) or real(*a))
-    generators = sum(len(_canonical_search(g.n, g.adj)[1]) for g in universe7)
-    assert (len(nodes), generators) == (5148, 1575)
+    with monkeypatch.context() as m:
+        m.setattr(survey_module, "_refine", lambda *a: nodes.append(1) or real(*a))
+        generators = sum(len(_canonical_search(g.n, g.adj)[1]) for g in graphs)
+    return len(nodes), generators
+
+
+def test_search_counters_on_universe7_are_pinned(universe7, monkeypatch):
+    # jumping back to the node where a leaf that repeats the best code
+    # leaves the best leaf's path cut the nodes from 5,650 to 5,148 and the
+    # generators from 1,880 to 1,575; seeding twin swaps as known
+    # automorphisms cut the nodes to 3,153, and the generators rose to
+    # 1,596, as a twin class gives its swaps before the search could show
+    # that fewer of them suffice
+    assert _search_counters(universe7, monkeypatch) == (3153, 1596)
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return from_edge_list(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+# (search nodes, generators); twin-free graphs search as before seeding,
+# twin-rich ones drop from t(t+1)/2 nodes (K_{1,t}), 19 (K33) and 34 (K44)
+SEARCH_COUNTERS = [
+    ("petersen", petersen, (15, 4)),
+    ("Q3", cube, (10, 3)),
+    ("C8", lambda: cycle(8), (6, 2)),
+    ("K33", k33, (9, 5)),
+    ("K44", lambda: complete_bipartite(4, 4), (13, 7)),
+] + [(f"K1_{t}", lambda t=t: complete_bipartite(1, t), (t, t - 1)) for t in range(2, 11)]
+
+
+@pytest.mark.parametrize(
+    "make, counters", [case[1:] for case in SEARCH_COUNTERS],
+    ids=[case[0] for case in SEARCH_COUNTERS],
+)
+def test_search_counters_with_and_without_twins_are_pinned(make, counters, monkeypatch):
+    assert _search_counters([make()], monkeypatch) == counters
+
+
+def test_seeded_generators_are_twin_swaps(universe7):
+    for g in universe7 + _symmetric_stream(6, 30) + [petersen(), cube(), k33()]:
+        nbrs = [frozenset(bits(row)) for row in g.adj]
+        seeded = _twin_swaps(g.adj, _refine(nbrs, [list(range(g.n))]))
+        assert _canonical_search(g.n, g.adj)[1][: len(seeded)] == seeded
+        for p in seeded:
+            u, v = (w for w in range(g.n) if p[w] != w)
+            assert g.adj[u] == g.adj[v] or g.adj[u] | 1 << u == g.adj[v] | 1 << v
+            assert relabel(g, p) == g
+        # the swaps join every class of open twins and every class of
+        # closed twins, found here over all vertex pairs
+        classes = {}
+        for v in range(g.n):
+            classes.setdefault(("open", g.adj[v]), []).append(v)
+            classes.setdefault(("closed", g.adj[v] | 1 << v), []).append(v)
+        expected = math.prod(math.factorial(len(c)) for c in classes.values())
+        assert _transposition_group_order(g.n, seeded) == expected
 
 
 def _transposition_group_order(n: int, gens) -> int:
@@ -377,8 +442,10 @@ def _transposition_group_order(n: int, gens) -> int:
     ids=["K30", "empty30", "K30-minus-edge"],
 )
 def test_symmetric_graphs_on_30_vertices(edges, code, generators, order):
-    # without the jump back the search reaches about n^2/2 leaves on these
-    # graphs and keeps 379-435 generators; K30 minus edge 01 has Aut S_2 x S_28
+    # twin classes: all 30 vertices in K30 and empty30, {0, 1} and the rest
+    # in K30 minus edge 01, whose Aut is S_2 x S_28; their swaps are every
+    # generator, and without seeding or the jump back the search reaches
+    # about n^2/2 leaves on these graphs and keeps 379-435 generators
     g = from_edge_list(30, edges)
     found, gens = _canonical_search(g.n, g.adj)
     assert found == code and len(gens) == generators

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from cycleiso.cycles import _iter_cycles
-from cycleiso.graphs import Graph, VertexSet, as_mask, bits, from_edge_list, vertices_of
+from cycleiso.graphs import Graph, VertexSet, as_mask, bits, from_edge_list, reach, vertices_of
 
 
 def path(n: int) -> Graph:
@@ -261,6 +261,23 @@ def oracle_refine(nbrs, colors: list) -> list[int]:
         if new == colors:
             return new
         colors = new
+
+
+def oracle_is_least_deletion(adj) -> bool:
+    """Whether no non-cut vertex has a smaller (degree, sorted neighbour
+    degrees) key than the last vertex, every key built in full."""
+    deg = [row.bit_count() for row in adj]
+    last = len(adj) - 1
+    full = (1 << len(adj)) - 1
+
+    def key(v: int) -> tuple:
+        return deg[v], sorted(deg[u] for u in bits(adj[v]))
+
+    least = key(last)
+    return not any(
+        key(v) < least and reach(adj, 1 << last, full & ~(1 << v)) == full & ~(1 << v)
+        for v in range(last)
+    )
 
 
 def oracle_mask_orbit_minima(g: Graph) -> list[int]:
