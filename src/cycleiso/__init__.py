@@ -21,10 +21,8 @@ from .family import (
     ConsDecomposition,
     Tree,
     build,
-    canonical_isolating_set,
     enumerate_trees,
     recognize,
-    verify_extremal_equality,
 )
 from .graphs import (
     Graph,
@@ -41,7 +39,6 @@ from .isolation import (
     ExactResult,
     IsolationCertificate,
     check_gluing_hypothesis,
-    compose_gluing,
     iota_exact,
     verify,
 )
@@ -76,12 +73,10 @@ __all__ = [
     "bound_value",
     "boundary_edge_count",
     "build",
-    "canonical_isolating_set",
     "check_graph",
     "check_gluing_hypothesis",
     "classify_component",
     "closed_neighborhood",
-    "compose_gluing",
     "conjecture_bound",
     "construct",
     "encode_graph6",
@@ -95,5 +90,4 @@ __all__ = [
     "recognize",
     "survey",
     "verify",
-    "verify_extremal_equality",
 ]

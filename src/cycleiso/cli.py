@@ -20,7 +20,7 @@ import time
 from typing import Optional
 
 from .constructive import bound_value, construct
-from .family import Tree, build, canonical_isolating_set, enumerate_trees, recognize
+from .family import Tree, build, enumerate_trees, recognize
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -62,10 +62,10 @@ def _parse_bound(text: str, k: int) -> BoundSpec:
     num, _, den = body.rpartition("/")
     if num.startswith("(") and num.endswith(")"):
         num = num[1:-1]
-    try:
-        d = int(den)
-    except ValueError:
-        raise CliError(f"bound denominator {den!r} is not an integer") from None
+    # int() alone would also take "1_0" and non-ASCII digits
+    if not re.fullmatch(r"[+-]?[0-9]+", den):
+        raise CliError(f"bound denominator {den!r} is not an integer")
+    d = int(den)
     terms = re.findall(r"[+-]?[^+-]+", num)
     if not terms or "".join(terms) != num:
         # an empty numerator, or a sign with no term after it
@@ -74,12 +74,11 @@ def _parse_bound(text: str, k: int) -> BoundSpec:
     for term in terms:
         sign = -1 if term.startswith("-") else 1
         term = term.lstrip("+-")
+        # ASCII digits, then at most one "*" before the variable
+        if not re.fullmatch(r"[0-9]+|([0-9]+\*?)?[nm]", term):
+            raise CliError(f"bad bound term {term!r}")
         var = term[-1] if term.endswith(("n", "m")) else ""
-        coeff_text = term[:-1].rstrip("*") if var else term
-        try:
-            coeff = sign * int(coeff_text or "1")
-        except ValueError:
-            raise CliError(f"bad bound term {term!r}") from None
+        coeff = sign * int(term.rstrip("nm*") or "1")
         if var == "n":
             a += coeff
         elif var == "m":
@@ -255,7 +254,7 @@ def _cmd_recognize(args) -> int:
         "member": True,
         "connection_vertices": list(vertices_of(decomp.connection_vertices)),
         "tree_edges": [list(e) for e in decomp.tree_edges],
-        "canonical_isolating_set": list(vertices_of(canonical_isolating_set(decomp))),
+        "canonical_isolating_set": list(vertices_of(decomp.connection_vertices)),
     }
     _emit(
         args,
@@ -313,6 +312,8 @@ def _survey_graphs(args) -> list[Graph]:
         if args.enumerate > ENUMERATION_MAX_N:
             raise CliError(ENUMERATION_RANGE_ERROR)
         return [g for order in range(1, args.enumerate + 1) for g in enumerate_connected(order)]
+    if args.graph6 and args.file:
+        raise CliError("give at most one of --graph6 and --file")
     if args.graph6:
         source = args.graph6
     elif args.file:
@@ -417,8 +418,8 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", help="edge-list file ('n <count>' header) or graph6 file")
 
 
-def _add_common(p: argparse.ArgumentParser, k_default: Optional[int] = None) -> None:
-    p.add_argument("-k", type=int, default=k_default, help="cycle length")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-k", type=int, default=4, help="cycle length")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
 
@@ -431,29 +432,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check whether a vertex set is cycle-isolating")
     _add_graph_input(p)
-    _add_common(p, 4)
+    _add_common(p)
     p.add_argument("--set", required=True, help="comma-separated vertex ids")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("exact", help="exact isolation number with an optimal witness")
     _add_graph_input(p)
-    _add_common(p, 4)
+    _add_common(p)
     p.add_argument("--budget", type=_node_budget, help="search node budget")
     p.set_defaults(fn=_cmd_exact)
 
     p = sub.add_parser("construct", help="constructive isolating set within (m+1)/6")
     _add_graph_input(p)
-    _add_common(p, 4)
+    _add_common(p)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("cons", help="attach a cycle to every vertex of a tree")
     p.add_argument("--tree", help="tree edge-list file (default: stdin)")
-    _add_common(p, 4)
+    _add_common(p)
     p.set_defaults(fn=_cmd_cons)
 
     p = sub.add_parser("recognize", help="recognise membership in the extremal family")
     _add_graph_input(p)
-    _add_common(p, 4)
+    _add_common(p)
     p.set_defaults(fn=_cmd_recognize)
 
     p = sub.add_parser("trees", help="enumerate trees up to isomorphism")
@@ -473,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
             else "evaluate a bound for one graph",
         )
         _add_graph_input(p)
-        _add_common(p, 4)
+        _add_common(p)
         p.add_argument("--bound", help='bound expression "a*n+b*m+c/d", e.g. "m+1/6"')
         p.add_argument(
             "--bound-c3", action="store_true", help="preset: k=3 bound (m+1)/5"
@@ -514,7 +515,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "k", None) is not None and args.k < 3:
+    if getattr(args, "k", 3) < 3:
         print("error: cycle length must be at least 3", file=sys.stderr)
         return EXIT_USAGE
     try:

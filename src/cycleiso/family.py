@@ -7,22 +7,24 @@ graphs (together with the diamond for k = 4) are exactly the connected
 graphs whose k-cycle isolation number attains (m+1)/(k+2).
 
 Recognition inverts the construction without general subgraph-isomorphism
-machinery: in a member, every constituent cycle is chordless and carries
-exactly one vertex of degree 3 (the attachment) with the rest of degree 2,
-so candidate cycles are forced and pairwise disjoint; what remains must be
-a tree attached by one edge per cycle.
+machinery: in a member, every constituent cycle carries exactly one vertex
+of degree 3 (the attachment) with the rest of degree 2, and that degree
+pattern alone makes candidate cycles chordless, pairwise disjoint and
+attached by one edge each; what remains must be a tree on their anchors.
+A decomposition's connection vertices are an isolating set of size
+(m+1)/(k+2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .cycles import all_cycles
 from .graphs import (
     Graph,
     VertexSet,
+    as_mask,
     bits,
     from_edge_list,
     is_connected,
@@ -86,10 +88,6 @@ class ConsDecomposition:
                 return c.connection
         raise ValueError(f"vertex {vertex} not covered by the decomposition")
 
-    @property
-    def tree_size(self) -> int:
-        return len(self.constituents)
-
 
 def build(tree: Tree, k: int) -> tuple[Graph, ConsDecomposition]:
     """Attach a private k-cycle to every tree vertex by one edge.
@@ -119,31 +117,46 @@ def build(tree: Tree, k: int) -> tuple[Graph, ConsDecomposition]:
     return g, decomp
 
 
-def expected_size(t: int, k: int) -> int:
-    """Edge count of the construction on a t-vertex tree: (k+2)t - 1."""
-    return (k + 2) * t - 1
-
-
 def recognize(
     g: Graph, k: int, within: VertexSet | None = None
 ) -> Optional[ConsDecomposition]:
     """Decomposition witnessing membership in the family, or None.
 
     With `within`, the subgraph induced on that vertex mask is recognised
-    and the decomposition is given in g's ids.  Candidate constituent
-    cycles are the chordless k-cycles whose vertices all have degree 2
-    except exactly one of degree 3; the degree pattern forces them to be
-    pairwise disjoint, so no search is needed.
+    and the decomposition is given in g's ids.  After the order and size
+    tests (n = (k+1)t vertices, (k+2)t - 1 edges), candidate constituent
+    cycles are the k-cycles whose vertices all have degree 2 except
+    exactly one of degree 3, and only two tests can fail: the candidates'
+    anchors are distinct and are exactly the rest; the rest is connected.
+    No other test is needed, since:
+
+    1. a candidate has no chord: a chord would give two vertices of
+       degree >= 3 on a cycle whose pattern allows only one;
+    2. two candidates that share a vertex are the same cycle: from the
+       shared vertex both follow the same forced path of degree-2
+       vertices to the cycle's single degree-3 vertex, so the candidates,
+       which all_cycles yields once each, are pairwise disjoint;
+    3. having no chord, a candidate's attachment has exactly one
+       neighbour off the cycle, its anchor;
+    4. c disjoint candidates leave a rest of n - ck vertices, and c
+       distinct anchors that are exactly the rest give c(k+1) = n, so the
+       candidates cover tk vertices and |rest| = t(k+1) - tk = t;
+    5. an edge from the rest into a cycle must end at an attachment, whose
+       one outside neighbour is its anchor, and the anchors are distinct,
+       so each rest vertex sends exactly one edge into the cycles;
+    6. the size test leaves (k+2)t - 1 - tk - t = t - 1 edges inside the
+       rest, so a connected rest is a tree; the size test also rejects
+       n = 0.
     """
     if k < 3:
         raise ValueError("cycle length must be at least 3")
-    alive = g.full_mask if within is None else within
+    alive = g.full_mask if within is None else as_mask(g, within)
     n = alive.bit_count()
-    if n == 0 or n % (k + 1):
+    if n % (k + 1):
         return None
     t = n // (k + 1)
     adj = g.adj
-    if sum((adj[v] & alive).bit_count() for v in bits(alive)) != 2 * expected_size(t, k):
+    if sum((adj[v] & alive).bit_count() for v in bits(alive)) != 2 * ((k + 2) * t - 1):
         return None
     used = 0
     constituents = []
@@ -152,37 +165,23 @@ def recognize(
         if sorted(degs) != [2] * (k - 1) + [3]:
             continue
         cm = mask_of(cyc)
-        if any((adj[v] & cm).bit_count() != 2 for v in cyc):
-            continue  # chord inside the cycle
-        if cm & used:
-            return None
         used |= cm
         start = degs.index(3)
         attach = cyc[start]
-        outside = adj[attach] & alive & ~cm
-        if outside.bit_count() != 1:
-            return None
-        connection = next(bits(outside))
+        connection = next(bits(adj[attach] & alive & ~cm))
         cycle = tuple(cyc[(start + j) % k] for j in range(k))
         constituents.append(
             Constituent(connection=connection, attachment=attach, cycle=cycle)
         )
-    if used.bit_count() != t * k:
-        return None
     rest = alive & ~used
-    if rest.bit_count() != t:
-        return None
     anchors = {c.connection for c in constituents}
     if len(anchors) != len(constituents) or anchors != set(bits(rest)):
         return None
-    for r in bits(rest):
-        if (g.adj[r] & used).bit_count() != 1:
-            return None
-    tree_edges = tuple(
-        (u, v) for u in bits(rest) for v in bits(g.adj[u] & rest) if u < v
-    )
-    if len(tree_edges) != t - 1 or reach(adj, rest & -rest, rest) != rest:
+    if reach(adj, rest & -rest, rest) != rest:
         return None
+    tree_edges = tuple(
+        (u, v) for u in bits(rest) for v in bits(adj[u] & rest) if u < v
+    )
     constituents.sort(key=lambda c: c.connection)
     return ConsDecomposition(
         k=k,
@@ -190,21 +189,6 @@ def recognize(
         constituents=tuple(constituents),
         tree_edges=tree_edges,
     )
-
-
-def canonical_isolating_set(decomp: ConsDecomposition) -> VertexSet:
-    """The connection vertices: an isolating set of size (m+1)/(k+2)."""
-    return decomp.connection_vertices
-
-
-def verify_extremal_equality(g: Graph, k: int, node_budget: int | None = None) -> bool:
-    """True when g is a family member and its isolation number attains (m+1)/(k+2)."""
-    decomp = recognize(g, k)
-    if decomp is None:
-        return False
-    from .isolation import iota_exact
-
-    return Fraction(g.m + 1, k + 2) == iota_exact(g, k, node_budget).iota
 
 
 def recovered_tree(decomp: ConsDecomposition) -> Tree:
@@ -246,10 +230,6 @@ def _centers(n: int, adj: list[list[int]]) -> list[int]:
                         nxt.append(u)
         layer = nxt
     return sorted(layer)
-
-
-def trees_isomorphic(a: Tree, b: Tree) -> bool:
-    return tree_canonical_key(a) == tree_canonical_key(b)
 
 
 def enumerate_trees(n: int) -> list[Tree]:

@@ -1,6 +1,9 @@
 """Verification of cycle-isolating sets and exact isolation numbers.
 
 A set D is k-cycle-isolating for G when G - N[D] has no k-cycle subgraph.
+The gluing hypothesis on (S, D) is the condition under which D, joined
+with any isolating set of G - S, isolates all of G; the constructive
+recursion checks it for every part it settles.
 The exact solver works per connected component (isolation numbers add over
 components), on the component's vertex mask in the input's own ids, and
 inside a component runs iterative-deepening search: any isolating set must
@@ -44,16 +47,15 @@ UNBUDGETED_MAX_N = 20
 
 
 class BudgetExceededError(RuntimeError):
-    """Search ran out of nodes; carries the best bounds proven so far."""
+    """Search ran out of nodes; carries the lower bound proven so far and
+    the nodes explored."""
 
-    def __init__(self, lower_bound: int, upper_bound: int | None, explored: int):
+    def __init__(self, lower_bound: int, explored: int):
         self.lower_bound = lower_bound
-        self.upper_bound = upper_bound
         self.explored = explored
-        hi = "?" if upper_bound is None else str(upper_bound)
         super().__init__(
             f"node budget exhausted after {explored} nodes "
-            f"(bounds: {lower_bound} <= iota <= {hi})"
+            f"(bounds: {lower_bound} <= iota <= ?)"
         )
 
 
@@ -116,7 +118,7 @@ class _Search:
     def _tick(self) -> None:
         self.explored += 1
         if self.budget is not None and self.explored > self.budget:
-            raise BudgetExceededError(self.lower, None, self.explored)
+            raise BudgetExceededError(self.lower, self.explored)
 
     def cycle(self, alive: VertexSet) -> Optional[CycleWitness]:
         """find_cycle on the alive set, asked at most once per search."""
@@ -227,7 +229,7 @@ def iota_exact(
             size, local = search.solve()
         except BudgetExceededError as exc:
             raise BudgetExceededError(
-                total + exc.lower_bound, None, explored + exc.explored
+                total + exc.lower_bound, explored + exc.explored
             ) from None
         explored += search.explored
         total += size
@@ -267,31 +269,3 @@ def check_gluing_hypothesis(
         if boundary_edge_count(g, comp, outside) > 1:
             return False
     return True
-
-
-def compose_gluing(
-    g: Graph,
-    s: Union[VertexSet, Iterable[int]],
-    d: Union[VertexSet, Iterable[int]],
-    d_rest: Union[VertexSet, Iterable[int]],
-    k: int,
-) -> IsolationCertificate:
-    """Glue a local set D on G[S] with a set for G - S into one certificate.
-
-    Raises if the hypothesis fails or d_rest does not isolate G - S; the
-    returned certificate is always valid.
-    """
-    sm = as_mask(g, s)
-    dm = as_mask(g, d)
-    rm = as_mask(g, d_rest)
-    if not check_gluing_hypothesis(g, sm, dm, k):
-        raise ValueError("gluing hypothesis does not hold for (S, D)")
-    if rm & sm:
-        raise ValueError("d_rest must avoid S")
-    rest_alive = (g.full_mask & ~sm) & ~closed_neighborhood(g, rm)
-    if find_cycle(g, k, rest_alive) is not None:
-        raise ValueError("d_rest does not isolate G - S")
-    cert = verify(g, dm | rm, k)
-    if not cert.valid:
-        raise AssertionError("composition produced an invalid set despite the hypothesis")
-    return cert

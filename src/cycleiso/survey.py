@@ -404,7 +404,6 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
 @dataclass(frozen=True)
 class IngestFailure:
     line_no: int
-    line: str
     error: str
 
 
@@ -427,7 +426,7 @@ def ingest_graph6(
         except GraphFormatError as exc:
             if failures is None:
                 raise GraphFormatError(f"line {line_no}: {exc}") from None
-            failures.append(IngestFailure(line_no, line, str(exc)))
+            failures.append(IngestFailure(line_no, str(exc)))
 
 
 # -- bound specification and records ------------------------------------------
@@ -536,20 +535,16 @@ class SurveyReport:
     def budget_failures(self) -> list[SurveyRecord]:
         return [r for r in self.records if r.status == "budget_exhausted"]
 
-    def histogram_by_n(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for r in self.records:
-            out[r.n] = out.get(r.n, 0) + 1
-        return out
-
     def totals(self) -> dict:
         statuses: dict[str, int] = {}
+        by_n: dict[int, int] = {}
         for r in self.records:
             statuses[r.status] = statuses.get(r.status, 0) + 1
+            by_n[r.n] = by_n.get(r.n, 0) + 1
         return {
             "records": len(self.records),
             "by_status": dict(sorted(statuses.items())),
-            "by_n": {str(k): v for k, v in sorted(self.histogram_by_n().items())},
+            "by_n": {str(k): v for k, v in sorted(by_n.items())},
         }
 
     def to_json_dict(self) -> dict:

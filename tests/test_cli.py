@@ -170,6 +170,16 @@ def test_conflicting_inputs_exit_one(capsys):
     assert "at most one" in err
 
 
+def test_survey_rejects_graph6_with_file(capsys, tmp_path):
+    # the file would add a graph; giving both is an error, as for one-graph commands
+    path = tmp_path / "extra.g6"
+    path.write_text("C~\n")
+    argv = ("survey", "--graph6", "C^", "--file", str(path), "--bound-c4")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: give at most one of --graph6 and --file\n"
+
+
 def test_bad_k_rejected(capsys):
     assert run_cli(capsys, "exact", "--graph6", "C~", "-k", "2")[0] == 1
 
@@ -415,6 +425,12 @@ def test_bound_grammar():
     assert (spec.a, spec.b, spec.c, spec.d) == (2, 3, -4, 7)
     spec = _parse_bound("(m+1)/6", 4)
     assert (spec.a, spec.b, spec.c, spec.d) == (0, 1, 1, 6)
+    spec = _parse_bound("2*n+m-3/7", 5)
+    assert (spec.a, spec.b, spec.c, spec.d) == (2, 1, -3, 7)
+    spec = _parse_bound("n-100/5", 4)
+    assert (spec.a, spec.b, spec.c, spec.d) == (1, 0, -100, 5)
+    spec = _parse_bound("m-100/6", 4)
+    assert (spec.a, spec.b, spec.c, spec.d) == (0, 1, -100, 6)
 
 
 def test_bound_grammar_errors():
@@ -432,6 +448,21 @@ def test_bound_grammar_errors():
     for text in ("/6", "+/6", "m+/6", "m++1/6"):
         with pytest.raises(CliError, match="bad bound numerator"):
             _parse_bound(text, 4)
+    # a coefficient is ASCII digits with at most one "*" before its variable,
+    # and no integer takes "_" or a non-ASCII digit, as int() alone would
+    for text, term in (
+        ("*m+1/6", "*m"),
+        ("2**m+1/6", "2**m"),
+        ("1_0/6", "1_0"),
+        ("m+1*/6", "1*"),
+        ("\u0663*m+1/6", "\u0663*m"),
+    ):
+        with pytest.raises(CliError, match=re.escape(f"bad bound term {term!r}")):
+            _parse_bound(text, 4)
+    for den in ("1_0", "\u0666"):
+        message = f"bound denominator {den!r} is not an integer"
+        with pytest.raises(CliError, match=re.escape(message)):
+            _parse_bound(f"m+1/{den}", 4)
 
 
 # Violators of the --conjecture preset (m+1)/(k+2): each has iota = 2 above

@@ -22,7 +22,16 @@ from cycleiso.graphs import (
     vertices_of,
 )
 from cycleiso.isolation import BudgetExceededError, iota_exact, verify
-from util import c4_plus, complete, cycle, diamond, disjoint_union, k23_with_tail, path
+from util import (
+    c4_plus,
+    complete,
+    cycle,
+    diamond,
+    disjoint_union,
+    k23_with_tail,
+    oracle_iota,
+    path,
+)
 
 K13_PLUS = Tree(5, ((0, 1), (0, 2), (0, 3), (1, 4)))
 
@@ -318,6 +327,29 @@ def _assert_sound(g, expect_label=None):
     return d, trace
 
 
+# Graphs that reach the two-piece assemblies: Subcase 1.1(ii) with a piece
+# on each diamond carrier, and Subcase 1.2.e(i) with a family piece beside
+# a remainder that is recursed on.
+TWO_PIECE_BRANCHES = [
+    ("Kz_GWKO?G@_B", (4, 8), ("Subcase 1.1(ii)",), 2),
+    ("Lz_GWK??G__@?D", (4, 8), ("Subcase 1.1(ii)",), 2),
+    ("Lz?KGCDC??_B?B", (4, 9), ("Subcase 1.1(ii)",), 2),
+    ("Mz?KGCD???a@?@?A_", (6, 9), ("Subcase 1.1(ii)",), 2),
+    ("Il?KGCDG?", (6,), ("Subcase 1.2.2(i)", "base:no-C4"), 1),
+    ("Il?KGCdO?", (6,), ("Subcase 1.2.3(i)", "base:no-C4"), 1),
+    ("Jl?KICdC??_", (0, 4), ("Subcase 1.2.4(i)", "base:no-C4"), 1),
+]
+
+
+@pytest.mark.parametrize("g6, members, labels, iota", TWO_PIECE_BRANCHES)
+def test_two_piece_branches(g6, members, labels, iota):
+    g = parse_graph6(g6)
+    d, trace = construct(g)
+    assert (vertices_of(d), trace.labels) == (members, labels)
+    assert verify(g, d, 4).valid and not trace.used_fallback()
+    assert oracle_iota(g, 4) == iota <= d.bit_count() <= g.m // 6
+
+
 def test_two_squares_double_bridge():
     g = from_edge_list(
         8,
@@ -386,7 +418,7 @@ def test_high_degree_member_hits_membership_branch():
     star = Tree(4, ((0, 1), (0, 2), (0, 3)))
     g, decomp = build(star, 4)
     d, trace = _assert_sound(g, "Subcase 2.1(i):member")
-    assert d.bit_count() == decomp.tree_size == 4
+    assert d.bit_count() == len(decomp.constituents) == 4
 
 
 def test_member_on_a_path_hits_the_pendant_membership_branch():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,17 +6,14 @@ import pytest
 from cycleiso.family import (
     Tree,
     build,
-    canonical_isolating_set,
     enumerate_trees,
-    expected_size,
     recognize,
     recovered_tree,
     tree_canonical_key,
-    trees_isomorphic,
-    verify_extremal_equality,
 )
-from cycleiso.graphs import vertices_of
+from cycleiso.graphs import from_edge_list, relabel
 from cycleiso.isolation import iota_exact, verify
+from cycleiso.survey import canonical_code
 from util import cycle, diamond, oracle_iota, oracle_tree_class_count
 
 K13_PLUS = Tree(5, ((0, 1), (0, 2), (0, 3), (1, 4)))
@@ -48,7 +46,7 @@ def test_build_size_formula():
         for k in (3, 4, 5):
             g, _ = build(tree, k)
             assert g.n == (k + 1) * t
-            assert g.m == expected_size(t, k) == (k + 2) * t - 1
+            assert g.m == (k + 2) * t - 1
 
 
 def test_build_rejects_bad_k():
@@ -75,7 +73,7 @@ def test_recognize_roundtrip_small_trees():
                 g, _ = build(tree, k)
                 decomp = recognize(g, k)
                 assert decomp is not None
-                assert trees_isomorphic(recovered_tree(decomp), tree)
+                assert tree_canonical_key(recovered_tree(decomp)) == tree_canonical_key(tree)
 
 
 def test_recognize_rejects_everything_else_small(universe8):
@@ -88,10 +86,75 @@ def test_recognize_rejects_everything_else_small(universe8):
     assert hits[0].n == 5 and hits[0].m == 5
 
 
+def _member_codes(t: int, k: int) -> set[int]:
+    """Canonical codes of cons(T, C_k) over the trees T on t vertices."""
+    return {canonical_code(g.n, g.adj) for g in (build(tree, k)[0] for tree in enumerate_trees(t))}
+
+
+def test_recognize_iff_isomorphic_to_a_member(universe8):
+    # recognize(g, k) answers exactly when g is isomorphic to some
+    # cons(T, C_k), checked against canonical codes; only graphs with a
+    # member's edge count can share a member's code
+    for k in range(3, 8):
+        for t in range(1, 8 // (k + 1) + 1):
+            n, m = (k + 1) * t, (k + 2) * t - 1
+            codes = _member_codes(t, k)
+            for g in universe8:
+                if g.n == n:
+                    member = g.m == m and canonical_code(g.n, g.adj) in codes
+                    assert (recognize(g, k) is not None) == member
+    # relabelled members with none, one or two edges moved
+    rng = random.Random(19)
+    for k in (3, 4, 5):
+        for t in range(1, 5):
+            codes = _member_codes(t, k)
+            for tree in enumerate_trees(t):
+                g, _ = build(tree, k)
+                for trial in range(13):
+                    edges = set(g.edges())
+                    for _ in range(trial % 3):
+                        gone = rng.choice(sorted(edges))
+                        edges.remove(gone)
+                        while (e := tuple(sorted(rng.sample(range(g.n), 2)))) in edges | {gone}:
+                            pass
+                        edges.add(e)
+                    perm = list(range(g.n))
+                    rng.shuffle(perm)
+                    h = relabel(from_edge_list(g.n, sorted(edges)), perm)
+                    member = canonical_code(h.n, h.adj) in codes
+                    assert (recognize(h, k) is not None) == member
+
+
+def test_recognize_a_moved_tree_edge_gives_another_member():
+    # tree vertices keep ids 0..t-1, so moving the path edge 2-3 to 1-3
+    # turns cons(P4, C_4) into cons(K_{1,3}, C_4)
+    g, _ = build(Tree(4, ((0, 1), (1, 2), (2, 3))), 4)
+    edges = set(g.edges()) - {(2, 3)} | {(1, 3)}
+    decomp = recognize(from_edge_list(g.n, sorted(edges)), 4)
+    assert decomp is not None
+    star = Tree(4, ((1, 0), (1, 2), (1, 3)))
+    assert tree_canonical_key(recovered_tree(decomp)) == tree_canonical_key(star)
+
+
+def test_recognize_rejects_a_disconnected_rest():
+    # moving the path edge 2-3 to 0-2 keeps every count but closes a
+    # triangle on the anchors 0, 1, 2 and cuts anchor 3 off
+    for k in (3, 4, 5):
+        g, _ = build(Tree(4, ((0, 1), (1, 2), (2, 3))), k)
+        edges = set(g.edges()) - {(2, 3)} | {(0, 2)}
+        assert recognize(from_edge_list(g.n, sorted(edges)), k) is None
+
+
+def test_recognize_rejects_ids_outside_the_graph():
+    g, _ = build(Tree(1, ()), 4)
+    with pytest.raises(ValueError, match="outside 0..n-1"):
+        recognize(g, 4, g.full_mask | 1 << g.n)
+
+
 def test_canonical_set_is_isolating_and_tight():
     for tree, k in ((Tree(1, ()), 4), (Tree(2, ((0, 1),)), 3), (K13_PLUS, 4)):
         g, decomp = build(tree, k)
-        d = canonical_isolating_set(decomp)
+        d = decomp.connection_vertices
         assert d.bit_count() == tree.n == Fraction(g.m + 1, k + 2)
         assert verify(g, d, k).valid
 
@@ -100,16 +163,19 @@ def test_canonical_set_two_triangles_value():
     g, decomp = build(Tree(2, ((0, 1),)), 3)
     assert (g.n, g.m) == (8, 9)
     assert oracle_iota(g, 3) == 2
-    assert canonical_isolating_set(decomp).bit_count() == 2
+    assert decomp.connection_vertices.bit_count() == 2
 
 
 def test_verify_extremal_equality():
+    # members are recognised and attain (m+1)/6; the diamond attains it too
+    # but is no member
     for n in (1, 2, 3, 4):
         for tree in enumerate_trees(n):
             g, _ = build(tree, 4)
-            assert verify_extremal_equality(g, 4, node_budget=10**6)
-    assert not verify_extremal_equality(diamond(), 4)
-    assert not verify_extremal_equality(cycle(4), 4)
+            assert recognize(g, 4) is not None
+            assert Fraction(g.m + 1, 6) == iota_exact(g, 4, node_budget=10**6).iota
+    assert recognize(diamond(), 4) is None
+    assert recognize(cycle(4), 4) is None
 
 
 def test_equality_on_members_exact(universe6):
@@ -121,7 +187,7 @@ def test_equality_on_members_exact(universe6):
             for tree in enumerate_trees(t):
                 g, decomp = build(tree, k)
                 res = iota_exact(g, k, node_budget=1_000)
-                assert res.iota == decomp.tree_size == t
+                assert res.iota == len(decomp.constituents) == t
                 assert g.m + 1 == t * (k + 2)
                 assert verify(g, res.witness, k).valid
 
@@ -156,5 +222,5 @@ def test_tree_isomorphism_key():
     a = Tree(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
     b = Tree(5, ((4, 3), (3, 2), (2, 1), (1, 0)))
     star = Tree(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
-    assert trees_isomorphic(a, b)
-    assert not trees_isomorphic(a, star)
+    assert tree_canonical_key(a) == tree_canonical_key(b)
+    assert tree_canonical_key(a) != tree_canonical_key(star)

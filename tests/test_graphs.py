@@ -222,8 +222,8 @@ def test_boundary_halves_c4():
 
 def test_boundary_diamond_degree_classes():
     g = diamond()
-    deg3 = {v for v in range(4) if g.degree(v) == 3}
-    deg2 = {v for v in range(4) if g.degree(v) == 2}
+    deg3 = {v for v in range(4) if g.adj[v].bit_count() == 3}
+    deg2 = {v for v in range(4) if g.adj[v].bit_count() == 2}
     # oracle: count by scanning the edge list
     expected = sum(1 for u, v in g.edges() if (u in deg3) != (v in deg3))
     assert expected == 4

@@ -20,7 +20,6 @@ from cycleiso.isolation import (
     BudgetExceededError,
     _Search,
     check_gluing_hypothesis,
-    compose_gluing,
     iota_exact,
     verify,
 )
@@ -330,22 +329,19 @@ def test_hypothesis_rejects_d_outside_s():
 
 
 def test_compose_whole_graph():
+    # with S the whole graph, G - S is empty and the glued set is D alone
     g = diamond()
-    cert = compose_gluing(g, g.full_mask, 1 << 1, 0, 4)
+    assert check_gluing_hypothesis(g, g.full_mask, 1 << 1, 4)
+    cert = verify(g, 1 << 1, 4)
     assert cert.valid and cert.members == 1 << 1
 
 
 def test_compose_two_diamonds():
     g = glued_diamonds()
-    cert = compose_gluing(g, mask_of(range(4)), 1 << 1, 1 << 5, 4)
+    assert check_gluing_hypothesis(g, mask_of(range(4)), 1 << 1, 4)
+    cert = verify(g, 1 << 1 | 1 << 5, 4)
     assert cert.valid
     assert cert.members == (1 << 1) | (1 << 5)
-
-
-def test_compose_rejects_bad_hypothesis():
-    g = cycle(4)
-    with pytest.raises(ValueError):
-        compose_gluing(g, mask_of([0, 1]), 0, 1 << 2, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -359,8 +355,7 @@ def test_compose_valid_whenever_hypothesis_holds(data):
     if not check_gluing_hypothesis(g, s, d_bits, 4):
         return
     rest = iota_exact_on_complement(g, s)
-    cert = compose_gluing(g, s, d_bits, rest, 4)
-    assert cert.valid
+    assert verify(g, d_bits | rest, 4).valid
 
 
 def iota_exact_on_complement(g, s):

@@ -23,7 +23,7 @@ LAYERS = {
     "graphs": (set(), set()),
     "cycles": ({"graphs"}, set()),
     "isolation": ({"cycles", "graphs"}, set()),
-    "family": ({"cycles", "graphs"}, {"isolation"}),
+    "family": ({"cycles", "graphs"}, set()),
     "constructive": ({"cycles", "family", "graphs", "isolation"}, set()),
     "survey": ({"graphs", "isolation"}, {"family"}),
     "cli": ({"constructive", "family", "graphs", "isolation", "survey"}, set()),

@@ -122,7 +122,7 @@ def test_recognize_finds_a_member_on_a_proper_mask():
     assert mask != g.full_mask
     assert recognize(g, 4) is None
     decomp = recognize(g, 4, mask)
-    assert decomp is not None and decomp.tree_size == 3
+    assert decomp is not None and len(decomp.constituents) == 3
     assert decomp.connection_vertices & ~mask == 0
 
 
