@@ -17,7 +17,8 @@ import json
 import re
 import sys
 import time
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from .constructive import bound_value, construct
 from .family import Tree, build, enumerate_trees, recognize
@@ -48,6 +49,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATIONS = 2
 EXIT_BUDGET = 3
+#: exit code by record status, a violation taking precedence
+_STATUS_EXIT = {"violation": EXIT_VIOLATIONS, "budget_exhausted": EXIT_BUDGET}
 
 
 class CliError(Exception):
@@ -98,12 +101,11 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph(args) -> Graph:
-    sources = [s for s in ("graph6", "file") if getattr(args, s, None)]
-    if len(sources) > 1:
+    if args.graph6 is not None and args.file is not None:
         raise CliError("give at most one of --graph6 and --file")
-    if getattr(args, "graph6", None):
+    if args.graph6 is not None:
         return parse_graph6(args.graph6)
-    if getattr(args, "file", None):
+    if args.file is not None:
         text = _read_text(args.file)
         if _looks_like_graph6(text):
             return parse_graph6(text)
@@ -303,20 +305,22 @@ def _survey_spec(args) -> BoundSpec:
     return spec
 
 
-def _survey_graphs(args) -> list[Graph]:
+def _survey_graphs(args) -> Iterable[Graph]:
     if args.enumerate is not None:
-        if args.graph6 or args.file:
+        if args.graph6 is not None or args.file is not None:
             raise CliError("--enumerate conflicts with --graph6/--file input")
         if args.enumerate < 1:
             raise CliError("--enumerate needs N >= 1")
         if args.enumerate > ENUMERATION_MAX_N:
             raise CliError(ENUMERATION_RANGE_ERROR)
-        return [g for order in range(1, args.enumerate + 1) for g in enumerate_connected(order)]
-    if args.graph6 and args.file:
+        orders = [enumerate_connected(order) for order in range(1, args.enumerate + 1)]
+        # pulling each order's first graph builds its classes before any graph is solved
+        return chain.from_iterable([chain([next(order)], order) for order in orders])
+    if args.graph6 is not None and args.file is not None:
         raise CliError("give at most one of --graph6 and --file")
-    if args.graph6:
+    if args.graph6 is not None:
         source = args.graph6
-    elif args.file:
+    elif args.file is not None:
         source = _read_text(args.file)
     else:
         source = sys.stdin.read()
@@ -374,11 +378,7 @@ def _cmd_survey(args) -> int:
                 for key, seconds in timing.items()
             )
     sys.stdout.write(body)
-    if report.violations:
-        return EXIT_VIOLATIONS
-    if report.budget_failures:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return next((code for s, code in _STATUS_EXIT.items() if s in report.by_status), EXIT_OK)
 
 
 def _cmd_check(args) -> int:
@@ -399,7 +399,7 @@ def _cmd_check(args) -> int:
                 f"class: {rec.extremal_class or '-'}",
             ],
         )
-    return {"violation": EXIT_VIOLATIONS, "budget_exhausted": EXIT_BUDGET}.get(rec.status, EXIT_OK)
+    return _STATUS_EXIT.get(rec.status, EXIT_OK)
 
 
 def _node_budget(text: str) -> int:
@@ -418,9 +418,9 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", help="edge-list file ('n <count>' header) or graph6 file")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json")) -> None:
     p.add_argument("-k", type=int, default=4, help="cycle length")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=formats, default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
             else "evaluate a bound for one graph",
         )
         _add_graph_input(p)
-        _add_common(p)
+        _add_common(p, ("text", "json", "csv"))
         p.add_argument("--bound", help='bound expression "a*n+b*m+c/d", e.g. "m+1/6"')
         p.add_argument(
             "--bound-c3", action="store_true", help="preset: k=3 bound (m+1)/5"

@@ -520,31 +520,29 @@ class SurveyRecord:
 
 @dataclass
 class SurveyReport:
+    """Running tally of a survey: CSV rows in input order, counts, violations, equalities."""
+
     spec: BoundSpec
-    records: list[SurveyRecord] = field(default_factory=list)
+    rows: list[str] = field(default_factory=list)
+    by_status: dict[str, int] = field(default_factory=dict)
+    by_n: dict[int, int] = field(default_factory=dict)
+    violations: list[SurveyRecord] = field(default_factory=list)
+    equalities: list[SurveyRecord] = field(default_factory=list)
 
-    @property
-    def violations(self) -> list[SurveyRecord]:
-        return [r for r in self.records if r.status == "violation"]
-
-    @property
-    def equalities(self) -> list[SurveyRecord]:
-        return [r for r in self.records if r.status == "equal"]
-
-    @property
-    def budget_failures(self) -> list[SurveyRecord]:
-        return [r for r in self.records if r.status == "budget_exhausted"]
+    def add(self, record: SurveyRecord) -> None:
+        self.rows.append(record.csv_row())
+        self.by_status[record.status] = self.by_status.get(record.status, 0) + 1
+        self.by_n[record.n] = self.by_n.get(record.n, 0) + 1
+        if record.status == "violation":
+            self.violations.append(record)
+        elif record.status == "equal":
+            self.equalities.append(record)
 
     def totals(self) -> dict:
-        statuses: dict[str, int] = {}
-        by_n: dict[int, int] = {}
-        for r in self.records:
-            statuses[r.status] = statuses.get(r.status, 0) + 1
-            by_n[r.n] = by_n.get(r.n, 0) + 1
         return {
-            "records": len(self.records),
-            "by_status": dict(sorted(statuses.items())),
-            "by_n": {str(k): v for k, v in sorted(by_n.items())},
+            "records": len(self.rows),
+            "by_status": dict(sorted(self.by_status.items())),
+            "by_n": {str(k): v for k, v in sorted(self.by_n.items())},
         }
 
     def to_json_dict(self) -> dict:
@@ -566,9 +564,7 @@ class SurveyReport:
         }
 
     def to_csv(self) -> str:
-        lines = [SurveyRecord.CSV_HEADER]
-        lines.extend(r.csv_row() for r in self.records)
-        return "\n".join(lines) + "\n"
+        return "\n".join([SurveyRecord.CSV_HEADER, *self.rows]) + "\n"
 
 
 def _extremal_tag(g: Graph, k: int) -> Optional[str]:
@@ -606,5 +602,8 @@ def check_graph(g: Graph, spec: BoundSpec, node_budget: Optional[int] = None) ->
 def survey(
     graphs: Iterable[Graph], spec: BoundSpec, node_budget: Optional[int] = None
 ) -> SurveyReport:
-    """Evaluate the bound for every graph of the stream, in input order."""
-    return SurveyReport(spec=spec, records=[check_graph(g, spec, node_budget) for g in graphs])
+    """Evaluate the bound for every graph of the stream in input order, one at a time."""
+    report = SurveyReport(spec)
+    for g in graphs:
+        report.add(check_graph(g, spec, node_budget))
+    return report

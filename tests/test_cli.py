@@ -1,12 +1,15 @@
+import gc
+import io
 import json
 import re
 import sys
 
 import pytest
 
+from cycleiso import cli
 from cycleiso.cli import _parse_bound, main
 from cycleiso.family import Tree, build
-from cycleiso.graphs import encode_graph6, format_edge_list, parse_graph6
+from cycleiso.graphs import Graph, encode_graph6, format_edge_list, parse_graph6
 from util import cycle, diamond, k23_with_tail, oracle_iota
 
 
@@ -178,6 +181,51 @@ def test_survey_rejects_graph6_with_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: give at most one of --graph6 and --file\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("verify", "--graph6", "C~", "--set", "0"),
+        ("exact", "--graph6", "C~"),
+        ("construct", "--graph6", "C~"),
+        ("cons",),
+        ("recognize", "--graph6", "C~"),
+    ],
+)
+def test_csv_format_only_for_survey_and_check(capsys, command):
+    # these commands print text or JSON only, so --format csv is a usage error
+    code, out, err = run_cli(capsys, *command, "--format", "csv")
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'csv'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("exact", "--graph6", ""), (1, "", "error: empty graph6 string\n")),
+        (
+            ("survey", "--graph6", "", "--format", "csv"),
+            (0, "graph6,n,m,k,iota,bound_num,bound_den,status,extremal_class\n", ""),
+        ),
+        (
+            ("survey", "--enumerate", "2", "--graph6", ""),
+            (1, "", "error: --enumerate conflicts with --graph6/--file input\n"),
+        ),
+    ],
+)
+def test_empty_graph6_is_given_not_absent(capsys, monkeypatch, argv, expected):
+    # an empty --graph6 is the input: stdin, which holds a graph, is not read
+    monkeypatch.setattr(sys, "stdin", io.StringIO("C~\n"))
+    assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("command", [("exact",), ("survey", "--bound-c4")])
+def test_empty_file_name_is_given_not_absent(capsys, monkeypatch, command):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("C~\n"))
+    code, out, err = run_cli(capsys, *command, "--file", "")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] No such file or directory: ''")
 
 
 def test_bad_k_rejected(capsys):
@@ -376,6 +424,40 @@ def test_exact_on_the_equality_family_within_budget(capsys):
     code, out, _ = run_cli(capsys, "exact", "--graph6", g6, "-k", "4", "--budget", "100")
     assert code == 0
     assert "iota: 9\n" in out
+
+
+def test_survey_enumerate_holds_one_graph_per_order(capsys, monkeypatch):
+    # one graph per order, pulled before solving, plus the one being checked
+    survey_module = sys.modules["cycleiso.survey"]
+    real = survey_module.check_graph
+    gc.collect()
+    # graphs alive before the run, held so that no new graph reuses an id
+    before = [o for o in gc.get_objects() if isinstance(o, Graph)]
+    known = {id(o) for o in before}
+    live = []
+
+    def counting(g, *args):
+        live.append(sum(isinstance(o, Graph) and id(o) not in known for o in gc.get_objects()))
+        return real(g, *args)
+
+    monkeypatch.setattr(survey_module, "check_graph", counting)
+    code, out, _ = run_cli(capsys, "survey", "--enumerate", "6", "--bound-c4", "--format", "csv")
+    assert code == 0 and out.count("\n") == 1 + 143
+    assert len(live) == 143 and max(live) <= 6 + 1
+
+
+def test_survey_enumerates_every_order_before_solving(capsys, monkeypatch):
+    # --timing's enumerate phase covers building every order's classes
+    survey_module = sys.modules["cycleiso.survey"]
+    survey_module._connected_codes.cache_clear()
+    real = cli.survey
+
+    def solving(*args, **kwargs):
+        assert survey_module._connected_codes.cache_info().currsize == 5
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "survey", solving)
+    assert run_cli(capsys, "survey", "--enumerate", "5", "--bound-c4")[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -543,9 +543,7 @@ def test_survey_order_independence(universe6):
     spec = BoundSpec(k=3, a=0, b=1, c=1, d=5)
     fwd = survey(universe6, spec)
     rev = survey(list(reversed(universe6)), spec)
-    assert sorted(r.csv_row() for r in fwd.records) == sorted(
-        r.csv_row() for r in rev.records
-    )
+    assert sorted(fwd.rows) == sorted(rev.rows)
 
 
 def test_survey_streams_in_order_with_relabelled_exclusions(universe6):
@@ -553,8 +551,9 @@ def test_survey_streams_in_order_with_relabelled_exclusions(universe6):
     # a one-shot iterator and keeps the input order
     k5 = encode_graph6(relabel(complete(5), [4, 3, 2, 1, 0]))
     report = survey(iter(universe6), BoundSpec(k=4, exclusions=("Cv", k5)))
-    assert [r.graph6 for r in report.records] == [encode_graph6(g) for g in universe6]
-    excluded = [(r.n, r.m) for r in report.records if r.status == "excluded"]
+    fields = [row.split(",") for row in report.rows]
+    assert [f[0] for f in fields] == [encode_graph6(g) for g in universe6]
+    excluded = [(int(f[1]), int(f[2])) for f in fields if f[7] == "excluded"]
     assert excluded == [(4, 5), (4, 4), (5, 10)]  # diamond, C4, K5
 
 
@@ -569,7 +568,27 @@ def test_survey_canonicalises_only_order_and_size_matches(monkeypatch):
     stream = [complete(4), diamond(), cycle(4), cycle(5), complete(5), graph_from_bitmask(4, 0)]
     report = survey(stream, spec)
     assert len(calls) == 2
-    assert [r.status for r in report.records][:3] == ["below", "excluded", "excluded"]
+    assert [row.split(",")[7] for row in report.rows][:3] == ["below", "excluded", "excluded"]
+
+
+def test_survey_checks_each_graph_as_it_is_pulled(monkeypatch):
+    # the survey holds one graph at a time: each pull from the stream is
+    # checked before the next one
+    survey_module = sys.modules["cycleiso.survey"]
+    log = []
+    real = survey_module.check_graph
+    monkeypatch.setattr(
+        survey_module, "check_graph", lambda g, *args: log.append("check") or real(g, *args)
+    )
+
+    def stream():
+        for g in [diamond(), cycle(4), cycle(5)]:
+            log.append("pull")
+            yield g
+
+    report = survey(stream(), BoundSpec(k=4))
+    assert log == ["pull", "check"] * 3
+    assert report.totals()["by_status"] == {"below": 1, "equal": 1, "excluded": 1}
 
 
 def test_survey_violations_are_findings_not_errors():
