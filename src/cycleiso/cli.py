@@ -372,11 +372,15 @@ def _cmd_survey(args) -> int:
             payload = report.to_json_dict()
             payload["metadata"] = timing
             body = json.dumps(payload, sort_keys=True) + "\n"
-        elif args.format == "text":
-            body += "".join(
+        else:
+            lines = "".join(
                 f"{key.removesuffix('_s').replace('_', ' ')}: {seconds:.3f}s\n"
                 for key, seconds in timing.items()
             )
+            if args.format == "text":
+                body += lines
+            else:  # the CSV stays a plain table, so its times go to stderr
+                sys.stderr.write(lines)
     sys.stdout.write(body)
     return next((code for s, code in _STATUS_EXIT.items() if s in report.by_status), EXIT_OK)
 

@@ -108,12 +108,6 @@ class CaseTrace:
     def used_fallback(self) -> bool:
         return any(s.label == "fallback" for s in self.steps)
 
-    def increments_union(self) -> VertexSet:
-        out = 0
-        for s in self.steps:
-            out |= mask_of(s.increment)
-        return out
-
 
 def bound_value(m: int) -> Fraction:
     """The target bound (m+1)/6 as an exact rational."""

@@ -163,17 +163,6 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj)
 
 
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Image of g under the permutation old id -> perm[old id]."""
-    adj = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for u in bits(g.adj[v]):
-            row |= 1 << perm[u]
-        adj[perm[v]] = row
-    return Graph(g.n, adj)
-
-
 def closed_neighborhood(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexSet:
     """N[S] = S together with every neighbour of a member of S."""
     m = as_mask(g, s)
@@ -332,9 +321,3 @@ def parse_edge_list(text: str) -> Graph:
         return from_edge_list(n, edges)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

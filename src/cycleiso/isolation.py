@@ -19,7 +19,15 @@ names the cycle it branches on.  Before branching, a node packs surviving
 cycles greedily: cycles whose candidate sets N[V(C)] are pairwise disjoint
 each need their own vertex, so a node with more of them than vertices left
 fails at once (the packing argument behind Caro-Hansberg isolation lower
-bounds).  On the extremal family cons(T, C_k) the packing is tight, so a
+bounds).  A node with one vertex left takes the last pick (`last_pick`):
+it tries its candidates in order while keeping `need`, the candidates
+common to its own cycle and to the cycle each failed candidate leaves
+alive.  A candidate outside `need` leaves a known cycle alive, so it is
+refuted without a cycle search; the last slot of the witness walk runs the
+same pick over every vertex past the previous one.  A leaf refuted this way
+still ticks, so `explored`, the budget stops and the witnesses are those of
+a cycle search per leaf.
+On the extremal family cons(T, C_k) the packing is tight, so a
 tree of t <= 9 vertices costs at most a few dozen nodes.
 Among optimal sets the lexicographically least (as a sorted id tuple) is
 returned, so outputs are stable enough for golden tests.
@@ -162,12 +170,32 @@ class _Search:
             packed += 1
             rest &= ~self.closed(self.candidates(other))
         if packed <= remaining:
-            rows = self.rows
-            for v in bits(hood):
-                if self.feasible(alive & ~rows[v], remaining - 1):
+            if remaining == 1:
+                if self.last_pick(alive, hood) is not None:
                     return True
+            else:
+                rows = self.rows
+                for v in bits(hood):
+                    if self.feasible(alive & ~rows[v], remaining - 1):
+                        return True
         self.failed[alive] = remaining
         return False
+
+    def last_pick(self, alive: VertexSet, pool: VertexSet) -> Optional[int]:
+        """The least v of pool whose closed row leaves the alive set (which
+        holds a cycle) with no cycle, or None.  Each v tried is a leaf and
+        ticks once; a v outside `need`, the candidates common to every cycle
+        met so far, leaves a known cycle alive and is refuted unsearched."""
+        rows = self.rows
+        need = self.candidates(self.cycle(alive))
+        for v in bits(pool):
+            self._tick()
+            if need >> v & 1:
+                cyc = self.cycle(alive & ~rows[v])
+                if cyc is None:
+                    return v
+                need &= self.candidates(cyc)
+        return None
 
     def solve(self) -> tuple[int, VertexSet]:
         for size in range(self.comp.bit_count() + 1):
@@ -183,10 +211,12 @@ class _Search:
         optimal D and some v below D's next member d passed, the picks, v and
         its completion would be an optimal set with more members below d than
         D, so below D in sorted order: hence the walk picks d."""
+        if size == 0:
+            return 0
         chosen = 0
         alive = self.comp
         lo = 0
-        for slot in range(size):
+        for slot in range(size - 1):
             for v in bits(self.comp >> lo << lo):
                 trial = alive & ~self.rows[v]
                 if self.feasible(trial, size - slot - 1):
@@ -196,7 +226,12 @@ class _Search:
                     break
             else:
                 raise AssertionError("witness reconstruction lost feasibility")
-        return chosen
+        # size is least, so the picks so far leave a cycle alive
+        if self.cycle(alive) is not None:
+            last = self.last_pick(alive, self.comp >> lo << lo)
+            if last is not None:
+                return chosen | 1 << last
+        raise AssertionError("witness reconstruction lost feasibility")
 
 
 def iota_exact(

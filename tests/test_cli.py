@@ -9,8 +9,9 @@ import pytest
 from cycleiso import cli
 from cycleiso.cli import _parse_bound, main
 from cycleiso.family import Tree, build
-from cycleiso.graphs import Graph, encode_graph6, format_edge_list, parse_graph6
-from util import cycle, diamond, k23_with_tail, oracle_iota
+from cycleiso.graphs import Graph, encode_graph6, parse_graph6
+from cycleiso.isolation import UNBUDGETED_MAX_N
+from util import cycle, diamond, format_edge_list, k23_with_tail, oracle_iota
 
 
 def run_cli(capsys, *argv):
@@ -482,6 +483,13 @@ def test_survey_timing_adds_only_phase_lines(capsys, source, phase):
     phases = [f"{phase}_s", "solve_s", "format_s"]
     assert sorted(meta) == sorted(phases + ["wall_time_s"])
     assert meta["wall_time_s"] == pytest.approx(sum(meta[key] for key in phases))
+    # CSV stays the untimed table, and the same phase lines go to stderr
+    _, plain_csv, _ = run_cli(capsys, *base, "--format", "csv")
+    _, timed_csv, err = run_cli(capsys, *base, "--timing", "--format", "csv")
+    assert timed_csv == plain_csv
+    err_lines = err.splitlines()
+    assert all(re.fullmatch(r"(\w+|wall time): \d+\.\d{3}s", ln) for ln in err_lines)
+    assert [ln.split(":")[0] for ln in err_lines] == [phase, "solve", "format", "wall time"]
 
 
 def test_survey_exclusion_file(capsys, tmp_path):
@@ -547,22 +555,28 @@ def test_bound_grammar_errors():
             _parse_bound(f"m+1/{den}", 4)
 
 
-# Violators of the --conjecture preset (m+1)/(k+2): each has iota = 2 above
-# the bound, found by solving cubic and generalised Petersen graphs beyond
-# the order-8 enumeration.
+# Violators of the --conjecture preset (m+1)/(k+2): each has the iota of its
+# row above the bound, found by solving cubic and generalised Petersen graphs
+# beyond the order-8 enumeration.
+GP_13_5 = "YhCGGC@?G?_@_@_?G?@??C??G??GA?C@?@?O?GQ??`G?@AO?@AO??`G?"
 CONJECTURE_PRESET_VIOLATORS = [
     ("K{O__cI@OP?b", 8, "K{O__cI@OP?b,12,18,8,2,19,10,violation,"),  # truncated tetrahedron
     ("LF`@?OH@OD?a?b", 8, "LF`@?OH@OD?a?b,13,18,8,2,19,10,violation,"),
     ("M??F?yOQ@G?C?D?B_", 8, "M??F?yOQ@G?C?D?B_,14,18,8,2,19,10,violation,"),
     ("MSP@@COCGS?gAI@D?", 9, "MSP@@COCGS?gAI@D?,14,20,9,2,21,11,violation,"),
     ("OhCGKE?O@@AAAA@@?SOAa", 11, "OhCGKE?O@@AAAA@@?SOAa,16,24,11,2,25,13,violation,"),  # GP(8,2)
+    (GP_13_5, 12, f"{GP_13_5},26,39,12,3,20,7,violation,"),
+    (GP_13_5, 13, f"{GP_13_5},26,39,13,3,8,3,violation,"),
 ]
 
 
 @pytest.mark.parametrize("g6, k, row", CONJECTURE_PRESET_VIOLATORS)
 def test_conjecture_preset_violators(capsys, g6, k, row):
+    g = parse_graph6(g6)
     argv = ("survey", "--graph6", g6, "-k", str(k), "--conjecture", "--format", "csv")
-    code, out, _ = run_cli(capsys, *argv)
+    # above 20 vertices the solver needs an explicit node budget
+    budget = ("--budget", "1000000") if g.n > UNBUDGETED_MAX_N else ()
+    code, out, _ = run_cli(capsys, *argv, *budget)
     assert code == 2
     assert out.splitlines()[1:] == [row]
-    assert oracle_iota(parse_graph6(g6), k) == 2
+    assert oracle_iota(g, k) == int(row.split(",")[4])

@@ -28,6 +28,7 @@ from util import (
     cycle,
     diamond,
     disjoint_union,
+    increments_union,
     k23_with_tail,
     oracle_iota,
     path,
@@ -204,7 +205,7 @@ def test_subcase_2_2_counts_only_piece_neighbours():
 def test_trace_increments_union_is_output():
     g, _ = build(Tree(3, ((0, 1), (1, 2))), 4)
     d, trace = construct(g)
-    assert trace.increments_union() == d
+    assert increments_union(trace) == d
 
 
 def test_trace_labels_are_known(universe7):

@@ -11,10 +11,10 @@ from cycleiso.family import (
     recovered_tree,
     tree_canonical_key,
 )
-from cycleiso.graphs import from_edge_list, relabel
+from cycleiso.graphs import from_edge_list
 from cycleiso.isolation import iota_exact, verify
 from cycleiso.survey import canonical_code
-from util import cycle, diamond, oracle_iota, oracle_tree_class_count
+from util import cycle, diamond, oracle_iota, oracle_tree_class_count, relabel
 
 K13_PLUS = Tree(5, ((0, 1), (0, 2), (0, 3), (1, 4)))
 

@@ -22,8 +22,9 @@ import pytest
 
 from cycleiso.cli import main
 from cycleiso.family import build, enumerate_trees
-from cycleiso.graphs import encode_graph6, format_edge_list, from_edge_list, parse_graph6, relabel
+from cycleiso.graphs import encode_graph6, from_edge_list, parse_graph6
 from cycleiso.survey import enumerate_connected
+from util import format_edge_list, relabel
 
 GOLDEN = {
     "check": "843bf5a2bfc4db709a371d318ce0c1e01de5abc9f06aeb939f4fe027a963e478",

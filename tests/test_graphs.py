@@ -15,12 +15,10 @@ from cycleiso.graphs import (
     closed_neighborhood,
     component_masks,
     encode_graph6,
-    format_edge_list,
     from_edge_list,
     mask_of,
     parse_edge_list,
     parse_graph6,
-    relabel,
     vertices_of,
 )
 from util import (
@@ -29,12 +27,14 @@ from util import (
     cycle,
     diamond,
     disjoint_union,
+    format_edge_list,
     graph_from_bitmask,
     induced_subgraph,
     reference_adjacency,
     reference_graph6,
     reference_graph_error,
     reference_parse_graph6,
+    relabel,
 )
 
 

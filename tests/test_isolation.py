@@ -13,7 +13,6 @@ from cycleiso.graphs import (
     from_edge_list,
     mask_of,
     parse_graph6,
-    relabel,
     vertices_of,
 )
 from cycleiso.isolation import (
@@ -32,8 +31,10 @@ from util import (
     graph_from_bitmask,
     induced_subgraph,
     oracle_iota,
+    oracle_is_isolating,
     oracle_lex_least_witness,
     oracle_refutes,
+    relabel,
 )
 
 
@@ -228,9 +229,9 @@ def test_work_on_the_equality_family(k):
     assert explored == [26, 34, 43, 53, 64]
 
 
-def test_each_alive_set_is_searched_once(monkeypatch):
-    # deepening, packing and the witness walk come back to the same residuals;
-    # the search's cycle memo answers them without a second cycle search
+@pytest.fixture
+def cycle_searches(monkeypatch):
+    """The alive sets the solver runs `find_cycle` on, in call order."""
     asked = []
     find_cycle = isolation.find_cycle
 
@@ -239,6 +240,13 @@ def test_each_alive_set_is_searched_once(monkeypatch):
         return find_cycle(g, k, alive)
 
     monkeypatch.setattr(isolation, "find_cycle", counting)
+    return asked
+
+
+def test_each_alive_set_is_searched_once(cycle_searches):
+    # deepening, packing and the witness walk come back to the same residuals;
+    # the search's cycle memo answers them without a second cycle search
+    asked = cycle_searches
 
     def explored(g, k):
         # each of these graphs is connected, so one iota_exact is one search
@@ -249,12 +257,47 @@ def test_each_alive_set_is_searched_once(monkeypatch):
         return res.explored
 
     assert explored(parse_graph6(REVISITED_RESIDUALS), 4) == 47
+    # a search per leaf asks 50; the last pick refutes the rest with cycles it holds
+    assert len(asked) == 31
     for k in (4, 5):
         counts = []
         for t in range(4, 10):
             g, _ = build(Tree(t, tuple((i, i + 1) for i in range(t - 1))), k)
             counts.append(explored(g, k))
         assert counts[1:] == [26, 34, 43, 53, 64]
+
+
+@pytest.mark.parametrize(
+    "k, nodes, searches", [(3, 5230, 3231), (4, 4367, 3043), (5, 3284, 2601), (6, 2608, 2298)]
+)
+def test_last_pick_saves_searches_not_nodes(cycle_searches, universe7, k, nodes, searches):
+    # summed over every connected graph of order <= 7; a cycle search per
+    # leaf takes the same nodes and 3831, 3293, 2669 and 2298 searches (at
+    # k = 6 a cycle's candidates cover nearly every vertex, so none is saved)
+    assert sum(iota_exact(g, k).explored for g in universe7) == nodes
+    assert len(cycle_searches) == searches
+
+
+def test_last_pick_matches_the_oracle(universe6):
+    rng = random.Random(5)
+    for g in universe6:
+        for k in (3, 4, 5):
+            for alive in (g.full_mask, rng.randrange(1 << g.n), rng.randrange(1 << g.n)):
+                if oracle_is_isolating(g, (), k, alive):
+                    continue  # the last pick is only asked on an alive set with a cycle
+                accepted = mask_of(
+                    v for v in range(g.n) if oracle_is_isolating(g, (v,), k, alive)
+                )
+                lo = rng.randrange(g.n)
+                # the whole graph, a suffix as in the witness walk, and every
+                # vertex the oracle rejects, so that the answer is None
+                for pool in (g.full_mask, g.full_mask >> lo << lo, g.full_mask & ~accepted):
+                    search = _Search(g, g.full_mask, k, None)
+                    expected = next(iter(vertices_of(pool & accepted)), None)
+                    assert search.last_pick(alive, pool) == expected
+                    # every vertex tried is a node, whether searched or refuted
+                    tried = pool if expected is None else pool & (2 << expected) - 1
+                    assert search.explored == tried.bit_count()
 
 
 def test_budget_exhaustion_carries_bounds():

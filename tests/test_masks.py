@@ -17,9 +17,9 @@ import pytest
 from cycleiso.constructive import ComponentClass, classify_component
 from cycleiso.cycles import all_cycles
 from cycleiso.family import ConsDecomposition, Constituent, Tree, build, recognize
-from cycleiso.graphs import Graph, component_masks, from_edge_list, mask_of, relabel
+from cycleiso.graphs import Graph, component_masks, from_edge_list, mask_of
 from cycleiso.isolation import check_gluing_hypothesis, iota_exact
-from util import graph_from_bitmask, induced_subgraph, path
+from util import graph_from_bitmask, induced_subgraph, path, relabel
 
 
 def _lift(decomp: ConsDecomposition | None, emb: tuple[int, ...]):

@@ -13,7 +13,6 @@ from cycleiso.graphs import (
     encode_graph6,
     from_edge_list,
     is_connected,
-    relabel,
 )
 from cycleiso.survey import (
     BoundSpec,
@@ -44,6 +43,7 @@ from util import (
     oracle_is_least_deletion,
     oracle_mask_orbit_minima,
     oracle_refine,
+    relabel,
 )
 
 

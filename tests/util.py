@@ -10,10 +10,20 @@ slow and obviously correct, which is the point.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Optional, Sequence
 
+from cycleiso.constructive import CaseTrace
 from cycleiso.cycles import _iter_cycles
-from cycleiso.graphs import Graph, VertexSet, as_mask, bits, from_edge_list, reach, vertices_of
+from cycleiso.graphs import (
+    Graph,
+    VertexSet,
+    as_mask,
+    bits,
+    from_edge_list,
+    mask_of,
+    reach,
+    vertices_of,
+)
 
 
 def path(n: int) -> Graph:
@@ -48,6 +58,32 @@ def k23_with_tail(n: int) -> Graph:
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
     return from_edge_list(a.n + b.n, edges)
+
+
+def relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """Image of g under the permutation old id -> perm[old id]."""
+    adj = [0] * g.n
+    for v in range(g.n):
+        row = 0
+        for u in bits(g.adj[v]):
+            row |= 1 << perm[u]
+        adj[perm[v]] = row
+    return Graph(g.n, adj)
+
+
+def format_edge_list(g: Graph) -> str:
+    """g as an edge-list file: the `n <count>` header, then one `u v` line per edge."""
+    lines = [f"n {g.n}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def increments_union(trace: CaseTrace) -> VertexSet:
+    """The union of a case trace's step increments."""
+    out = 0
+    for step in trace.steps:
+        out |= mask_of(step.increment)
+    return out
 
 
 def graph_from_bitmask(n: int, mask: int) -> Graph:
