@@ -357,7 +357,7 @@ def _cmd_survey(args) -> int:
     started = time.perf_counter()
     graphs = _survey_graphs(args)
     loaded = time.perf_counter()
-    report = survey(graphs, spec, node_budget=args.budget)
+    report = survey(graphs, spec, node_budget=args.budget, rows=args.format == "csv")
     solved = time.perf_counter()
     body = _report_body(args, report)
     formatted = time.perf_counter()

@@ -31,6 +31,11 @@ On the extremal family cons(T, C_k) the packing is tight, so a
 tree of t <= 9 vertices costs at most a few dozen nodes.
 Among optimal sets the lexicographically least (as a sorted id tuple) is
 returned, so outputs are stable enough for golden tests.
+A caller that needs only iota (the survey) passes witness=False, and a
+component then skips the witness walk where that cannot change the answer:
+always without a budget, and under one only on the last component, when
+`walk_bound` (a worst-case count of the walk's nodes) fits in the budget
+left, so the walk could not have exhausted it.
 """
 
 from __future__ import annotations
@@ -86,8 +91,11 @@ class IsolationCertificate:
 
 @dataclass(frozen=True)
 class ExactResult:
+    """iota, a lex-least optimal witness (None when solved with
+    witness=False) and the search nodes explored."""
+
     iota: int
-    witness: VertexSet
+    witness: Optional[VertexSet]
     explored: int
 
     @property
@@ -197,10 +205,20 @@ class _Search:
                 need &= self.candidates(cyc)
         return None
 
-    def solve(self) -> tuple[int, VertexSet]:
+    def solve(self, walk: bool = True) -> tuple[int, Optional[VertexSet]]:
+        """iota of the component and its lex-least witness.  With walk=False
+        the witness is None wherever the walk could not have run out of
+        budget: always without a budget, else when `walk_bound` fits in the
+        nodes left."""
         for size in range(self.comp.bit_count() + 1):
             self.lower = size
             if self.feasible(self.comp, size):
+                if not walk:
+                    if self.budget is None:
+                        return size, None
+                    spare = self.budget - self.explored
+                    if walk_bound(self.comp.bit_count(), size, spare) <= spare:
+                        return size, None
                 return size, self.lex_min_witness(size)
         raise AssertionError("the full vertex set always isolates")
 
@@ -234,8 +252,34 @@ class _Search:
         raise AssertionError("witness reconstruction lost feasibility")
 
 
+def walk_bound(c: int, size: int, cap: int | None = None) -> int:
+    """W(c, size), the most nodes `lex_min_witness(size)` ticks on a
+    component of c vertices; once the sum passes `cap` it is returned as is.
+
+    T(0) = 1 and T(j) = 1 + c T(j-1) bound a `feasible(., j)` call: it ticks
+    once, then returns, or at j = 1 takes a last pick of at most c leaves,
+    or calls at most c children with j - 1.  Each of the size - 1 slots
+    tries at most c vertices, one `feasible(., j)` each for j = size - 1
+    down to 1, and the last slot is a last pick over at most c vertices, so
+    W(c, size) = c + c (T(1) + ... + T(size - 1)), and W(c, 0) = 0.
+    """
+    bound = c if size else 0
+    t = 1
+    for _ in range(size - 1):
+        if cap is not None and bound > cap:
+            break
+        t = 1 + c * t
+        bound += c * t
+    return bound
+
+
 def iota_exact(
-    g: Graph, k: int, node_budget: int | None = None, within: VertexSet | None = None
+    g: Graph,
+    k: int,
+    node_budget: int | None = None,
+    within: VertexSet | None = None,
+    *,
+    witness: bool = True,
 ) -> ExactResult:
     """Exact k-cycle isolation number with a lex-least optimal witness.
 
@@ -244,6 +288,14 @@ def iota_exact(
     and summed.  Unbudgeted runs are only allowed up to order
     UNBUDGETED_MAX_N; larger graphs must pass an explicit node budget so
     runtimes stay predictable.
+
+    With witness=False the result's witness is None, and a component skips
+    its witness walk where the walk could not have exhausted the budget, so
+    `iota` and every budget stop are those of a full solve: always without a
+    budget, and under one only on the last component (an earlier walk's
+    nodes shrink the budget of the components after it) when `walk_bound`
+    fits in the nodes left.  A skipped walk's nodes are missing from
+    `explored`.
     """
     if k < 3:
         raise ValueError("cycle length must be at least 3")
@@ -253,23 +305,26 @@ def iota_exact(
             f"graphs with more than {UNBUDGETED_MAX_N} vertices require an explicit node_budget"
         )
     total = 0
-    witness = 0
+    found = 0
     explored = 0
-    for comp in component_masks(g, alive):
+    comps = component_masks(g, alive)
+    for comp in comps:
         budget = None if node_budget is None else node_budget - explored
         search = _Search(g, comp, k, budget)
         if search.cycle(comp) is None:
             continue
+        walk = witness or (budget is not None and comp != comps[-1])
         try:
-            size, local = search.solve()
+            size, local = search.solve(walk)
         except BudgetExceededError as exc:
             raise BudgetExceededError(
                 total + exc.lower_bound, explored + exc.explored
             ) from None
         explored += search.explored
         total += size
-        witness |= local
-    return ExactResult(iota=total, witness=witness, explored=explored)
+        if witness:
+            found |= local
+    return ExactResult(iota=total, witness=found if witness else None, explored=explored)
 
 
 def check_gluing_hypothesis(

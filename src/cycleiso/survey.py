@@ -520,9 +520,12 @@ class SurveyRecord:
 
 @dataclass
 class SurveyReport:
-    """Running tally of a survey: CSV rows in input order, counts, violations, equalities."""
+    """Running tally of a survey: counts, violations, equalities and, when
+    `keep_rows` is set, the CSV rows in input order."""
 
     spec: BoundSpec
+    keep_rows: bool = True
+    records: int = 0
     rows: list[str] = field(default_factory=list)
     by_status: dict[str, int] = field(default_factory=dict)
     by_n: dict[int, int] = field(default_factory=dict)
@@ -530,7 +533,9 @@ class SurveyReport:
     equalities: list[SurveyRecord] = field(default_factory=list)
 
     def add(self, record: SurveyRecord) -> None:
-        self.rows.append(record.csv_row())
+        self.records += 1
+        if self.keep_rows:
+            self.rows.append(record.csv_row())
         self.by_status[record.status] = self.by_status.get(record.status, 0) + 1
         self.by_n[record.n] = self.by_n.get(record.n, 0) + 1
         if record.status == "violation":
@@ -540,7 +545,7 @@ class SurveyReport:
 
     def totals(self) -> dict:
         return {
-            "records": len(self.rows),
+            "records": self.records,
             "by_status": dict(sorted(self.by_status.items())),
             "by_n": {str(k): v for k, v in sorted(self.by_n.items())},
         }
@@ -586,7 +591,7 @@ def check_graph(g: Graph, spec: BoundSpec, node_budget: Optional[int] = None) ->
     if spec.excludes(g):
         return SurveyRecord(g6, n, m, k, None, bound, "excluded")
     try:
-        iota = iota_exact(g, k, node_budget).iota
+        iota = iota_exact(g, k, node_budget, witness=False).iota
     except BudgetExceededError:
         return SurveyRecord(g6, n, m, k, None, bound, "budget_exhausted")
     if iota > bound:
@@ -600,10 +605,15 @@ def check_graph(g: Graph, spec: BoundSpec, node_budget: Optional[int] = None) ->
 
 
 def survey(
-    graphs: Iterable[Graph], spec: BoundSpec, node_budget: Optional[int] = None
+    graphs: Iterable[Graph],
+    spec: BoundSpec,
+    node_budget: Optional[int] = None,
+    *,
+    rows: bool = True,
 ) -> SurveyReport:
-    """Evaluate the bound for every graph of the stream in input order, one at a time."""
-    report = SurveyReport(spec)
+    """Evaluate the bound for every graph of the stream in input order, one
+    at a time; with rows=False the report keeps no CSV rows."""
+    report = SurveyReport(spec, keep_rows=rows)
     for g in graphs:
         report.add(check_graph(g, spec, node_budget))
     return report

@@ -461,6 +461,28 @@ def test_survey_enumerates_every_order_before_solving(capsys, monkeypatch):
     assert run_cli(capsys, "survey", "--enumerate", "5", "--bound-c4")[0] == 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_survey_keeps_csv_rows_only_for_csv(capsys, monkeypatch, fmt):
+    # text and JSON print no rows, so the report keeps none and prints the same
+    real = cli.survey
+    reports = []
+
+    def recording(keep):
+        def run(*args, rows, **kwargs):
+            reports.append(real(*args, rows=rows or keep, **kwargs))
+            return reports[-1]
+
+        return run
+
+    argv = ("survey", "--enumerate", "6", "--bound-c4", "--format", fmt)
+    monkeypatch.setattr(cli, "survey", recording(False))
+    without = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "survey", recording(True))
+    assert run_cli(capsys, *argv) == without
+    assert [len(r.rows) for r in reports] == [0, 143]
+    assert [r.records for r in reports] == [143, 143]
+
+
 @pytest.mark.parametrize(
     "source, phase",
     [(("--enumerate", "5"), "enumerate"), (("--graph6", "Cz"), "ingest")],

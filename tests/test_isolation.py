@@ -21,6 +21,7 @@ from cycleiso.isolation import (
     check_gluing_hypothesis,
     iota_exact,
     verify,
+    walk_bound,
 )
 from util import (
     c4_plus,
@@ -306,6 +307,55 @@ def test_budget_exhaustion_carries_bounds():
         iota_exact(g, 4, node_budget=1)
     assert exc.value.lower_bound >= 0
     assert exc.value.explored >= 1
+
+
+def test_walk_bound_formula():
+    # T(j) = 1 + c T(j - 1) from T(0) = 1 is the geometric sum 1 + c + ... + c^j
+    def closed(c, size):
+        return size and c + c * sum(sum(c**i for i in range(j + 1)) for j in range(1, size))
+
+    for c in range(8):
+        for size in range(6):
+            exact = walk_bound(c, size)
+            assert exact == closed(c, size)
+            # a capped bound passes the cap exactly when the bound does
+            for cap in range(0, 2 * exact + 2):
+                assert (walk_bound(c, size, cap) <= cap) == (exact <= cap)
+    assert walk_bound(30, 200, 1_000) < 10**6
+
+
+def _walk_ticks(g, k):
+    """(component order, iota, witness walk nodes) per component search."""
+    out = []
+    for comp in component_masks(g, g.full_mask):
+        search = _Search(g, comp, k, None)
+        if search.cycle(comp) is None:
+            continue
+        size, _ = search.solve(walk=False)  # unbudgeted, so the walk is skipped
+        before = search.explored
+        search.lex_min_witness(size)
+        out.append((comp.bit_count(), size, search.explored - before))
+    return out
+
+
+def test_walk_bound_covers_every_witness_walk(universe7):
+    rng = random.Random(22)
+    corpus = [(g, k) for g in universe7 for k in (3, 4, 5, 6)]
+    for k in (4, 5):
+        for t in range(1, 5):
+            corpus += [(build(tree, k)[0], k) for tree in enumerate_trees(t)]
+    for _ in range(60):
+        n1, n2 = rng.randint(3, 8), rng.randint(3, 8)
+        parts = [graph_from_bitmask(n, rng.randrange(1 << n * (n - 1) // 2)) for n in (n1, n2)]
+        corpus.append((disjoint_union(*parts), rng.choice((3, 4, 5))))
+    tight = 0
+    for g, k in corpus:
+        for c, size, ticks in _walk_ticks(g, k):
+            bound = walk_bound(c, size)
+            assert ticks <= bound, (encode_graph6(g), k)
+            tight += ticks == bound
+    # the bound is reached, e.g. when only the component's top vertex isolates it
+    assert tight
 
 
 @pytest.mark.parametrize("budget, lower", [(0, 0), (1, 1), (2, 2), (46, 2)])

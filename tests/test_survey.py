@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cycleiso.family import Tree, build
+from cycleiso.family import Tree, build, enumerate_trees
 from cycleiso.graphs import (
     Graph,
     GraphFormatError,
@@ -14,6 +14,7 @@ from cycleiso.graphs import (
     from_edge_list,
     is_connected,
 )
+from cycleiso.isolation import iota_exact
 from cycleiso.survey import (
     BoundSpec,
     IngestFailure,
@@ -36,6 +37,7 @@ from util import (
     complete,
     cycle,
     diamond,
+    disjoint_union,
     graph_from_bitmask,
     induced_subgraph,
     oracle_automorphism_count,
@@ -589,6 +591,40 @@ def test_survey_checks_each_graph_as_it_is_pulled(monkeypatch):
     report = survey(stream(), BoundSpec(k=4))
     assert log == ["pull", "check"] * 3
     assert report.totals()["by_status"] == {"below": 1, "equal": 1, "excluded": 1}
+
+
+def test_walk_gate_keeps_records_exact(monkeypatch, universe6):
+    # check_graph skips the witness walk only where a bound proves it could
+    # not have run out of budget, so each record equals the one a full walk
+    # gives at every budget from the decision's nodes to the walk's end
+    survey_module = sys.modules["cycleiso.survey"]
+    rng = random.Random(22)
+    corpus = [(g, 4) for g in universe6]
+    small = [build(tree, k)[0] for k in (4, 5) for t in (1, 2) for tree in enumerate_trees(t)]
+    small += [cycle(4), cycle(5), diamond()]
+    for _ in range(40):
+        # two components: the first walks under any budget, the last may skip
+        first = rng.choice(small)
+        n = rng.randint(5, min(9, 20 - first.n))
+        pair = [first, graph_from_bitmask(n, rng.randrange(1 << n * (n - 1) // 2))]
+        rng.shuffle(pair)
+        corpus.append((disjoint_union(*pair), rng.choice((4, 5))))
+    guarded = skipped = 0
+    for g, k in corpus:
+        spec = conjecture_bound(k)
+        full = iota_exact(g, k).explored  # decision and walk nodes
+        decision = iota_exact(g, k, witness=False).explored
+        for budget in [*range(decision, full + 1), 10**6]:
+            gated = check_graph(g, spec, budget)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    survey_module, "iota_exact", lambda g, k, b, witness: iota_exact(g, k, b)
+                )
+                assert check_graph(g, spec, budget) == gated, (encode_graph6(g), k, budget)
+            # a walk skipped whatever the budget solves these, and the full walk does not
+            guarded += budget < full
+            skipped += budget >= full and iota_exact(g, k, budget, witness=False).explored < full
+    assert guarded and skipped
 
 
 def test_survey_violations_are_findings_not_errors():
