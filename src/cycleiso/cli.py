@@ -25,11 +25,11 @@ from .family import Tree, build, enumerate_trees, recognize
 from .graphs import (
     Graph,
     GraphFormatError,
+    bits,
     encode_graph6,
     mask_of,
     parse_edge_list,
     parse_graph6,
-    vertices_of,
 )
 from .isolation import BudgetExceededError, iota_exact, verify
 from .survey import (
@@ -150,7 +150,7 @@ def _cmd_verify(args) -> int:
         "k": args.k,
         "set": list(cert.vertices),
         "valid": cert.valid,
-        "residual_components": [list(vertices_of(mask)) for mask in cert.residual],
+        "residual_components": [list(bits(mask)) for mask in cert.residual],
     }
     _emit(
         args,
@@ -193,7 +193,7 @@ def _cmd_construct(args) -> int:
     size = d.bit_count()
     limit = bound_value(g.m)
     payload = {
-        "set": list(vertices_of(d)),
+        "set": list(bits(d)),
         "size": size,
         "bound": [limit.numerator, limit.denominator],
         "trace": [
@@ -208,7 +208,7 @@ def _cmd_construct(args) -> int:
         "fallback": trace.used_fallback(),
     }
     lines = [
-        f"set: {','.join(map(str, vertices_of(d))) or '-'}",
+        f"set: {','.join(map(str, bits(d))) or '-'}",
         f"size: {size} (bound (m+1)/6 = {limit})",
     ]
     lines.extend(f"trace: {s.label}" for s in trace.steps)
@@ -224,7 +224,7 @@ def _cmd_cons(args) -> int:
         "graph6": encode_graph6(g),
         "n": g.n,
         "m": g.m,
-        "connection_vertices": list(vertices_of(decomp.connection_vertices)),
+        "connection_vertices": list(bits(decomp.connection_vertices)),
         "constituents": [
             {
                 "connection": c.connection,
@@ -240,7 +240,7 @@ def _cmd_cons(args) -> int:
         [
             f"graph6: {encode_graph6(g)}",
             f"n: {g.n}  m: {g.m}",
-            f"connection vertices: {','.join(map(str, vertices_of(decomp.connection_vertices)))}",
+            f"connection vertices: {','.join(map(str, bits(decomp.connection_vertices)))}",
         ],
     )
     return EXIT_OK
@@ -254,16 +254,16 @@ def _cmd_recognize(args) -> int:
         return EXIT_OK
     payload = {
         "member": True,
-        "connection_vertices": list(vertices_of(decomp.connection_vertices)),
+        "connection_vertices": list(bits(decomp.connection_vertices)),
         "tree_edges": [list(e) for e in decomp.tree_edges],
-        "canonical_isolating_set": list(vertices_of(decomp.connection_vertices)),
+        "canonical_isolating_set": list(bits(decomp.connection_vertices)),
     }
     _emit(
         args,
         payload,
         [
             "member: true",
-            f"connection vertices: {','.join(map(str, vertices_of(decomp.connection_vertices)))}",
+            f"connection vertices: {','.join(map(str, bits(decomp.connection_vertices)))}",
         ],
     )
     return EXIT_OK

@@ -20,7 +20,9 @@ the refined equality branches below exist exactly to preserve it.
 
 Each piece of the recursion is one ComponentClass record, a vertex mask of
 the input graph with its edge count, tag and family decomposition, so sets
-and trace steps come out in input ids.  A ":member" label only marks the
+and trace steps come out in input ids.  The split into pieces runs one BFS
+per component and counts the component's edges during it, so no piece is
+walked a second time for its edge count.  A ":member" label only marks the
 case of its branch where every endpoint is its own anchor.
 
 Every level is validated (the set isolates, the size bound holds).  If a
@@ -45,10 +47,8 @@ from .graphs import (
     bits,
     boundary_edge_count,
     closed_neighborhood,
-    component_masks,
     is_connected,
     mask_of,
-    vertices_of,
 )
 from .isolation import check_gluing_hypothesis, iota_exact
 
@@ -119,13 +119,14 @@ def bound_value(m: int) -> Fraction:
 class ComponentClass:
     """One connected piece of a graph: a vertex mask of g, its edge count
     and its structural class, tag "C4", "diamond", "extremal" (a family
-    member, with its decomposition in g's ids) or "other"."""
+    member, with its decomposition in g's ids) or "other".  An edge count
+    passed in as m is taken as is; without one the piece is walked for it."""
 
     __slots__ = ("mask", "m", "tag", "decomposition")
 
-    def __init__(self, g: Graph, mask: VertexSet):
+    def __init__(self, g: Graph, mask: VertexSet, m: int | None = None):
         self.mask = mask
-        self.m = m = _span_edges(g, mask)
+        self.m = m = _span_edges(g, mask) if m is None else m
         self.decomposition = None
         n = mask.bit_count()
         if n == 4 and m == 4 and all((g.adj[v] & mask).bit_count() == 2 for v in bits(mask)):
@@ -163,7 +164,25 @@ class _DispatchError(Exception):
 
 
 def _split(g: Graph, alive: VertexSet) -> list[ComponentClass]:
-    return [ComponentClass(g, m) for m in component_masks(g, alive)]
+    """The components of g on alive as piece records, least vertex first.
+    One BFS per component also sums the degrees |N(u) & alive|, twice the
+    component's edge count."""
+    adj = g.adj
+    out = []
+    while alive:
+        comp = frontier = alive & -alive
+        degrees = 0
+        while frontier:
+            nxt = 0
+            for u in bits(frontier):
+                row = adj[u] & alive
+                degrees += row.bit_count()
+                nxt |= row
+            frontier = nxt & ~comp
+            comp |= frontier
+        out.append(ComponentClass(g, comp, degrees // 2))
+        alive &= ~comp
+    return out
 
 
 def _single_bit(mask: VertexSet) -> int:
@@ -211,8 +230,8 @@ def _construct(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceSt
         steps = [
             TraceStep(
                 label="fallback",
-                working=vertices_of(piece.mask),
-                increment=vertices_of(d),
+                working=bits(piece.mask),
+                increment=bits(d),
             )
         ]
     return d, steps
@@ -245,28 +264,29 @@ def _result(
     d, sub_steps = _solve_pieces(g, recursed)
     head = TraceStep(
         label=label,
-        working=vertices_of(working),
-        increment=vertices_of(direct),
-        recursed=tuple(vertices_of(c.mask) for c in recursed),
+        working=bits(working),
+        increment=bits(direct),
+        recursed=tuple(bits(c.mask) for c in recursed),
     )
     return direct | d, [head] + sub_steps
 
 
-def _degree(g: Graph, p: VertexSet, v: int) -> int:
-    return (g.adj[v] & p).bit_count()
-
-
 def _dispatch(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceStep]]:
     p = piece.mask
+    adj = g.adj
     if find_cycle(g, 4, p) is None:
         return _result(g, p, "base:no-C4", 0, 0)
     if piece.m <= 5:
         # connected, has a 4-cycle, not the plain C4: diamond or C4-plus-pendant
         want = 3 if p.bit_count() == 4 else 1
-        d = 1 << next(v for v in bits(p) if _degree(g, p, v) == want)
+        d = 1 << next(v for v in bits(p) if (adj[v] & p).bit_count() == want)
         return _result(g, p, "base:m<=5", p, d)
-    v = max(bits(p), key=lambda u: _degree(g, p, u))
-    delta = _degree(g, p, v)
+    # the least vertex of maximum degree; sets and traces depend on the tie-break
+    v = delta = -1
+    for u in bits(p):
+        du = (adj[u] & p).bit_count()
+        if du > delta:
+            v, delta = u, du
     if delta == 3:
         return _case1(g, p)
     return _case2(g, piece, v, delta)
@@ -299,7 +319,7 @@ def _case1(g: Graph, p: VertexSet) -> tuple[VertexSet, list[TraceStep]]:
 
 
 def _subcase_1_1(g: Graph, p: VertexSet, wmask: VertexSet) -> tuple[VertexSet, list[TraceStep]]:
-    w = vertices_of(wmask)
+    w = bits(wmask)
     low = [v for v in w if (g.adj[v] & wmask).bit_count() == 2]
     high = [v for v in w if (g.adj[v] & wmask).bit_count() == 3]
     if len(low) != 2 or len(high) != 2:
@@ -529,7 +549,7 @@ def _subcase_2_1(
     n_of,
     e_of,
 ) -> tuple[VertexSet, list[TraceStep]]:
-    hstar = min(qualifying, key=lambda c: vertices_of(c.mask))
+    hstar = min(qualifying, key=lambda c: bits(c.mask))
     v1 = min(bits(n_of(hstar)))
     picked = [
         c
@@ -540,10 +560,9 @@ def _subcase_2_1(
     for c in picked:
         smask |= c.mask
     outside = p & ~smask
-    pieces = component_masks(g, outside)
-    gv_mask = next(q for q in pieces if q >> v & 1)
-    gv = ComponentClass(g, gv_mask)
-    other_masks = [q for q in pieces if q != gv_mask]
+    pieces = _split(g, outside)
+    gv = next(c for c in pieces if c.mask >> v & 1)
+    others = [c for c in pieces if c is not gv]
 
     c1 = sum(1 for c in picked if c.tag == "C4")
     c2 = sum(1 for c in picked if c.tag == "diamond")
@@ -554,7 +573,7 @@ def _subcase_2_1(
     if (
         c1 == 1
         and c2 == 0
-        and not other_masks
+        and not others
         and e_v1_out == 1
         and all_single
     ):
@@ -578,7 +597,7 @@ def _subcase_2_1(
             label = "Subcase 2.1(i)" if stray else "Subcase 2.1(i):member"
             return _result(g, p, label, smask, d)
 
-    recursed = [gv] + [ComponentClass(g, q) for q in other_masks]
+    recursed = [gv] + others
     if c1 == 0 and c2 == 0:
         d_s = 0
         for c in h3:

@@ -30,7 +30,6 @@ from .graphs import (
     is_connected,
     mask_of,
     reach,
-    vertices_of,
 )
 
 MAX_TREE_N = 12
@@ -168,7 +167,7 @@ def recognize(
         used |= cm
         start = degs.index(3)
         attach = cyc[start]
-        connection = next(bits(adj[attach] & alive & ~cm))
+        connection = bits(adj[attach] & alive & ~cm)[0]
         cycle = tuple(cyc[(start + j) % k] for j in range(k))
         constituents.append(
             Constituent(connection=connection, attachment=attach, cycle=cycle)
@@ -193,7 +192,7 @@ def recognize(
 
 def recovered_tree(decomp: ConsDecomposition) -> Tree:
     """The anchor tree of a decomposition, renumbered to 0..t-1."""
-    ids = vertices_of(decomp.connection_vertices)
+    ids = bits(decomp.connection_vertices)
     index = {v: i for i, v in enumerate(ids)}
     return Tree(len(ids), tuple((index[u], index[v]) for u, v in decomp.tree_edges))
 

@@ -10,10 +10,16 @@ graph6 support is bit-exact: column-major upper triangle x(0,1), x(0,2),
 x(1,2), x(0,3), ..., six bits per byte, each byte offset by 63.  Only the
 single-byte order header (n <= 62) is supported.  The 6-bit groups are
 base64's with another alphabet, so binascii packs and unpacks them.  The
-codec and the Graph checks take Python steps per vertex and per set bit,
+codec and the Graph checks take Python steps per vertex and per edge,
 never per vertex pair; what work remains per pair runs inside C (str and
 int conversions).  So a sparse graph costs O(n + m) steps, and a dense
 one, with about n^2/2 edges, costs about what a per-pair walk did.
+
+Vertex sets are read a byte at a time: `bits` looks each byte of a mask up
+in a precomputed table of the ids it holds, one table per byte offset for
+ids 0..63, and steps byte by byte with an offset past them.  A loop over a
+set's members then pays one Python step per byte of the mask, not one per
+member.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from binascii import a2b_base64, b2a_base64
 from itertools import accumulate
 from operator import lshift
-from typing import Iterable, Iterator, NoReturn, Sequence, Union
+from typing import Iterable, NoReturn, Sequence, Union
 
 VertexSet = int  # bitmask over vertex ids
 
@@ -39,32 +45,40 @@ def mask_of(vertices: Iterable[int]) -> VertexSet:
     return m
 
 
-def bits(mask: VertexSet) -> Iterator[int]:
-    """Iterate the vertex ids in a mask in increasing order."""
+# _BYTE_IDS[i][b]: the ids 8i + j for the bits j set in byte b, i = 0..7
+_BYTE_IDS = tuple(
+    tuple(tuple(8 * i + j for j in range(8) if b >> j & 1) for b in range(256))
+    for i in range(8)
+)
+# bit_set's answers below 256, built once: the canonical search asks for
+# the neighbour sets of every graph of order <= 8 it meets
+_BYTE_SETS = tuple(map(frozenset, _BYTE_IDS[0]))
+
+
+def bits(mask: VertexSet) -> tuple[int, ...]:
+    """The vertex ids in a mask in increasing order, read a byte at a time."""
+    if mask < 256:
+        if mask < 0:
+            raise ValueError("a vertex mask cannot be negative")
+        return _BYTE_IDS[0][mask]
+    out = ()
+    for table in _BYTE_IDS:
+        out += table[mask & 255]
+        mask >>= 8
+        if not mask:
+            return out
+    low = _BYTE_IDS[0]
+    base = 64
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-_BYTE_BITS = tuple(frozenset(bits(b)) for b in range(256))
+        out += tuple(base + v for v in low[mask & 255])
+        mask >>= 8
+        base += 8
+    return out
 
 
 def bit_set(mask: VertexSet) -> frozenset[int]:
-    """The vertex ids in a mask as a frozenset, read a byte at a time."""
-    if mask < 256:
-        return _BYTE_BITS[mask]
-    vs: list[int] = []
-    base = 0
-    while mask:
-        vs.extend(base + v for v in _BYTE_BITS[mask & 255])
-        mask >>= 8
-        base += 8
-    return frozenset(vs)
-
-
-def vertices_of(mask: VertexSet) -> tuple[int, ...]:
-    return tuple(bits(mask))
+    """The vertex ids in a mask as a frozenset."""
+    return _BYTE_SETS[mask] if 0 <= mask < 256 else frozenset(bits(mask))
 
 
 def _reject(n: int, adj: Sequence[VertexSet]) -> NoReturn:
@@ -145,7 +159,7 @@ class Graph:
 def as_mask(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexSet:
     """Coerce an int mask or an iterable of ids to a validated mask for g."""
     m = s if isinstance(s, int) else mask_of(s)
-    if m < 0 or m & ~g.full_mask:
+    if m < 0 or m >> g.n:
         raise ValueError("vertex set contains ids outside 0..n-1")
     return m
 

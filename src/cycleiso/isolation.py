@@ -52,7 +52,6 @@ from .graphs import (
     boundary_edge_count,
     closed_neighborhood,
     component_masks,
-    vertices_of,
 )
 
 #: graphs above this order require an explicit node budget
@@ -86,7 +85,7 @@ class IsolationCertificate:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return vertices_of(self.members)
+        return bits(self.members)
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,9 @@ class ExactResult:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return vertices_of(self.witness)
+        if self.witness is None:
+            raise ValueError("solved with witness=False: there is no witness to list")
+        return bits(self.witness)
 
 
 def verify(g: Graph, d: Union[VertexSet, Iterable[int]], k: int) -> IsolationCertificate:

@@ -15,11 +15,11 @@ from cycleiso.constructive import (
 from cycleiso.family import Tree, build
 from cycleiso.graphs import (
     Graph,
+    bits,
     encode_graph6,
     from_edge_list,
     mask_of,
     parse_graph6,
-    vertices_of,
 )
 from cycleiso.isolation import BudgetExceededError, iota_exact, verify
 from util import (
@@ -43,6 +43,19 @@ def test_bound_value():
     assert bound_value(6) == Fraction(7, 6)
     with pytest.raises(ValueError):
         bound_value(-1)
+
+
+def test_construct_past_the_byte_tables():
+    # cons(P_13, C4) has 65 vertices, so its ids run past bits' 64-bit
+    # tables; reversed, its connection vertices take the ids 52..64
+    g, _ = build(Tree(13, tuple((i, i + 1) for i in range(12))), 4)
+    assert g.n == 65 and (g.m + 1) // 6 == 13
+    reversed_g = from_edge_list(65, [(64 - u, 64 - v) for u, v in g.edges()])
+    for h in (g, reversed_g):
+        d, trace = construct(h)
+        assert d.bit_count() <= 13
+        assert verify(h, d, 4).valid
+        assert not trace.used_fallback()
 
 
 def test_classify():
@@ -115,7 +128,7 @@ def test_construct_builds_no_graph(monkeypatch):
     traces = []
     for g, want, labels in cases:
         d, trace = construct(g)
-        assert vertices_of(d) == want
+        assert bits(d) == want
         assert trace.labels == labels
         traces.append(trace)
     assert traces[0].steps[0] == TraceStep(
@@ -195,7 +208,7 @@ def test_subcase_2_2_counts_only_piece_neighbours():
     g = parse_graph6("P?iA?_SPCAD?G@_IOk?C_@W?")
     assert (g.n, g.m) == (17, 27)
     d, trace = construct(g)
-    assert vertices_of(d) == (0, 5, 7)
+    assert bits(d) == (0, 5, 7)
     assert trace.labels == ("Subcase 2.1", "Subcase 2.2(ii)", "base:no-C4")
     assert trace.steps[1] == TraceStep(
         "Subcase 2.2(ii)", (0, 3, 4, 7, 8, 10, 13, 14, 16), (0, 7), ((2, 11, 12),)
@@ -346,7 +359,7 @@ TWO_PIECE_BRANCHES = [
 def test_two_piece_branches(g6, members, labels, iota):
     g = parse_graph6(g6)
     d, trace = construct(g)
-    assert (vertices_of(d), trace.labels) == (members, labels)
+    assert (bits(d), trace.labels) == (members, labels)
     assert verify(g, d, 4).valid and not trace.used_fallback()
     assert oracle_iota(g, 4) == iota <= d.bit_count() <= g.m // 6
 
@@ -450,7 +463,7 @@ def test_pendant_branch_drops_the_anchor_of_a_stray_endpoint():
 def test_pendant_branch_with_a_stray_endpoint_in_the_hung_corpus():
     g = _hung_corpus(1, 259)[258]
     d, trace = _assert_sound(g)
-    assert vertices_of(d) == (4, 5, 10, 28)
+    assert bits(d) == (4, 5, 10, 28)
     assert TraceStep(
         "Subcase 1.2.1(ii)", (0, 2, 5, 6, 7, 8, 21, 25, 26, 30), (5,)
     ) in trace.steps
@@ -493,7 +506,7 @@ def test_refined_peel_drops_the_anchor_of_the_first_stray_attachment():
     edges += [(off + i + u, off + i + v) for i in (0, 5) for u, v in piece.edges()]
     g = from_edge_list(off + 10, edges)
     d, trace = _assert_sound(g, "Subcase 2.1(i)")
-    assert vertices_of(d) == (0, 1, 2, 3, 25)
+    assert bits(d) == (0, 1, 2, 3, 25)
 
 
 def test_refined_peel_drops_the_anchor_of_a_stray_remainder():
@@ -529,7 +542,7 @@ def test_subcase_2_2_i_fires_on_the_first_order_9_graph():
     # trace fires Subcase 2.2(i); no graph of order at most 8 fires it
     g = parse_graph6("H??EXw{")
     d, trace = _assert_sound(g, "Subcase 2.2(i)")
-    assert vertices_of(d) == (6, 7)
+    assert bits(d) == (6, 7)
     assert trace.steps == (TraceStep("Subcase 2.2(i)", tuple(range(9)), (6, 7)),)
 
 

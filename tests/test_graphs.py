@@ -19,7 +19,6 @@ from cycleiso.graphs import (
     mask_of,
     parse_edge_list,
     parse_graph6,
-    vertices_of,
 )
 from util import (
     c4_plus,
@@ -176,7 +175,7 @@ def test_deleted_vertices_not_adjacent_to_members():
     g = c4_plus()
     for v in range(g.n):
         alive = g.full_mask & ~closed_neighborhood(g, {v})
-        for kept in vertices_of(alive):
+        for kept in bits(alive):
             assert not g.adj[v] >> kept & 1 and kept != v
 
 
@@ -205,7 +204,7 @@ def test_components_partition_and_no_cross_edges():
     masks = component_masks(g)
     seen = []
     for m in masks:
-        seen.extend(vertices_of(m))
+        seen.extend(bits(m))
     assert sorted(seen) == list(range(g.n))
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
@@ -379,7 +378,7 @@ def test_graph_immutable_and_hashable():
         g.n = 5
     assert g == cycle(4)
     assert len({g, cycle(4)}) == 1
-    assert vertices_of(g.full_mask) == (0, 1, 2, 3)
+    assert bits(g.full_mask) == (0, 1, 2, 3)
 
 
 def test_graph_attributes_cannot_be_deleted():
@@ -395,3 +394,30 @@ def test_bit_set_matches_bits():
     rows = list(range(4096)) + [rng.getrandbits(rng.randint(1, 62)) for _ in range(2000)]
     for row in rows:
         assert bit_set(row) == frozenset(bits(row))
+
+
+def _reference_bits(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def test_bits_matches_a_per_bit_reference():
+    rng = random.Random(63)
+    masks = [0]
+    for i in range(0, 201, 8):  # every byte boundary up to 2^200
+        masks += [1 << i, (1 << i) - 1, (1 << i) + 1, ((1 << i) - 1) << 1]
+        masks += [(1 << i) | rng.getrandbits(max(i, 1)) for _ in range(3)]
+    masks += [rng.getrandbits(rng.randint(1, 62)) for _ in range(3000)]
+    masks += [rng.getrandbits(rng.randint(64, 200)) for _ in range(500)]
+    masks += [rng.getrandbits(8) << rng.randint(56, 192) for _ in range(200)]
+    masks.append(1 << 200)
+    for mask in masks:
+        assert bits(mask) == _reference_bits(mask), mask
+        assert bit_set(mask) == frozenset(_reference_bits(mask))
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -255, -256, -(1 << 64), -(1 << 200) + 1])
+def test_bits_rejects_a_negative_mask(mask):
+    with pytest.raises(ValueError, match="^a vertex mask cannot be negative$"):
+        bits(mask)
+    with pytest.raises(ValueError, match="^a vertex mask cannot be negative$"):
+        bit_set(mask)

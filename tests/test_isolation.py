@@ -8,12 +8,12 @@ from cycleiso import isolation
 from cycleiso.family import Tree, build, enumerate_trees
 from cycleiso.graphs import (
     Graph,
+    bits,
     component_masks,
     encode_graph6,
     from_edge_list,
     mask_of,
     parse_graph6,
-    vertices_of,
 )
 from cycleiso.isolation import (
     BudgetExceededError,
@@ -78,6 +78,15 @@ def test_iota_basics():
     assert iota_exact(c4_plus(), 4).iota == 1
 
 
+def test_vertices_need_a_witness():
+    # a survey solves with witness=False: iota alone, no set to list
+    res = iota_exact(cycle(4), 4, witness=False)
+    assert (res.iota, res.witness) == (1, None)
+    with pytest.raises(ValueError, match="witness=False"):
+        res.vertices
+    assert iota_exact(cycle(4), 4).vertices == (0,)
+
+
 def test_iota_disjoint_union_adds():
     g = disjoint_union(cycle(4), diamond())
     res = iota_exact(g, 4)
@@ -98,7 +107,7 @@ def test_iota_exact_searches_components_in_input_ids(monkeypatch):
     res = iota_exact(g, 4)
     assert built == []  # no component is copied into a renumbered graph
     assert res.iota == 2
-    assert vertices_of(res.witness) == (0, 1)
+    assert bits(res.witness) == (0, 1)
 
 
 def test_iota_witness_always_verifies(universe6):
@@ -117,9 +126,9 @@ def test_iota_matches_naive_oracle_exhaustive(universe7):
 
 def test_iota_witness_is_lex_least():
     # every single vertex of C4 is optimal; the least must be returned
-    assert vertices_of(iota_exact(cycle(4), 4).witness) == (0,)
+    assert bits(iota_exact(cycle(4), 4).witness) == (0,)
     g = disjoint_union(cycle(4), cycle(4))
-    assert vertices_of(iota_exact(g, 4).witness) == (0, 4)
+    assert bits(iota_exact(g, 4).witness) == (0, 4)
 
 
 def _hung_cycles(rng: random.Random, k: int, cycles: int) -> Graph:
@@ -158,7 +167,7 @@ def test_iota_lex_least_vs_oracle(universe6):
     for g, k in cases:
         best = oracle_lex_least_witness(g, k)
         res = iota_exact(g, k)
-        assert (res.iota, vertices_of(res.witness)) == (len(best), best)
+        assert (res.iota, bits(res.witness)) == (len(best), best)
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,7 +201,7 @@ REVISITED_RESIDUALS = "QA?OO?@?GBa?g?@@`?GC@g?@SS?"
 def test_memo_is_keyed_on_the_alive_set():
     g = parse_graph6(REVISITED_RESIDUALS)
     res = iota_exact(g, 4)
-    assert vertices_of(res.witness) == oracle_lex_least_witness(g, 4) == (7, 13)
+    assert bits(res.witness) == oracle_lex_least_witness(g, 4) == (7, 13)
     # `cycleiso exact` prints this count; a memo keyed on the alive set with
     # the lowest candidate id re-searches those residuals and prints 58
     assert res.explored == 47
@@ -294,7 +303,7 @@ def test_last_pick_matches_the_oracle(universe6):
                 # vertex the oracle rejects, so that the answer is None
                 for pool in (g.full_mask, g.full_mask >> lo << lo, g.full_mask & ~accepted):
                     search = _Search(g, g.full_mask, k, None)
-                    expected = next(iter(vertices_of(pool & accepted)), None)
+                    expected = next(iter(bits(pool & accepted)), None)
                     assert search.last_pick(alive, pool) == expected
                     # every vertex tried is a node, whether searched or refuted
                     tried = pool if expected is None else pool & (2 << expected) - 1

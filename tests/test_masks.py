@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from cycleiso.constructive import ComponentClass, classify_component
+from cycleiso.constructive import ComponentClass, _split, classify_component
 from cycleiso.cycles import all_cycles
 from cycleiso.family import ConsDecomposition, Constituent, Tree, build, recognize
 from cycleiso.graphs import Graph, component_masks, from_edge_list, mask_of
@@ -82,6 +82,16 @@ def test_mask_arguments_match_the_renumbered_subgraph():
     rng = random.Random(13)
     for g, mask in _cases():
         _check_mask_case(g, mask, rng)
+
+
+def test_split_counts_the_edges_of_each_piece():
+    for g, mask in _cases():
+        pieces = _split(g, mask)
+        assert [c.mask for c in pieces] == component_masks(g, mask)
+        for c in pieces:
+            inside = [v for v in range(g.n) if c.mask >> v & 1]
+            brute = sum(g.adj[u] >> v & 1 for u in inside for v in inside if u < v)
+            assert c.m == brute
 
 
 def _hung_graph(rng: random.Random) -> Graph:

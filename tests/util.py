@@ -22,7 +22,6 @@ from cycleiso.graphs import (
     from_edge_list,
     mask_of,
     reach,
-    vertices_of,
 )
 
 
@@ -96,7 +95,7 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, tuple[int, ...]]
     """Renumbering oracle: the subgraph on `keep` with ids 0.. in increasing
     parent-id order, plus the embedding local id -> parent id."""
     m = as_mask(g, keep)
-    embedding = vertices_of(m)
+    embedding = bits(m)
     index = {v: i for i, v in enumerate(embedding)}
     adj = [0] * len(embedding)
     for i, v in enumerate(embedding):
@@ -265,7 +264,7 @@ def oracle_refutes(g: Graph, k: int, comp: VertexSet, alive: VertexSet, r: int) 
 
     Subsets of exactly r vertices (all of comp if it is smaller) suffice,
     since adding vertices to an isolating set keeps it isolating."""
-    members = vertices_of(comp)
+    members = bits(comp)
     return not any(
         oracle_is_isolating(g, chosen, k, alive)
         for chosen in combinations(members, min(r, len(members)))
