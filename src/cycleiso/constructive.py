@@ -20,8 +20,8 @@ the refined equality branches below exist exactly to preserve it.
 
 Each piece of the recursion is one ComponentClass record, a vertex mask of
 the input graph with its edge count, tag and family decomposition, so sets
-and trace steps come out in input ids.  The split into pieces runs one BFS
-per component and counts the component's edges during it, so no piece is
+and trace steps come out in input ids.  The split into pieces walks each
+component once and counts its edges during the walk, so no piece is
 walked a second time for its edge count.  A ":member" label only marks the
 case of its branch where every endpoint is its own anchor.
 
@@ -119,14 +119,14 @@ def bound_value(m: int) -> Fraction:
 class ComponentClass:
     """One connected piece of a graph: a vertex mask of g, its edge count
     and its structural class, tag "C4", "diamond", "extremal" (a family
-    member, with its decomposition in g's ids) or "other".  An edge count
-    passed in as m is taken as is; without one the piece is walked for it."""
+    member, with its decomposition in g's ids) or "other".  Its maker
+    passes the edge count m in, so the piece is not walked again for it."""
 
     __slots__ = ("mask", "m", "tag", "decomposition")
 
-    def __init__(self, g: Graph, mask: VertexSet, m: int | None = None):
+    def __init__(self, g: Graph, mask: VertexSet, m: int):
         self.mask = mask
-        self.m = m = _span_edges(g, mask) if m is None else m
+        self.m = m
         self.decomposition = None
         n = mask.bit_count()
         if n == 4 and m == 4 and all((g.adj[v] & mask).bit_count() == 2 for v in bits(mask)):
@@ -156,7 +156,7 @@ class ComponentClass:
 def classify_component(h: Graph) -> ComponentClass:
     if not is_connected(h):
         raise ValueError("classification requires a connected graph")
-    return ComponentClass(h, h.full_mask)
+    return ComponentClass(h, h.full_mask, h.m)
 
 
 class _DispatchError(Exception):
@@ -165,21 +165,22 @@ class _DispatchError(Exception):
 
 def _split(g: Graph, alive: VertexSet) -> list[ComponentClass]:
     """The components of g on alive as piece records, least vertex first.
-    One BFS per component also sums the degrees |N(u) & alive|, twice the
+    One walk per component visits each vertex once, taking the lowest
+    unvisited one, and sums the degrees |N(u) & alive|, twice the
     component's edge count."""
     adj = g.adj
     out = []
     while alive:
-        comp = frontier = alive & -alive
+        comp = todo = alive & -alive
         degrees = 0
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                row = adj[u] & alive
-                degrees += row.bit_count()
-                nxt |= row
-            frontier = nxt & ~comp
-            comp |= frontier
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            row = adj[low.bit_length() - 1] & alive
+            degrees += row.bit_count()
+            row &= ~comp
+            comp |= row
+            todo |= row
         out.append(ComponentClass(g, comp, degrees // 2))
         alive &= ~comp
     return out

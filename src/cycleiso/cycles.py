@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .graphs import Graph, VertexSet, bits
+from .graphs import Graph, VertexSet
 
 CycleWitness = tuple[int, ...]
 
@@ -87,8 +87,12 @@ def _iter_cycles(g: Graph, k: int, mask: VertexSet) -> Iterator[CycleWitness]:
     last = k - 1
     path = [0] * k
     stack = [0] * k
-    for s in bits(mask):
-        higher = mask & ~((1 << (s + 1)) - 1)
+    # roots s in increasing order; higher keeps the ids of mask above s
+    higher = mask
+    while higher:
+        root = higher & -higher
+        higher ^= root
+        s = root.bit_length() - 1
         closing = adj[s] & higher
         if closing.bit_count() < 2:
             continue

@@ -15,11 +15,13 @@ never per vertex pair; what work remains per pair runs inside C (str and
 int conversions).  So a sparse graph costs O(n + m) steps, and a dense
 one, with about n^2/2 edges, costs about what a per-pair walk did.
 
-Vertex sets are read a byte at a time: `bits` looks each byte of a mask up
-in a precomputed table of the ids it holds, one table per byte offset for
-ids 0..63, and steps byte by byte with an offset past them.  A loop over a
-set's members then pays one Python step per byte of the mask, not one per
-member.
+`bits` returns a mask's ids as a tuple.  A table of the 256 id tuples of a
+byte answers a mask below 256 in one lookup and gives the ids 0..7 of a
+wider one; its set bits above those are taken one at a time into a list.
+The recursion's masks are sparse, about three ids each, so that loop is
+short.  A table per higher byte reads them faster still, but such tables,
+like per-byte tuples or bytes joined together, raise the peak memory of a
+survey pass by more than the benchmark's bound.
 """
 
 from __future__ import annotations
@@ -45,40 +47,29 @@ def mask_of(vertices: Iterable[int]) -> VertexSet:
     return m
 
 
-# _BYTE_IDS[i][b]: the ids 8i + j for the bits j set in byte b, i = 0..7
-_BYTE_IDS = tuple(
-    tuple(tuple(8 * i + j for j in range(8) if b >> j & 1) for b in range(256))
-    for i in range(8)
-)
-# bit_set's answers below 256, built once: the canonical search asks for
-# the neighbour sets of every graph of order <= 8 it meets
-_BYTE_SETS = tuple(map(frozenset, _BYTE_IDS[0]))
+# _BYTE_IDS[b]: the ids of the bits set in byte b, for the low byte of a mask
+_BYTE_IDS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
 def bits(mask: VertexSet) -> tuple[int, ...]:
-    """The vertex ids in a mask in increasing order, read a byte at a time."""
+    """The vertex ids in a mask in increasing order: ids 0..7 from a table
+    of the low byte, the rest one set bit at a time."""
     if mask < 256:
         if mask < 0:
             raise ValueError("a vertex mask cannot be negative")
-        return _BYTE_IDS[0][mask]
-    out = ()
-    for table in _BYTE_IDS:
-        out += table[mask & 255]
-        mask >>= 8
-        if not mask:
-            return out
-    low = _BYTE_IDS[0]
-    base = 64
+        return _BYTE_IDS[mask]
+    ids = list(_BYTE_IDS[mask & 255])
+    mask = mask >> 8 << 8
     while mask:
-        out += tuple(base + v for v in low[mask & 255])
-        mask >>= 8
-        base += 8
-    return out
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(ids)
 
 
 def bit_set(mask: VertexSet) -> frozenset[int]:
     """The vertex ids in a mask as a frozenset."""
-    return _BYTE_SETS[mask] if 0 <= mask < 256 else frozenset(bits(mask))
+    return frozenset(bits(mask))
 
 
 def _reject(n: int, adj: Sequence[VertexSet]) -> NoReturn:
@@ -159,7 +150,7 @@ class Graph:
 def as_mask(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexSet:
     """Coerce an int mask or an iterable of ids to a validated mask for g."""
     m = s if isinstance(s, int) else mask_of(s)
-    if m < 0 or m >> g.n:
+    if m < 0 or m & ~g.full_mask:
         raise ValueError("vertex set contains ids outside 0..n-1")
     return m
 

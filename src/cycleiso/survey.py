@@ -126,6 +126,7 @@ from .graphs import (
     GraphFormatError,
     adjacency_from_code,
     bit_set,
+    bits,
     encode_graph6,
     is_connected,
     parse_graph6,
@@ -238,7 +239,7 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
     """Canonical code of the graph (n, adj) and a generating set of its
     automorphism group (see the module docstring)."""
     nbits = n * (n - 1) // 2
-    nbrs = [bit_set(row) for row in adj]
+    nbrs = [bits(row) for row in adj]
     # no leaf yet: a code of nbits + 1 bits is above every leaf and every prefix
     unset = 1 << nbits
     best = unset
@@ -295,7 +296,7 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
             # individualise x: it goes before the rest of its cell, and only
             # the cells it has neighbours in can split in the first round
             child = cells[:r] + [[x], [v for v in target if v != x]] + cells[r + 1 :]
-            resume = search(_refine(nbrs, child, nbrs[x]), path | 1 << x, r, partial)
+            resume = search(_refine(nbrs, child, bit_set(adj[x])), path | 1 << x, r, partial)
             if resume < r:
                 return resume
         return n
@@ -329,8 +330,8 @@ def _is_least_deletion(adj: Sequence[int]) -> bool:
             continue
         if deg[v] == deg[last]:
             if least is None:
-                least = sorted(map(deg.__getitem__, bit_set(adj[last])))
-            if sorted(map(deg.__getitem__, bit_set(adj[v]))) >= least:
+                least = sorted(map(deg.__getitem__, bits(adj[last])))
+            if sorted(map(deg.__getitem__, bits(adj[v]))) >= least:
                 continue
         rest = full & ~(1 << v)
         if reach(adj, 1 << last, rest) == rest:

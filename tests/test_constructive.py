@@ -45,9 +45,9 @@ def test_bound_value():
         bound_value(-1)
 
 
-def test_construct_past_the_byte_tables():
-    # cons(P_13, C4) has 65 vertices, so its ids run past bits' 64-bit
-    # tables; reversed, its connection vertices take the ids 52..64
+def test_construct_past_id_63():
+    # cons(P_13, C4) has 65 vertices, so its masks run past one 64-bit
+    # word; reversed, its connection vertices take the ids 52..64
     g, _ = build(Tree(13, tuple((i, i + 1) for i in range(12))), 4)
     assert g.n == 65 and (g.m + 1) // 6 == 13
     reversed_g = from_edge_list(65, [(64 - u, 64 - v) for u, v in g.edges()])

@@ -403,12 +403,13 @@ def _reference_bits(mask: int) -> tuple[int, ...]:
 def test_bits_matches_a_per_bit_reference():
     rng = random.Random(63)
     masks = [0]
-    for i in range(0, 201, 8):  # every byte boundary up to 2^200
+    for i in range(0, 321, 8):  # every byte boundary up to 2^320
         masks += [1 << i, (1 << i) - 1, (1 << i) + 1, ((1 << i) - 1) << 1]
         masks += [(1 << i) | rng.getrandbits(max(i, 1)) for _ in range(3)]
     masks += [rng.getrandbits(rng.randint(1, 62)) for _ in range(3000)]
     masks += [rng.getrandbits(rng.randint(64, 200)) for _ in range(500)]
-    masks += [rng.getrandbits(8) << rng.randint(56, 192) for _ in range(200)]
+    masks += [rng.getrandbits(rng.randint(240, 320)) for _ in range(200)]
+    masks += [rng.getrandbits(8) << rng.randint(56, 312) for _ in range(300)]
     masks.append(1 << 200)
     for mask in masks:
         assert bits(mask) == _reference_bits(mask), mask

@@ -3,7 +3,7 @@
 `all_cycles(g, k, alive)`, `recognize(g, k, within)`,
 `iota_exact(g, k, budget, within)`,
 `check_gluing_hypothesis(g, s, d, k, within)` and the constructive piece
-record `ComponentClass(g, mask)` work on the subgraph induced on a mask,
+records of `_split(g, alive)` work on the subgraph induced on a mask,
 in g's ids.  Each must equal the same call on the `induced_subgraph` copy
 with its answer mapped back through the embedding.
 """
@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from cycleiso.constructive import ComponentClass, _split, classify_component
+from cycleiso.constructive import _split, classify_component
 from cycleiso.cycles import all_cycles
 from cycleiso.family import ConsDecomposition, Constituent, Tree, build, recognize
 from cycleiso.graphs import Graph, component_masks, from_edge_list, mask_of
@@ -118,9 +118,10 @@ def test_piece_record_matches_the_renumbered_piece():
     tags = set()
     for g in cases:
         for v in range(g.n):
-            for mask in component_masks(g, g.full_mask & ~(1 << v)):
+            alive = g.full_mask & ~(1 << v)
+            for got, mask in zip(_split(g, alive), component_masks(g, alive), strict=True):
                 sub, emb = induced_subgraph(g, mask)
-                got, want = ComponentClass(g, mask), classify_component(sub)
+                want = classify_component(sub)
                 assert (got.mask, got.tag, got.m) == (mask, want.tag, want.m)
                 assert got.decomposition == _lift(want.decomposition, emb)
                 tags.add(got.tag)
