@@ -15,6 +15,13 @@ never per vertex pair; what work remains per pair runs inside C (str and
 int conversions).  So a sparse graph costs O(n + m) steps, and a dense
 one, with about n^2/2 edges, costs about what a per-pair walk did.
 
+`graph_from_code` is the one place pair bits become a Graph: parse_graph6
+decodes its payload with it, and survey's enumerator its canonical codes.
+Each pair bit sets the rows of both its ends, so the rows it builds are
+symmetric and loop-free by construction; it skips Graph's checks and takes
+m as the number of pair bits.  Rows that a caller hands to Graph(n, adj)
+keep every check.
+
 `bits` returns a mask's ids as a tuple.  A table of the 256 id tuples of a
 byte answers a mask below 256 in one lookup and gives the ids 0..7 of a
 wider one; its set bits above those are taken one at a time into a list.
@@ -116,10 +123,7 @@ class Graph:
                 row ^= 1 << u
         if 2 * m != sum(map(int.bit_count, adj)):
             _reject(n, adj)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_hash", hash((n, adj)))
+        _fill(self, n, adj, m)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -145,6 +149,13 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
+
+
+def _fill(g: Graph, n: int, adj: tuple[VertexSet, ...], m: int) -> None:
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "adj", adj)
+    object.__setattr__(g, "m", m)
+    object.__setattr__(g, "_hash", hash((n, adj)))
 
 
 def as_mask(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexSet:
@@ -279,7 +290,7 @@ def parse_graph6(text: Union[str, bytes]) -> Graph:
     pad = 6 * len(body) - nbits
     if stream & ((1 << pad) - 1):
         raise GraphFormatError("graph6 padding bits are not zero")
-    return Graph(n, adjacency_from_code(n, stream >> pad))
+    return graph_from_code(n, stream >> pad)
 
 
 def adjacency_from_code(n: int, code: int) -> list[VertexSet]:
@@ -297,6 +308,19 @@ def adjacency_from_code(n: int, code: int) -> list[VertexSet]:
         adj[j] |= 1 << i
         code ^= 1 << b
     return adj
+
+
+def graph_from_code(n: int, code: int) -> Graph:
+    """The graph whose graph6 pair bits, x(0,1) most significant, are code.
+
+    Each pair bit sets the rows of both its ends, so the rows are symmetric
+    and loop-free as built: Graph's checks are skipped, and m is the number
+    of pair bits."""
+    if not 0 <= n <= GRAPH6_MAX_N or code < 0 or code >> (n * (n - 1) // 2):
+        raise ValueError(f"need 0 <= n <= {GRAPH6_MAX_N} and 0 <= code < 2**(n(n-1)/2)")
+    g = Graph.__new__(Graph)
+    _fill(g, n, tuple(adjacency_from_code(n, code)), code.bit_count())
+    return g
 
 
 # -- edge-list text format ----------------------------------------------------

@@ -15,9 +15,8 @@ automorphisms, so it maps the node to itself and the tried child's subtree
 onto the skipped one, leaf codes included: the least code is unchanged.
 The generators found this way generate the whole automorphism group.
 Every graph takes the same path through the search, empty and complete
-graphs included.  One union-find routine, `_merge_orbits`, gives the
-vertex orbits of the search and the orbits of the enumerator on
-neighbourhood masks; a search node keeps its forest and merges only the
+graphs included.  A union-find forest, `_merge_orbits`, gives the vertex
+orbits at a search node; the node keeps its forest and merges only the
 generators found since it last looked.
 
 Twins are seeded as known automorphisms before the search starts.  Two
@@ -64,10 +63,10 @@ cells in order and splits each cell in place by its own signatures: a
 round ranks signatures only inside cells of two or more vertices (a
 singleton cannot split), and a discrete partition ends refinement at once.
 Refinement stops at an equitable partition, where the vertices of a cell
-have equally many neighbours in each cell.  Individualising x there splits
-its cell into {x} and the rest, which changes the neighbour counts only of
-the neighbours of x, so the first round after it examines only the cells
-that meet N(x).
+have equally many neighbours in each cell: the first round that splits no
+cell finds it.  Individualising x there splits its cell into {x} and the
+rest, which changes the neighbour counts only of the neighbours of x, so
+the first round after it examines only the cells that meet N(x).
 
 The round from the unit partition sorts tuples of zeros, that is, splits
 by degree, and every later cell lies inside one of its cells, so it holds
@@ -78,7 +77,9 @@ W(v) counts the neighbours of colour i, at most n - 1, so no digit carries.
 Of two sorted tuples of length d, the one smaller at the first position
 where they differ has more neighbours of that colour and equally many of
 every smaller colour, so its W is the larger.  So a round orders a cell by
-W, largest first, a sum over a weight table with no sort per vertex.
+W, largest first, a sum over a weight table with no sort per vertex.  A
+cell of two vertices, the commonest cell that can split, needs only its
+two sums compared, and a cell whose sums all agree keeps its order.
 
 The enumerator yields one representative per isomorphism class of connected
 graphs on up to eight vertices, built by vertex augmentation with
@@ -98,14 +99,21 @@ isomorphism between the two children that maps new vertex to new vertex, so
 the children share their class and their least-deletion verdict.
 
 Most subsets fail the least-deletion test on degree alone, so they are
-dropped before the child is built.  Let d0 be the least degree of a non-cut
-vertex of P, and L the non-cut vertices of degree d0.  A non-cut vertex v
-of P stays non-cut in the child of subset H: the child minus v is the
-connected P - v plus the new vertex, joined to H - v (if H = {v}, then
-|H| = 1 and the rule below never fires).  Its child degree is
-deg_P(v) + [v in H], and the new vertex's is |H|, so the new vertex loses
-to v on degree, and the test rejects H, when |H| > d0 + 1, or when
-|H| = d0 + 1 and some vertex of L lies outside H.
+never walked.  Let d0 be the least degree of a non-cut vertex of P, and L
+the non-cut vertices of degree d0.  A non-cut vertex v of P stays non-cut
+in the child of subset H: the child minus v is the connected P - v plus
+the new vertex, joined to H - v (if H = {v}, then |H| = 1 and the rule
+below never fires).  Its child degree is deg_P(v) + [v in H], and the new
+vertex's is |H|, so the new vertex loses to v on degree, and the test
+rejects H, when |H| > d0 + 1, or when |H| = d0 + 1 and some vertex of L
+lies outside H.  The enumerator lists only the admitted subsets, those of
+at most d0 vertices and those of d0 + 1 that hold L, and takes the least
+subset of each orbit among them.  An automorphism of P keeps degrees and
+cut vertices, so it maps L onto L, and the admitted subsets are a union of
+orbits: a subset that no earlier orbit reached is the least of its own,
+and applying the generators to the subsets of its orbit found so far
+reaches the rest.  So the generators act on admitted subsets only, and
+the representatives are those a walk over every subset would keep.
 
 A survey evaluates iota(G, C_k) against a rational bound (a*n + b*m + c)/d
 for every graph of a stream, classifies each record as below / equal /
@@ -119,6 +127,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import AbstractSet, Collection, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .graphs import (
@@ -128,6 +137,7 @@ from .graphs import (
     bit_set,
     bits,
     encode_graph6,
+    graph_from_code,
     is_connected,
     parse_graph6,
     reach,
@@ -155,12 +165,17 @@ def _refine(
     cell by the sorted neighbour colours of its vertices; the parts take the
     cell's place, in signature order.  Singleton cells are left alone, and
     with `touched` the first round splits only the cells that meet it.
+    Refinement ends when a round splits no cell, or the partition is
+    discrete.
 
     From the unit partition the first round splits by degree.  Every
     partition of two or more cells must have cells of a single degree, as
     every partition that refinement and individualisation derive from the
     unit one has: a round then ranks a cell by the base-n weight sum of its
-    vertices' neighbours, largest first (see the module docstring).
+    vertices' neighbours, largest first (see the module docstring).  A cell
+    of two vertices compares their two sums: equal sums keep the cell, and
+    otherwise the larger sum goes first.  A larger cell whose sums all agree
+    is kept as it is.
     """
     n = len(nbrs)
     if len(cells) == 1 and n > 1:
@@ -176,16 +191,31 @@ def _refine(
             for v in cell:
                 weight[v] = w
             w *= n
+        get = weight.__getitem__
         split = []
+        grew = False
         for cell in cells:
             if len(cell) == 1 or touched is not None and touched.isdisjoint(cell):
                 split.append(cell)
-                continue
-            parts = {}
-            for v in cell:
-                parts.setdefault(sum(map(weight.__getitem__, nbrs[v])), []).append(v)
-            split.extend(parts[s] for s in sorted(parts, reverse=True))
-        if len(split) == len(cells):
+            elif len(cell) == 2:
+                u, v = cell
+                a = sum(map(get, nbrs[u]))
+                b = sum(map(get, nbrs[v]))
+                if a == b:
+                    split.append(cell)
+                else:
+                    split += ([u], [v]) if a > b else ([v], [u])
+                    grew = True
+            else:
+                parts = {}
+                for v in cell:
+                    parts.setdefault(sum(map(get, nbrs[v])), []).append(v)
+                if len(parts) == 1:
+                    split.append(cell)
+                else:
+                    split.extend(parts[s] for s in sorted(parts, reverse=True))
+                    grew = True
+        if not grew:
             return cells
         cells = split
         touched = None
@@ -198,18 +228,24 @@ def _twin_swaps(adj: Sequence[int], cells: Iterable[Sequence[int]]) -> list[tupl
 
     Open and closed rows share one dict: the open row of v never equals the
     closed row of u, which holds u, so u would be a neighbour of v and v a
-    member of its own row.
+    member of its own row.  So a cell of two vertices gives at most one
+    swap, and it is tested directly.
     """
     n = len(adj)
     swaps = []
     for cell in cells:
         if len(cell) == 1:
             continue
-        classes: dict[int, list[int]] = {}
-        for v in cell:
-            classes.setdefault(adj[v], []).append(v)
-            classes.setdefault(adj[v] | 1 << v, []).append(v)
-        for twins in classes.values():
+        if len(cell) == 2:
+            u, v = cell
+            classes = [cell] if adj[u] == adj[v] or adj[u] | 1 << u == adj[v] | 1 << v else []
+        else:
+            rows: dict[int, list[int]] = {}
+            for v in cell:
+                rows.setdefault(adj[v], []).append(v)
+                rows.setdefault(adj[v] | 1 << v, []).append(v)
+            classes = rows.values()
+        for twins in classes:
             for u, v in zip(twins, twins[1:]):
                 perm = list(range(n))
                 perm[u], perm[v] = v, u
@@ -224,9 +260,8 @@ def _find(root: list[int], v: int) -> int:
 
 
 def _merge_orbits(root: list[int], perms: Iterable[Sequence[int]]) -> None:
-    """Merge the orbits of permutations of 0..len(root)-1 into the
-    union-find forest root, whose trees are rooted at their least point; the
-    points are vertices in the search and masks in the enumerator."""
+    """Merge the orbits of vertex permutations of 0..len(root)-1 into the
+    union-find forest root, whose trees are rooted at their least vertex."""
     for p in perms:
         for v, w in enumerate(p):
             if v != w:
@@ -314,10 +349,6 @@ def canonical_code(n: int, adj: Sequence[int]) -> int:
     return _canonical_search(n, adj)[0]
 
 
-def graph_from_code(n: int, code: int) -> Graph:
-    return Graph(n, adjacency_from_code(n, code))
-
-
 def _is_least_deletion(adj: Sequence[int]) -> bool:
     """Whether no non-cut vertex has a smaller (degree, sorted neighbour
     degrees) key than the last vertex, itself a non-cut vertex."""
@@ -355,19 +386,42 @@ def _least_non_cut(adj: Sequence[int]) -> tuple[int, int]:
     return d0, least
 
 
-def _mask_orbit_representatives(n: int, gens: Sequence[Sequence[int]]) -> list[int]:
-    """Least mask of each orbit of the group generated by gens on 1..2^n - 1,
-    in increasing order."""
-    images = []
-    for p in gens:
-        image = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << p[low.bit_length() - 1]
-        images.append(image)
-    root = list(range(1 << n))
-    _merge_orbits(root, images)
-    return [mask for mask in range(1, 1 << n) if root[mask] == mask]
+def _admitted_hoods(n: int, d0: int, least: int) -> list[int]:
+    """The non-empty masks over n vertices that the degree prefilter admits,
+    in increasing order: those of at most d0 vertices, and those of d0 + 1
+    vertices that hold every vertex of least."""
+    ones = [1 << v for v in range(n)]
+    hoods = [sum(c) for size in range(1, d0 + 2) for c in combinations(ones, size)]
+    return sorted(h for h in hoods if h.bit_count() <= d0 or not least & ~h)
+
+
+def _mask_orbit_representatives(
+    n: int, gens: Sequence[Sequence[int]], hoods: Optional[Iterable[int]] = None
+) -> list[int]:
+    """Least mask of each orbit of the group generated by gens on hoods, in
+    increasing order.  hoods must be a union of orbits, in increasing order;
+    it defaults to every non-empty mask over n vertices.
+
+    A mask that no earlier orbit reached is the least of its own orbit, and
+    the rest of that orbit is reached by applying the generators to the
+    masks found so far, so only masks of hoods are ever imaged."""
+    images = [[1 << w for w in p] for p in gens]
+    seen = set()
+    reps = []
+    for hood in range(1, 1 << n) if hoods is None else hoods:
+        if hood in seen:
+            continue
+        reps.append(hood)
+        seen.add(hood)
+        stack = [hood]
+        while stack:
+            ids = bits(stack.pop())
+            for image in images:
+                mask = sum(map(image.__getitem__, ids))
+                if mask not in seen:
+                    seen.add(mask)
+                    stack.append(mask)
+    return reps
 
 
 @lru_cache(maxsize=None)
@@ -379,11 +433,8 @@ def _connected_codes(n: int) -> tuple[int, ...]:
     for parent_code in _connected_codes(n - 1):
         base = adjacency_from_code(n - 1, parent_code)
         _, gens = _canonical_search(n - 1, base)
-        d0, least = _least_non_cut(base)
-        for hood in _mask_orbit_representatives(n - 1, gens):
-            size = hood.bit_count()
-            if size > d0 + 1 or size == d0 + 1 and least & ~hood:
-                continue  # a non-cut vertex of P keeps a smaller degree
+        hoods = _admitted_hoods(n - 1, *_least_non_cut(base))
+        for hood in _mask_orbit_representatives(n - 1, gens, hoods):
             adj = [row | new if hood >> u & 1 else row for u, row in enumerate(base)]
             adj.append(hood)
             if _is_least_deletion(adj):

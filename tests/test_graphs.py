@@ -16,6 +16,7 @@ from cycleiso.graphs import (
     component_masks,
     encode_graph6,
     from_edge_list,
+    graph_from_code,
     mask_of,
     parse_edge_list,
     parse_graph6,
@@ -297,6 +298,38 @@ def test_graph6_codec_matches_the_bitwise_reference_for_every_order():
             assert parse_graph6(text.encode()) == g
         code = rng.getrandbits(nbits) if nbits else 0
         assert adjacency_from_code(n, code) == reference_adjacency(n, code)
+
+
+def _assert_decodes_as_checked(n: int, code: int) -> None:
+    g = graph_from_code(n, code)
+    checked = Graph(n, adjacency_from_code(n, code))
+    assert g.adj == checked.adj and g.m == checked.m
+    assert hash(g) == hash(checked) and g == checked
+
+
+def test_graph_from_code_matches_the_checked_constructor(connected_codes8):
+    # every code of orders <= 6, every order-7 class code and a seeded
+    # sample of order-7 codes, and seeded random codes at every density for
+    # n = 0, 1 and 9..30
+    for n in range(7):
+        for code in range(1 << (n * (n - 1) // 2)):
+            _assert_decodes_as_checked(n, code)
+    rng = random.Random(24)
+    for code in connected_codes8[6]:
+        _assert_decodes_as_checked(7, code)
+    for _ in range(2000):
+        _assert_decodes_as_checked(7, rng.getrandbits(21))
+    for n in [0, 1, *range(9, 31)]:
+        nbits = n * (n - 1) // 2
+        for p in (0.0, 0.05, 0.5, 0.95, 1.0):
+            code = sum(1 << b for b in range(nbits) if rng.random() < p)
+            _assert_decodes_as_checked(n, code)
+
+
+@pytest.mark.parametrize("n, code", [(3, 8), (3, -1), (0, 1), (1, 1), (GRAPH6_MAX_N + 1, 0)])
+def test_graph_from_code_rejects_codes_outside_the_pairs(n, code):
+    with pytest.raises(ValueError):
+        graph_from_code(n, code)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from cycleiso.isolation import iota_exact
 from cycleiso.survey import (
     BoundSpec,
     IngestFailure,
+    _admitted_hoods,
     _canonical_search,
     _connected_codes,
     _is_least_deletion,
@@ -45,6 +46,7 @@ from util import (
     oracle_is_least_deletion,
     oracle_mask_orbit_minima,
     oracle_refine,
+    path,
     relabel,
 )
 
@@ -153,6 +155,44 @@ def test_degree_prefilter_drops_only_hoods_the_filter_rejects():
                     assert not _is_least_deletion(adj + [hood])
 
 
+def _admitted(hood: int, d0: int, least: int) -> bool:
+    """The degree prefilter's rule: at most d0 vertices, or d0 + 1 that
+    hold every least-degree non-cut vertex."""
+    size = hood.bit_count()
+    return size <= d0 or size == d0 + 1 and not least & ~hood
+
+
+def _oracle_admitted_minima(g: Graph, gens, d0: int, least: int) -> list[int]:
+    """Admitted masks that no element of the group gens generate maps below
+    themselves, the group listed in full."""
+    group = group_elements(g.n, gens)
+    return [
+        hood for hood in range(1, 1 << g.n)
+        if _admitted(hood, d0, least)
+        and all(sum(1 << p[v] for v in bits(hood)) >= hood for p in group)
+    ]
+
+
+def test_admitted_hood_walk_matches_brute_force(universe7):
+    # the walk over admitted hoods must give exactly the orbit minima the
+    # degree rule admits, for every parent the enumerator extends up to
+    # order 8: Aut(P) keeps d0 and the least-degree non-cut vertices, so the
+    # admitted hoods are a union of orbits
+    for g in universe7:
+        _, gens = _canonical_search(g.n, g.adj)
+        d0, least = _oracle_least_non_cut(g)
+        hoods = _admitted_hoods(g.n, d0, least)
+        assert hoods == [h for h in range(1, 1 << g.n) if _admitted(h, d0, least)]
+        walked = _mask_orbit_representatives(g.n, gens, hoods)
+        if g.n <= 6:
+            expected = [h for h in oracle_mask_orbit_minima(g) if _admitted(h, d0, least)]
+        else:
+            expected = _oracle_admitted_minima(g, gens, d0, least)
+        assert walked == expected
+        every = _mask_orbit_representatives(g.n, gens)
+        assert walked == [h for h in every if _admitted(h, d0, least)]
+
+
 def test_least_deletion_matches_full_key_oracle():
     # every hood of every parent of order <= 6, not only orbit representatives
     for n in range(2, 8):
@@ -188,11 +228,11 @@ def _colours(cells: list[list[int]], n: int) -> list[int]:
     return colours
 
 
-def _assert_refine_matches_oracle(g: Graph) -> None:
+def _assert_refine_matches_oracle(g: Graph, refine=_refine) -> None:
     """From the unit partition, and after individualising each vertex of the
     first non-singleton cell, as the canonical search does."""
     nbrs = [tuple(bits(row)) for row in g.adj]
-    cells = _refine(nbrs, [list(range(g.n))])
+    cells = refine(nbrs, [list(range(g.n))])
     assert _colours(cells, g.n) == oracle_refine(nbrs, [0] * g.n)
     r = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
     if r is None:
@@ -200,8 +240,8 @@ def _assert_refine_matches_oracle(g: Graph) -> None:
     for x in cells[r]:
         child = cells[:r] + [[x], [v for v in cells[r] if v != x]] + cells[r + 1 :]
         expected = oracle_refine(nbrs, _colours(child, g.n))
-        assert _colours(_refine(nbrs, child, frozenset(nbrs[x])), g.n) == expected
-        assert _colours(_refine(nbrs, child), g.n) == expected
+        assert _colours(refine(nbrs, child, frozenset(nbrs[x])), g.n) == expected
+        assert _colours(refine(nbrs, child), g.n) == expected
 
 
 def test_refine_matches_simultaneous_rounds_on_universe7(universe7):
@@ -214,6 +254,50 @@ def test_refine_matches_simultaneous_rounds_on_symmetric_graphs():
     assert min(g.n for g in stream) >= 9 and max(g.n for g in stream) <= 30
     for g in stream:
         _assert_refine_matches_oracle(g)
+
+
+def _mirror_pair_graphs() -> list[Graph]:
+    """Paths, caterpillars and ladders: their reflections pair vertices up,
+    so refinement meets many cells of two vertices."""
+    out = [path(n) for n in range(2, 16)]
+    for spine in range(2, 9):
+        for legs in ((1,) * spine, (2,) * spine, tuple(range(spine)), (0, 1) * spine):
+            edges = [(v, v + 1) for v in range(spine - 1)]
+            n = spine
+            for v, count in zip(range(spine), legs):
+                edges += [(v, u) for u in range(n, n + count)]
+                n += count
+            out.append(from_edge_list(n, edges))
+    for rungs in range(2, 11):
+        edges = [(v, v + rungs) for v in range(rungs)]
+        edges += [(v + side, v + side + 1) for side in (0, rungs) for v in range(rungs - 1)]
+        out.append(from_edge_list(2 * rungs, edges))
+    return out
+
+
+def test_refine_settles_two_vertex_cells_like_the_oracle():
+    # every pair cell handed to _refine either stays whole or splits, its
+    # larger sum first; over these graphs each outcome must occur, both
+    # split orders included.  Every cell keeps its vertices in their order
+    # in the partition it came from, split or not.
+    outcomes = {"kept": 0, "in order": 0, "swapped": 0}
+    real = _refine
+
+    def watching(nbrs, cells, touched=None):
+        out = real(nbrs, cells, touched)
+        position = {v: i for i, v in enumerate(v for cell in cells for v in cell)}
+        assert all(sorted(cell, key=position.__getitem__) == cell for cell in out)
+        at = {v: i for i, cell in enumerate(out) for v in cell}
+        for cell in cells:
+            if len(cell) == 2:
+                u, v = cell
+                outcome = "kept" if at[u] == at[v] else "in order" if at[u] < at[v] else "swapped"
+                outcomes[outcome] += 1
+        return out
+
+    for g in _mirror_pair_graphs():
+        _assert_refine_matches_oracle(g, watching)
+    assert min(outcomes.values()) > 0, outcomes
 
 
 #: sha256 of repr([_connected_codes(n) for n in range(1, 9)]); a rewrite of
@@ -303,7 +387,7 @@ AUTOMORPHISM_GROUP_ORDERS = [
 ]
 
 
-def group_order(n, gens):
+def group_elements(n, gens) -> set[tuple[int, ...]]:
     identity = tuple(range(n))
     seen = {identity}
     frontier = [identity]
@@ -314,7 +398,11 @@ def group_order(n, gens):
             if q not in seen:
                 seen.add(q)
                 frontier.append(q)
-    return len(seen)
+    return seen
+
+
+def group_order(n, gens):
+    return len(group_elements(n, gens))
 
 
 @pytest.mark.parametrize(
@@ -415,6 +503,28 @@ def test_seeded_generators_are_twin_swaps(universe7):
             classes.setdefault(("closed", g.adj[v] | 1 << v), []).append(v)
         expected = math.prod(math.factorial(len(c)) for c in classes.values())
         assert _transposition_group_order(g.n, seeded) == expected
+
+
+def test_twin_swaps_on_two_vertex_cells(universe6):
+    # every pair of every graph, handed over as a cell in both orders: one
+    # swap for open or closed twins, as the twin oracle classes them, else none
+    kinds = {"open": 0, "closed": 0, None: 0}
+    for g in universe6 + [petersen(), cube(), k33()]:
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if g.adj[u] == g.adj[v]:
+                    kind = "open"
+                elif g.adj[u] | 1 << u == g.adj[v] | 1 << v:
+                    kind = "closed"
+                else:
+                    kind = None
+                kinds[kind] += 1
+                swap = list(range(g.n))
+                swap[u], swap[v] = v, u
+                expected = [tuple(swap)] if kind else []
+                assert _twin_swaps(g.adj, [[u, v]]) == expected
+                assert _twin_swaps(g.adj, [[v, u]]) == expected
+    assert min(kinds.values()) > 0, kinds
 
 
 def _transposition_group_order(n: int, gens) -> int:
