@@ -228,24 +228,18 @@ def _twin_swaps(adj: Sequence[int], cells: Iterable[Sequence[int]]) -> list[tupl
 
     Open and closed rows share one dict: the open row of v never equals the
     closed row of u, which holds u, so u would be a neighbour of v and v a
-    member of its own row.  So a cell of two vertices gives at most one
-    swap, and it is tested directly.
+    member of its own row.
     """
     n = len(adj)
     swaps = []
     for cell in cells:
         if len(cell) == 1:
             continue
-        if len(cell) == 2:
-            u, v = cell
-            classes = [cell] if adj[u] == adj[v] or adj[u] | 1 << u == adj[v] | 1 << v else []
-        else:
-            rows: dict[int, list[int]] = {}
-            for v in cell:
-                rows.setdefault(adj[v], []).append(v)
-                rows.setdefault(adj[v] | 1 << v, []).append(v)
-            classes = rows.values()
-        for twins in classes:
+        classes: dict[int, list[int]] = {}
+        for v in cell:
+            classes.setdefault(adj[v], []).append(v)
+            classes.setdefault(adj[v] | 1 << v, []).append(v)
+        for twins in classes.values():
             for u, v in zip(twins, twins[1:]):
                 perm = list(range(n))
                 perm[u], perm[v] = v, u
@@ -399,8 +393,9 @@ def _mask_orbit_representatives(
     n: int, gens: Sequence[Sequence[int]], hoods: Optional[Iterable[int]] = None
 ) -> list[int]:
     """Least mask of each orbit of the group generated by gens on hoods, in
-    increasing order.  hoods must be a union of orbits, in increasing order;
-    it defaults to every non-empty mask over n vertices.
+    increasing order.  hoods must be a union of orbits, in increasing order.
+    The enumerator always passes its admitted hoods; the default, every
+    non-empty mask over n vertices, exists only for the brute-force tests.
 
     A mask that no earlier orbit reached is the least of its own orbit, and
     the rest of that orbit is reached by applying the generators to the
