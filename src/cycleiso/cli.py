@@ -351,8 +351,6 @@ def _report_body(args, report: SurveyReport) -> str:
 
 
 def _cmd_survey(args) -> int:
-    if args.workers < 1:  # --workers is accepted for compatibility only
-        raise CliError("worker count must be at least 1")
     spec = _survey_spec(args)
     started = time.perf_counter()
     graphs = _survey_graphs(args)
@@ -500,9 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="survey every connected graph with at most N vertices",
             )
             p.add_argument("--skip-bad", action="store_true", help="skip malformed graph6 lines")
-            p.add_argument(
-                "--workers", type=int, default=1, help="accepted; surveys run in one process"
-            )
             p.add_argument(
                 "--timing", action="store_true", help="report input, solve, format and wall time"
             )

@@ -20,10 +20,11 @@ the refined equality branches below exist exactly to preserve it.
 
 Each piece of the recursion is one ComponentClass record, a vertex mask of
 the input graph with its edge count, tag and family decomposition, so sets
-and trace steps come out in input ids.  The split into pieces walks each
-component once and counts its edges during the walk, so no piece is
-walked a second time for its edge count.  A ":member" label only marks the
-case of its branch where every endpoint is its own anchor.
+and trace steps come out in input ids.  The split into pieces is
+`graphs.components`, whose one walk per component also counts its edges,
+so no piece is walked a second time for its edge count.  A ":member"
+label only marks the case of its branch where every endpoint is its own
+anchor.
 
 Every level is validated (the set isolates, the size bound holds).  If a
 structural step ever fails validation the level falls back to the exact
@@ -47,6 +48,7 @@ from .graphs import (
     bits,
     boundary_edge_count,
     closed_neighborhood,
+    components,
     is_connected,
     mask_of,
 )
@@ -164,26 +166,8 @@ class _DispatchError(Exception):
 
 
 def _split(g: Graph, alive: VertexSet) -> list[ComponentClass]:
-    """The components of g on alive as piece records, least vertex first.
-    One walk per component visits each vertex once, taking the lowest
-    unvisited one, and sums the degrees |N(u) & alive|, twice the
-    component's edge count."""
-    adj = g.adj
-    out = []
-    while alive:
-        comp = todo = alive & -alive
-        degrees = 0
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            row = adj[low.bit_length() - 1] & alive
-            degrees += row.bit_count()
-            row &= ~comp
-            comp |= row
-            todo |= row
-        out.append(ComponentClass(g, comp, degrees // 2))
-        alive &= ~comp
-    return out
+    """The components of g on alive as piece records, least vertex first."""
+    return [ComponentClass(g, comp, m) for comp, m in components(g.adj, alive)]
 
 
 def _single_bit(mask: VertexSet) -> int:

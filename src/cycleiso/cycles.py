@@ -19,14 +19,15 @@ from .graphs import Graph, VertexSet
 CycleWitness = tuple[int, ...]
 
 
-def _check_k(k: int) -> None:
+def check_length(k: int) -> None:
+    """Raise ValueError unless k is a cycle length, at least 3."""
     if k < 3:
         raise ValueError("cycle length must be at least 3")
 
 
 def find_cycle(g: Graph, k: int, alive: VertexSet | None = None) -> Optional[CycleWitness]:
     """First k-cycle among the `alive` vertices in a fixed deterministic order."""
-    _check_k(k)
+    check_length(k)
     mask = g.full_mask if alive is None else alive
     if mask.bit_count() < k:
         return None
@@ -122,5 +123,5 @@ def _iter_cycles(g: Graph, k: int, mask: VertexSet) -> Iterator[CycleWitness]:
 
 def all_cycles(g: Graph, k: int, alive: VertexSet | None = None) -> list[CycleWitness]:
     """Every k-cycle among the `alive` vertices exactly once, up to rotation/reflection."""
-    _check_k(k)
+    check_length(k)
     return list(_iter_cycles(g, k, g.full_mask if alive is None else alive))

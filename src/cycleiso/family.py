@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cycles import all_cycles
+from .cycles import all_cycles, check_length
 from .graphs import (
     Graph,
     VertexSet,
@@ -94,8 +94,7 @@ def build(tree: Tree, k: int) -> tuple[Graph, ConsDecomposition]:
     Numbering is deterministic: tree vertices keep ids 0..t-1, then cycles
     follow in tree-vertex order, each starting at its attachment vertex.
     """
-    if k < 3:
-        raise ValueError("cycle length must be at least 3")
+    check_length(k)
     t = tree.n
     n = (k + 1) * t
     edges = list(tree.edges)
@@ -147,8 +146,7 @@ def recognize(
        rest, so a connected rest is a tree; the size test also rejects
        n = 0.
     """
-    if k < 3:
-        raise ValueError("cycle length must be at least 3")
+    check_length(k)
     alive = g.full_mask if within is None else as_mask(g, within)
     n = alive.bit_count()
     if n % (k + 1):

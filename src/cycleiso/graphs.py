@@ -6,6 +6,10 @@ boundary edge counts -- then runs in a handful of machine-word operations,
 which matters because these are the inner loops of exhaustive enumeration
 and exact search.  Graphs are immutable after construction and safe to share.
 
+`components` is the one walk that splits a mask into its components, each
+with its edge count, for the solver, the certificate and the constructive
+pieces; `reach` grows a single connected set, for connectivity tests.
+
 graph6 support is bit-exact: column-major upper triangle x(0,1), x(0,2),
 x(1,2), x(0,3), ..., six bits per byte, each byte offset by 63.  Only the
 single-byte order header (n <= 62) is supported.  The 6-bit groups are
@@ -72,11 +76,6 @@ def bits(mask: VertexSet) -> tuple[int, ...]:
         ids.append(low.bit_length() - 1)
         mask ^= low
     return tuple(ids)
-
-
-def bit_set(mask: VertexSet) -> frozenset[int]:
-    """The vertex ids in a mask as a frozenset."""
-    return frozenset(bits(mask))
 
 
 def _reject(n: int, adj: Sequence[VertexSet]) -> NoReturn:
@@ -200,13 +199,24 @@ def reach(adj: Sequence[VertexSet], start: VertexSet, alive: VertexSet) -> Verte
     return comp
 
 
-def component_masks(g: Graph, within: VertexSet | None = None) -> list[VertexSet]:
-    """Vertex masks of the connected components of g (or of g restricted to a mask)."""
-    alive = g.full_mask if within is None else as_mask(g, within)
+def components(adj: Sequence[VertexSet], alive: VertexSet) -> list[tuple[VertexSet, int]]:
+    """The components of the subgraph induced on alive as (vertex mask, edge
+    count), least vertex first.  One walk per component visits each vertex
+    once, taking the lowest unvisited one, and sums the degrees
+    |N(u) & alive|, twice the component's edge count."""
     out = []
     while alive:
-        comp = reach(g.adj, alive & -alive, alive)
-        out.append(comp)
+        comp = todo = alive & -alive
+        degrees = 0
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            row = adj[low.bit_length() - 1] & alive
+            degrees += row.bit_count()
+            row &= ~comp
+            comp |= row
+            todo |= row
+        out.append((comp, degrees // 2))
         alive &= ~comp
     return out
 

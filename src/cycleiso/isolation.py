@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .cycles import CycleWitness, find_cycle
+from .cycles import CycleWitness, check_length, find_cycle
 from .graphs import (
     Graph,
     VertexSet,
@@ -51,7 +51,7 @@ from .graphs import (
     bits,
     boundary_edge_count,
     closed_neighborhood,
-    component_masks,
+    components,
 )
 
 #: graphs above this order require an explicit node budget
@@ -106,11 +106,10 @@ class ExactResult:
 
 def verify(g: Graph, d: Union[VertexSet, Iterable[int]], k: int) -> IsolationCertificate:
     """Certificate stating whether d is a k-cycle-isolating set of g."""
-    if k < 3:
-        raise ValueError("cycle length must be at least 3")
+    check_length(k)
     dm = as_mask(g, d)
     alive = g.full_mask & ~closed_neighborhood(g, dm)
-    residual = tuple(component_masks(g, alive))
+    residual = tuple(comp for comp, _ in components(g.adj, alive))
     valid = find_cycle(g, k, alive) is None
     return IsolationCertificate(k=k, members=dm, valid=valid, residual=residual)
 
@@ -298,8 +297,7 @@ def iota_exact(
     fits in the nodes left.  A skipped walk's nodes are missing from
     `explored`.
     """
-    if k < 3:
-        raise ValueError("cycle length must be at least 3")
+    check_length(k)
     alive = g.full_mask if within is None else as_mask(g, within)
     if node_budget is None and alive.bit_count() > UNBUDGETED_MAX_N:
         raise ValueError(
@@ -308,7 +306,7 @@ def iota_exact(
     total = 0
     found = 0
     explored = 0
-    comps = component_masks(g, alive)
+    comps = [comp for comp, _ in components(g.adj, alive)]
     for comp in comps:
         budget = None if node_budget is None else node_budget - explored
         search = _Search(g, comp, k, budget)
@@ -343,8 +341,7 @@ def check_gluing_hypothesis(
     With `within`, G is the subgraph induced on that vertex mask: S must
     lie inside it, and only edges to the rest of the mask leave S.
     """
-    if k < 3:
-        raise ValueError("cycle length must be at least 3")
+    check_length(k)
     alive = g.full_mask if within is None else as_mask(g, within)
     sm = as_mask(g, s)
     dm = as_mask(g, d)
@@ -356,7 +353,7 @@ def check_gluing_hypothesis(
     if find_cycle(g, k, residual) is not None:
         return False
     outside = alive & ~sm
-    for comp in component_masks(g, residual):
+    for comp, _ in components(g.adj, residual):
         if boundary_edge_count(g, comp, outside) > 1:
             return False
     return True

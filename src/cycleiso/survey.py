@@ -134,7 +134,6 @@ from .graphs import (
     Graph,
     GraphFormatError,
     adjacency_from_code,
-    bit_set,
     bits,
     encode_graph6,
     graph_from_code,
@@ -325,7 +324,7 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
             # individualise x: it goes before the rest of its cell, and only
             # the cells it has neighbours in can split in the first round
             child = cells[:r] + [[x], [v for v in target if v != x]] + cells[r + 1 :]
-            resume = search(_refine(nbrs, child, bit_set(adj[x])), path | 1 << x, r, partial)
+            resume = search(_refine(nbrs, child, frozenset(nbrs[x])), path | 1 << x, r, partial)
             if resume < r:
                 return resume
         return n
@@ -335,6 +334,9 @@ def _canonical_search(n: int, adj: Sequence[int]) -> tuple[int, list[tuple[int, 
     for perm in _twin_swaps(adj, cells):
         add(perm)
     search(cells, 0, 0, 0)
+    # search's own cell refers to search: emptying it frees the search's
+    # closures and partitions now rather than at the next cyclic collection
+    del search
     return best, gens
 
 
@@ -389,13 +391,10 @@ def _admitted_hoods(n: int, d0: int, least: int) -> list[int]:
     return sorted(h for h in hoods if h.bit_count() <= d0 or not least & ~h)
 
 
-def _mask_orbit_representatives(
-    n: int, gens: Sequence[Sequence[int]], hoods: Optional[Iterable[int]] = None
-) -> list[int]:
+def _mask_orbit_representatives(gens: Sequence[Sequence[int]], hoods: Iterable[int]) -> list[int]:
     """Least mask of each orbit of the group generated by gens on hoods, in
-    increasing order.  hoods must be a union of orbits, in increasing order.
-    The enumerator always passes its admitted hoods; the default, every
-    non-empty mask over n vertices, exists only for the brute-force tests.
+    increasing order.  hoods must be a union of orbits, in increasing order:
+    the enumerator passes its admitted hoods.
 
     A mask that no earlier orbit reached is the least of its own orbit, and
     the rest of that orbit is reached by applying the generators to the
@@ -403,7 +402,7 @@ def _mask_orbit_representatives(
     images = [[1 << w for w in p] for p in gens]
     seen = set()
     reps = []
-    for hood in range(1, 1 << n) if hoods is None else hoods:
+    for hood in hoods:
         if hood in seen:
             continue
         reps.append(hood)
@@ -429,7 +428,7 @@ def _connected_codes(n: int) -> tuple[int, ...]:
         base = adjacency_from_code(n - 1, parent_code)
         _, gens = _canonical_search(n - 1, base)
         hoods = _admitted_hoods(n - 1, *_least_non_cut(base))
-        for hood in _mask_orbit_representatives(n - 1, gens, hoods):
+        for hood in _mask_orbit_representatives(gens, hoods):
             adj = [row | new if hood >> u & 1 else row for u, row in enumerate(base)]
             adj.append(hood)
             if _is_least_deletion(adj):

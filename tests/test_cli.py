@@ -112,13 +112,6 @@ def test_survey_byte_identical_runs(capsys):
     assert out1 == out2
 
 
-def test_survey_parallel_flag_identical_output(capsys):
-    base = ("survey", "--enumerate", "5", "-k", "5", "--conjecture", "--format", "csv")
-    _, seq, _ = run_cli(capsys, *base, "--workers", "1")
-    _, par, _ = run_cli(capsys, *base, "--workers", "2")
-    assert seq == par
-
-
 def test_check_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "check", "--graph6", encode_graph6(diamond()), "-k", "4",
@@ -326,11 +319,11 @@ def test_survey_enumerate_above_eight_fails_before_enumerating(capsys, no_enumer
     )
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_survey_worker_count_below_one_fails_before_enumerating(capsys, no_enumeration, workers):
-    assert run_cli(capsys, "survey", "--enumerate", "8", "--workers", workers) == (
-        1, "", "error: worker count must be at least 1\n"
-    )
+def test_survey_workers_option_is_gone(capsys, no_enumeration):
+    # surveys run in one process; the option that took a worker count was removed
+    code, out, err = run_cli(capsys, "survey", "--enumerate", "8", "--workers", "1")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --workers 1" in err
 
 
 BUDGET_COMMANDS = [("exact",), ("check", "--bound-c4"), ("survey", "--bound-c4")]

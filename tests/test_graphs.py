@@ -9,11 +9,10 @@ from cycleiso.graphs import (
     Graph,
     GraphFormatError,
     adjacency_from_code,
-    bit_set,
     bits,
     boundary_edge_count,
     closed_neighborhood,
-    component_masks,
+    components,
     encode_graph6,
     from_edge_list,
     graph_from_code,
@@ -30,6 +29,7 @@ from util import (
     format_edge_list,
     graph_from_bitmask,
     induced_subgraph,
+    oracle_components,
     reference_adjacency,
     reference_graph6,
     reference_graph_error,
@@ -182,27 +182,48 @@ def test_deleted_vertices_not_adjacent_to_members():
 
 def test_connected_components_single():
     g = cycle(4)
-    masks = component_masks(g)
-    assert masks == [g.full_mask]
-    sub, _ = induced_subgraph(g, masks[0])
-    assert sub == g
+    assert components(g.adj, g.full_mask) == [(g.full_mask, 4)]
 
 
 def test_connected_components_union():
     g = disjoint_union(cycle(4), diamond())
-    split = [induced_subgraph(g, m) for m in component_masks(g)]
+    comps = components(g.adj, g.full_mask)
+    split = [induced_subgraph(g, mask) for mask, _ in comps]
     assert [emb for _, emb in split] == [(0, 1, 2, 3), (4, 5, 6, 7)]
     assert [sub.n for sub, _ in split] == [4, 4]
-    assert [sub.m for sub, _ in split] == [4, 5]
+    assert [sub.m for sub, _ in split] == [m for _, m in comps] == [4, 5]
 
 
 def test_connected_components_empty_graph():
-    assert component_masks(from_edge_list(0, [])) == []
+    assert components(from_edge_list(0, []).adj, 0) == []
+    assert components(cycle(4).adj, 0) == []
+
+
+def _brute_edge_count(g: Graph, mask: int) -> int:
+    inside = [v for v in range(g.n) if mask >> v & 1]
+    return sum(g.adj[u] >> v & 1 for u in inside for v in inside if u < v)
+
+
+def test_components_count_edges_by_brute_force():
+    # isolated vertices are pieces of no edges; a mask that cuts a cycle
+    # leaves a path
+    g = disjoint_union(from_edge_list(3, [(1, 2)]), cycle(5))
+    assert components(g.adj, g.full_mask) == [(0b1, 0), (0b110, 1), (0b11111000, 5)]
+    assert components(g.adj, 0b11011001) == [(0b1, 0), (0b11011000, 3)]
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 11)
+        pairs = n * (n - 1) // 2
+        h = graph_from_bitmask(n, rng.getrandbits(pairs) & rng.getrandbits(pairs))
+        for alive in (0, h.full_mask, rng.getrandbits(n)):
+            comps = components(h.adj, alive)
+            assert [mask for mask, _ in comps] == [mask for mask, _ in oracle_components(h, alive)]
+            assert [m for _, m in comps] == [_brute_edge_count(h, mask) for mask, _ in comps]
 
 
 def test_components_partition_and_no_cross_edges():
     g = disjoint_union(c4_plus(), cycle(3))
-    masks = component_masks(g)
+    masks = [mask for mask, _ in components(g.adj, g.full_mask)]
     seen = []
     for m in masks:
         seen.extend(bits(m))
@@ -422,13 +443,6 @@ def test_graph_attributes_cannot_be_deleted():
     assert (g.n, g.adj, g.m) == (4, cycle(4).adj, 4)
 
 
-def test_bit_set_matches_bits():
-    rng = random.Random(62)
-    rows = list(range(4096)) + [rng.getrandbits(rng.randint(1, 62)) for _ in range(2000)]
-    for row in rows:
-        assert bit_set(row) == frozenset(bits(row))
-
-
 def _reference_bits(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
@@ -446,12 +460,9 @@ def test_bits_matches_a_per_bit_reference():
     masks.append(1 << 200)
     for mask in masks:
         assert bits(mask) == _reference_bits(mask), mask
-        assert bit_set(mask) == frozenset(_reference_bits(mask))
 
 
 @pytest.mark.parametrize("mask", [-1, -2, -255, -256, -(1 << 64), -(1 << 200) + 1])
 def test_bits_rejects_a_negative_mask(mask):
     with pytest.raises(ValueError, match="^a vertex mask cannot be negative$"):
         bits(mask)
-    with pytest.raises(ValueError, match="^a vertex mask cannot be negative$"):
-        bit_set(mask)

@@ -5,7 +5,9 @@
 `check_gluing_hypothesis(g, s, d, k, within)` and the constructive piece
 records of `_split(g, alive)` work on the subgraph induced on a mask,
 in g's ids.  Each must equal the same call on the `induced_subgraph` copy
-with its answer mapped back through the embedding.
+with its answer mapped back through the embedding.  The pieces and
+`components(adj, alive)`, which share one walk, are each checked against
+a union-find oracle.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import pytest
 from cycleiso.constructive import _split, classify_component
 from cycleiso.cycles import all_cycles
 from cycleiso.family import ConsDecomposition, Constituent, Tree, build, recognize
-from cycleiso.graphs import Graph, component_masks, from_edge_list, mask_of
+from cycleiso.graphs import Graph, components, from_edge_list, mask_of
 from cycleiso.isolation import check_gluing_hypothesis, iota_exact
-from util import graph_from_bitmask, induced_subgraph, path, relabel
+from util import graph_from_bitmask, induced_subgraph, oracle_components, path, relabel
 
 
 def _lift(decomp: ConsDecomposition | None, emb: tuple[int, ...]):
@@ -86,12 +88,9 @@ def test_mask_arguments_match_the_renumbered_subgraph():
 
 def test_split_counts_the_edges_of_each_piece():
     for g, mask in _cases():
-        pieces = _split(g, mask)
-        assert [c.mask for c in pieces] == component_masks(g, mask)
-        for c in pieces:
-            inside = [v for v in range(g.n) if c.mask >> v & 1]
-            brute = sum(g.adj[u] >> v & 1 for u in inside for v in inside if u < v)
-            assert c.m == brute
+        want = oracle_components(g, mask)
+        assert [(c.mask, c.m) for c in _split(g, mask)] == want
+        assert components(g.adj, mask) == want
 
 
 def _hung_graph(rng: random.Random) -> Graph:
@@ -119,7 +118,8 @@ def test_piece_record_matches_the_renumbered_piece():
     for g in cases:
         for v in range(g.n):
             alive = g.full_mask & ~(1 << v)
-            for got, mask in zip(_split(g, alive), component_masks(g, alive), strict=True):
+            pieces = zip(_split(g, alive), oracle_components(g, alive), strict=True)
+            for got, (mask, _) in pieces:
                 sub, emb = induced_subgraph(g, mask)
                 want = classify_component(sub)
                 assert (got.mask, got.tag, got.m) == (mask, want.tag, want.m)

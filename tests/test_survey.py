@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -13,6 +14,7 @@ from cycleiso.graphs import (
     encode_graph6,
     from_edge_list,
     is_connected,
+    parse_graph6,
 )
 from cycleiso.isolation import iota_exact
 from cycleiso.survey import (
@@ -147,7 +149,7 @@ def test_degree_prefilter_drops_only_hoods_the_filter_rejects():
             parent = graph_from_code(n - 1, parent_code)
             d0, least = _oracle_least_non_cut(parent)
             _, gens = _canonical_search(parent.n, parent.adj)
-            for hood in _mask_orbit_representatives(parent.n, gens):
+            for hood in _mask_orbit_representatives(gens, range(1, 1 << parent.n)):
                 size = hood.bit_count()
                 if size > d0 + 1 or size == d0 + 1 and least & ~hood:
                     adj = [row | 1 << (n - 1) if hood >> u & 1 else row
@@ -183,13 +185,13 @@ def test_admitted_hood_walk_matches_brute_force(universe7):
         d0, least = _oracle_least_non_cut(g)
         hoods = _admitted_hoods(g.n, d0, least)
         assert hoods == [h for h in range(1, 1 << g.n) if _admitted(h, d0, least)]
-        walked = _mask_orbit_representatives(g.n, gens, hoods)
+        walked = _mask_orbit_representatives(gens, hoods)
         if g.n <= 6:
             expected = [h for h in oracle_mask_orbit_minima(g) if _admitted(h, d0, least)]
         else:
             expected = _oracle_admitted_minima(g, gens, d0, least)
         assert walked == expected
-        every = _mask_orbit_representatives(g.n, gens)
+        every = _mask_orbit_representatives(gens, range(1, 1 << g.n))
         assert walked == [h for h in every if _admitted(h, d0, least)]
 
 
@@ -573,7 +575,28 @@ def test_mask_orbit_representatives_match_brute_force(universe6):
     # empty and complete graphs go through the search like every other graph
     for g in universe6 + [graph_from_bitmask(n, 0) for n in range(1, 7)]:
         _, gens = _canonical_search(g.n, g.adj)
-        assert _mask_orbit_representatives(g.n, gens) == oracle_mask_orbit_minima(g)
+        reps = _mask_orbit_representatives(gens, range(1, 1 << g.n))
+        assert reps == oracle_mask_orbit_minima(g)
+
+
+def test_canonical_search_leaves_no_reference_cycles(cold_enumeration_cache):
+    # with the collector off, whatever a search leaves in a reference cycle
+    # stays unreachable until gc.collect() finds it; a clean search frees
+    # everything on return.  The graphs are the truncated tetrahedron, the
+    # Petersen graph, K4 and the path on 3 vertices.
+    graphs = [parse_graph6(g6) for g6 in ("K{O__cI@OP?b", "IheA@GUAo", "C~", "Bg")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for g in graphs:
+            canonical_code(g.n, g.adj)
+            assert gc.collect() == 0
+        _connected_codes(6)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_ingest_single_record():

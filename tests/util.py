@@ -91,6 +91,30 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
     return from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
+def oracle_components(g: Graph, alive: VertexSet) -> list[tuple[VertexSet, int]]:
+    """(vertex mask, edge count) of each component of the subgraph induced
+    on alive, least vertex first: a union-find over the edges with both
+    ends in alive, whose trees are rooted at their least vertex."""
+    root = {v: v for v in range(g.n) if alive >> v & 1}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    inside = [(u, v) for u, v in g.edges() if u in root and v in root]
+    for u, v in inside:
+        a, b = find(u), find(v)
+        root[max(a, b)] = min(a, b)
+    masks: dict[int, int] = {}
+    sizes: dict[int, int] = {}
+    for v in root:
+        masks[find(v)] = masks.get(find(v), 0) | 1 << v
+    for u, _ in inside:
+        sizes[find(u)] = sizes.get(find(u), 0) + 1
+    return [(masks[r], sizes.get(r, 0)) for r in sorted(masks)]
+
+
 def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, tuple[int, ...]]:
     """Renumbering oracle: the subgraph on `keep` with ids 0.. in increasing
     parent-id order, plus the embedding local id -> parent id."""
