@@ -22,9 +22,14 @@ Each piece of the recursion is one ComponentClass record, a vertex mask of
 the input graph with its edge count, tag and family decomposition, so sets
 and trace steps come out in input ids.  The split into pieces is
 `graphs.components`, whose one walk per component also counts its edges,
-so no piece is walked a second time for its edge count.  A ":member"
-label only marks the case of its branch where every endpoint is its own
-anchor.
+so no piece is walked a second time for its edge count: `recognize` takes
+that count too.  A ":member" label only marks the case of its branch where
+every endpoint is its own anchor.
+
+The recursion reads only masks it built itself from the input's rows, each
+a subset of the piece at hand, so it calls the unchecked kernels
+`graphs.closed_of` and `graphs.edges_between` rather than the validating
+public helpers; the input graph is checked once, when it is built.
 
 Every level is validated (the set isolates, the size bound holds).  If a
 structural step ever fails validation the level falls back to the exact
@@ -46,9 +51,9 @@ from .graphs import (
     Graph,
     VertexSet,
     bits,
-    boundary_edge_count,
-    closed_neighborhood,
+    closed_of,
     components,
+    edges_between,
     is_connected,
     mask_of,
 )
@@ -136,7 +141,7 @@ class ComponentClass:
         elif n == 4 and m == 5:
             self.tag = "diamond"
         else:
-            self.decomposition = recognize(g, 4, mask)
+            self.decomposition = recognize(g, 4, mask, m=m)
             self.tag = "other" if self.decomposition is None else "extremal"
 
     def conn_mask(self) -> VertexSet:
@@ -223,7 +228,7 @@ def _construct(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceSt
 
 
 def _isolates(g: Graph, p: VertexSet, d: VertexSet) -> bool:
-    alive = p & ~closed_neighborhood(g, d)
+    alive = p & ~closed_of(g.adj, d)
     return find_cycle(g, 4, alive) is None
 
 
@@ -268,10 +273,14 @@ def _dispatch(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceSte
         return _result(g, p, "base:m<=5", p, d)
     # the least vertex of maximum degree; sets and traces depend on the tie-break
     v = delta = -1
-    for u in bits(p):
+    rest = p
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
         du = (adj[u] & p).bit_count()
         if du > delta:
             v, delta = u, du
+        rest ^= low
     if delta == 3:
         return _case1(g, p)
     return _case2(g, piece, v, delta)
@@ -280,13 +289,12 @@ def _dispatch(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceSte
 # -- maximum degree 3 ----------------------------------------------------------
 
 
-def _span_edges(g: Graph, mask: VertexSet) -> int:
-    return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
-
-
 def _case1(g: Graph, p: VertexSet) -> tuple[VertexSet, list[TraceStep]]:
-    cycles = all_cycles(g, 4, p)
-    spans = [(cyc, mask_of(cyc), _span_edges(g, mask_of(cyc))) for cyc in cycles]
+    adj = g.adj
+    spans = []
+    for cyc in all_cycles(g, 4, p):
+        mask = mask_of(cyc)
+        spans.append((cyc, mask, edges_between(adj, mask, mask) // 2))
     for cyc, mask, se in spans:
         if se == 6:
             if mask != p:
@@ -298,7 +306,7 @@ def _case1(g: Graph, p: VertexSet) -> tuple[VertexSet, list[TraceStep]]:
         return _subcase_1_1(g, p, mask)
     # with no K4 or diamond span a vertex set holds one 4-cycle, so keys are unique
     e, _, cyc, mask = min(
-        (boundary_edge_count(g, m, p & ~m), sorted(c), c, m) for c, m, _ in spans
+        (edges_between(adj, m, p & ~m), sorted(c), c, m) for c, m, _ in spans
     )
     return _subcase_1_2(g, p, cyc, mask, e)
 
@@ -464,7 +472,7 @@ def _sub_1_2_234(
         # a family component attached by fewer edges would expose one of its
         # cycles with a smaller boundary than the minimal working cycle
         h1 = next(
-            (c for c in extremals if boundary_edge_count(g, c.mask, wmask) == e - 1),
+            (c for c in extremals if edges_between(g.adj, c.mask, wmask) == e - 1),
             None,
         )
         if h1 is None:
@@ -494,17 +502,18 @@ def _case2(
     g: Graph, piece: ComponentClass, v: int, delta: int
 ) -> tuple[VertexSet, list[TraceStep]]:
     p = piece.mask
-    nv_closed = (g.adj[v] & p) | (1 << v)
+    adj = g.adj
+    nv_closed = (adj[v] & p) | (1 << v)
     rest = p & ~nv_closed
     if rest == 0:
         return _result(g, p, "Case 2:e=0", nv_closed, 1 << v)
     comps = _split(g, rest)
-    e = boundary_edge_count(g, nv_closed, rest)
+    e = edges_between(adj, nv_closed, rest)
     specials = [c for c in comps if c.tag != "other"]
     others = [c for c in comps if c.tag == "other"]
 
     if not specials:
-        inner = _span_edges(g, nv_closed)
+        inner = edges_between(adj, nv_closed, nv_closed) // 2
         if delta == 4 and e == 1 and inner == 4:
             return _result(
                 g, p, "Case 2:star-bridge", nv_closed, 0, recursed=others, lemma_s=nv_closed
@@ -514,10 +523,10 @@ def _case2(
         )
 
     def n_of(c: ComponentClass) -> VertexSet:
-        return closed_neighborhood(g, c.mask) & p & ~c.mask
+        return closed_of(adj, c.mask) & p & ~c.mask
 
     def e_of(c: ComponentClass) -> int:
-        return boundary_edge_count(g, c.mask, nv_closed)
+        return edges_between(adj, c.mask, nv_closed)
 
     qualifying = [c for c in specials if n_of(c).bit_count() == 1 or e_of(c) <= 2]
     if qualifying:
@@ -632,7 +641,7 @@ def _subcase_2_2(
 
             def bridges(x: int) -> int:
                 hood = (g.adj[x] & hstar) | (1 << x)
-                return sum((g.adj[y] & nv_open).bit_count() for y in bits(hood))
+                return edges_between(g.adj, hood, nv_open)
 
             best_u = max(bits(hstar), key=bridges)
             if bridges(best_u) < 2:

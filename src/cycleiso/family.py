@@ -26,6 +26,7 @@ from .graphs import (
     VertexSet,
     as_mask,
     bits,
+    edges_between,
     from_edge_list,
     is_connected,
     mask_of,
@@ -116,12 +117,14 @@ def build(tree: Tree, k: int) -> tuple[Graph, ConsDecomposition]:
 
 
 def recognize(
-    g: Graph, k: int, within: VertexSet | None = None
+    g: Graph, k: int, within: VertexSet | None = None, *, m: int | None = None
 ) -> Optional[ConsDecomposition]:
     """Decomposition witnessing membership in the family, or None.
 
     With `within`, the subgraph induced on that vertex mask is recognised
-    and the decomposition is given in g's ids.  After the order and size
+    and the decomposition is given in g's ids.  A caller that has counted
+    that subgraph's edges passes the count as `m`, which is trusted, not
+    checked, and saves a walk over the mask.  After the order and size
     tests (n = (k+1)t vertices, (k+2)t - 1 edges), candidate constituent
     cycles are the k-cycles whose vertices all have degree 2 except
     exactly one of degree 3, and only two tests can fail: the candidates'
@@ -153,7 +156,9 @@ def recognize(
         return None
     t = n // (k + 1)
     adj = g.adj
-    if sum((adj[v] & alive).bit_count() for v in bits(alive)) != 2 * ((k + 2) * t - 1):
+    if m is None:
+        m = edges_between(adj, alive, alive) // 2
+    if m != (k + 2) * t - 1:
         return None
     used = 0
     constituents = []
@@ -186,13 +191,6 @@ def recognize(
         constituents=tuple(constituents),
         tree_edges=tree_edges,
     )
-
-
-def recovered_tree(decomp: ConsDecomposition) -> Tree:
-    """The anchor tree of a decomposition, renumbered to 0..t-1."""
-    ids = bits(decomp.connection_vertices)
-    index = {v: i for i, v in enumerate(ids)}
-    return Tree(len(ids), tuple((index[u], index[v]) for u, v in decomp.tree_edges))
 
 
 # -- tree enumeration up to isomorphism ---------------------------------------

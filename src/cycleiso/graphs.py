@@ -10,6 +10,15 @@ and exact search.  Graphs are immutable after construction and safe to share.
 with its edge count, for the solver, the certificate and the constructive
 pieces; `reach` grows a single connected set, for connectivity tests.
 
+The public set helpers, `as_mask`, `closed_neighborhood` and
+`boundary_edge_count`, take a Graph and validate every set they are given:
+ids outside 0..n-1, negative masks and, for e(A, B), overlapping sets raise
+ValueError.  The mask kernels `reach`, `components`, `closed_of` and
+`edges_between` take the adjacency rows and masks the caller vouches for,
+and check nothing; the public helpers validate, then call them.  Code that
+builds its masks from a graph's own rows, like the constructive recursion,
+calls the kernels directly.
+
 graph6 support is bit-exact: column-major upper triangle x(0,1), x(0,2),
 x(1,2), x(0,3), ..., six bits per byte, each byte offset by 63.  Only the
 single-byte order header (n <= 62) is supported.  The 6-bit groups are
@@ -159,7 +168,10 @@ def _fill(g: Graph, n: int, adj: tuple[VertexSet, ...], m: int) -> None:
 
 def as_mask(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexSet:
     """Coerce an int mask or an iterable of ids to a validated mask for g."""
-    m = s if isinstance(s, int) else mask_of(s)
+    try:
+        m = s if isinstance(s, int) else mask_of(s)
+    except ValueError:  # 1 << v refuses a negative id
+        m = -1
     if m < 0 or m & ~g.full_mask:
         raise ValueError("vertex set contains ids outside 0..n-1")
     return m
@@ -180,11 +192,28 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def closed_neighborhood(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexSet:
     """N[S] = S together with every neighbour of a member of S."""
-    m = as_mask(g, s)
-    out = m
-    for v in bits(m):
-        out |= g.adj[v]
+    return closed_of(g.adj, as_mask(g, s))
+
+
+def closed_of(adj: Sequence[VertexSet], mask: VertexSet) -> VertexSet:
+    """N[S] for a mask of valid ids, unchecked."""
+    out = mask
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
     return out
+
+
+def edges_between(adj: Sequence[VertexSet], a: VertexSet, b: VertexSet) -> int:
+    """e(A, B) for disjoint masks of valid ids, unchecked; with b = a it is
+    twice the edge count of the subgraph induced on a."""
+    total = 0
+    while a:
+        low = a & -a
+        total += (adj[low.bit_length() - 1] & b).bit_count()
+        a ^= low
+    return total
 
 
 def reach(adj: Sequence[VertexSet], start: VertexSet, alive: VertexSet) -> VertexSet:
@@ -233,7 +262,7 @@ def boundary_edge_count(
     mb = as_mask(g, b)
     if ma & mb:
         raise ValueError("boundary_edge_count requires disjoint vertex sets")
-    return sum((g.adj[v] & mb).bit_count() for v in bits(ma))
+    return edges_between(g.adj, ma, mb)
 
 
 # -- graph6 ------------------------------------------------------------------

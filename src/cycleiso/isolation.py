@@ -49,9 +49,9 @@ from .graphs import (
     VertexSet,
     as_mask,
     bits,
-    boundary_edge_count,
-    closed_neighborhood,
+    closed_of,
     components,
+    edges_between,
 )
 
 #: graphs above this order require an explicit node budget
@@ -108,7 +108,7 @@ def verify(g: Graph, d: Union[VertexSet, Iterable[int]], k: int) -> IsolationCer
     """Certificate stating whether d is a k-cycle-isolating set of g."""
     check_length(k)
     dm = as_mask(g, d)
-    alive = g.full_mask & ~closed_neighborhood(g, dm)
+    alive = g.full_mask & ~closed_of(g.adj, dm)
     residual = tuple(comp for comp, _ in components(g.adj, alive))
     valid = find_cycle(g, k, alive) is None
     return IsolationCertificate(k=k, members=dm, valid=valid, residual=residual)
@@ -349,11 +349,13 @@ def check_gluing_hypothesis(
         raise ValueError("S must be contained in the vertex mask")
     if dm & ~sm:
         raise ValueError("D must be contained in S")
-    residual = sm & ~closed_neighborhood(g, dm)
+    # the masks are checked above, so the kernels take them as they are
+    adj = g.adj
+    residual = sm & ~closed_of(adj, dm)
     if find_cycle(g, k, residual) is not None:
         return False
     outside = alive & ~sm
-    for comp, _ in components(g.adj, residual):
-        if boundary_edge_count(g, comp, outside) > 1:
+    for comp, _ in components(adj, residual):
+        if edges_between(adj, comp, outside) > 1:
             return False
     return True

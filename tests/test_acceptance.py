@@ -21,7 +21,6 @@ from cycleiso.family import (
     build,
     enumerate_trees,
     recognize,
-    recovered_tree,
     tree_canonical_key,
 )
 from cycleiso.graphs import encode_graph6, mask_of, parse_graph6
@@ -39,6 +38,7 @@ from util import (
     graph_from_bitmask,
     induced_subgraph,
     oracle_connected_class_count,
+    recovered_tree,
 )
 
 K13_PLUS = Tree(5, ((0, 1), (0, 2), (0, 3), (1, 4)))

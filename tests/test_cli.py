@@ -571,9 +571,10 @@ def test_bound_grammar_errors():
 
 
 # Violators of the --conjecture preset (m+1)/(k+2): each has the iota of its
-# row above the bound, found by solving cubic and generalised Petersen graphs
-# beyond the order-8 enumeration.
+# row above the bound, found by solving cubic graphs, their truncations and
+# generalised Petersen graphs beyond the order-8 enumeration.
 GP_13_5 = "YhCGGC@?G?_@_@_?G?@??C??G??GA?C@?@?O?GQ??`G?@AO?@AO??`G?"
+TRUNCATED_PRISM = "Q{O__cG@GP?a?_?O?@O?I??g?@W"  # the truncated triangular prism
 CONJECTURE_PRESET_VIOLATORS = [
     ("K{O__cI@OP?b", 8, "K{O__cI@OP?b,12,18,8,2,19,10,violation,"),  # truncated tetrahedron
     ("LF`@?OH@OD?a?b", 8, "LF`@?OH@OD?a?b,13,18,8,2,19,10,violation,"),
@@ -582,6 +583,8 @@ CONJECTURE_PRESET_VIOLATORS = [
     ("OhCGKE?O@@AAAA@@?SOAa", 11, "OhCGKE?O@@AAAA@@?SOAa,16,24,11,2,25,13,violation,"),  # GP(8,2)
     (GP_13_5, 12, f"{GP_13_5},26,39,12,3,20,7,violation,"),
     (GP_13_5, 13, f"{GP_13_5},26,39,13,3,8,3,violation,"),
+    (TRUNCATED_PRISM, 13, f"{TRUNCATED_PRISM},18,27,13,2,28,15,violation,"),
+    (TRUNCATED_PRISM, 14, f"{TRUNCATED_PRISM},18,27,14,2,7,4,violation,"),
 ]
 
 

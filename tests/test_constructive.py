@@ -1,9 +1,11 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from cycleiso import constructive
 from cycleiso.constructive import (
     FALLBACK_NODE_BUDGET,
     TRACE_LABELS,
@@ -12,16 +14,18 @@ from cycleiso.constructive import (
     classify_component,
     construct,
 )
-from cycleiso.family import Tree, build
+from cycleiso.family import Tree, build, enumerate_trees, recognize
 from cycleiso.graphs import (
     Graph,
     bits,
     encode_graph6,
     from_edge_list,
+    graph_from_code,
     mask_of,
     parse_graph6,
 )
 from cycleiso.isolation import BudgetExceededError, iota_exact, verify
+from cycleiso.survey import _connected_codes
 from util import (
     c4_plus,
     complete,
@@ -252,8 +256,6 @@ def test_equality_cases_n7(universe7):
 
 
 def test_members_get_their_canonical_set():
-    from cycleiso.family import enumerate_trees, recognize
-
     for n in range(1, 5):
         for tree in enumerate_trees(n):
             g, decomp = build(tree, 4)
@@ -556,3 +558,92 @@ def test_big_combined_graph_stays_sound():
     assert verify(g, d, 4).valid
     assert d.bit_count() <= (g.m + 1) // 6
     assert not trace.used_fallback()
+
+
+@pytest.fixture(scope="module")
+def members_and_hung() -> list[Graph]:
+    """cons(T, 4) for every tree T on at most six vertices, then random
+    graphs with hung squares and diamonds."""
+    members = [build(tree, 4)[0] for t in range(1, 7) for tree in enumerate_trees(t)]
+    return members + _hung_corpus(5, 150)
+
+
+def test_recognize_takes_each_pieces_counted_edges(monkeypatch, members_and_hung):
+    # every piece hands recognize the edge count its component walk took;
+    # with it or without it, recognize gives the same decomposition
+    calls = []
+    real = constructive.recognize
+
+    def recording(g, k, within=None, *, m=None):
+        calls.append((g, within, m))
+        return real(g, k, within, m=m)
+
+    monkeypatch.setattr(constructive, "recognize", recording)
+    for g in members_and_hung:
+        construct(g)
+    monkeypatch.undo()
+    found = 0
+    for g, mask, m in calls:
+        assert m == sum(1 for u, v in g.edges() if mask >> u & mask >> v & 1)
+        decomp = recognize(g, 4, mask, m=m)
+        assert decomp == recognize(g, 4, mask)
+        found += decomp is not None
+    assert len(calls) > 1000 and found > 50  # 1,094 pieces, 55 of them members
+
+
+def test_construct_calls_no_validating_set_helper(monkeypatch, members_and_hung):
+    # the recursion builds every mask from the input's own rows, so it
+    # calls the unchecked kernels, never the public helpers that validate
+    def refuse(*args):
+        raise AssertionError("construct validated a mask it built itself")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cycleiso":
+            for helper in ("closed_neighborhood", "boundary_edge_count"):
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, refuse)
+    fired = set()
+    for g in members_and_hung:
+        d, trace = construct(g)
+        assert verify(g, d, 4).valid
+        fired.update(trace.labels)
+    assert len(fired) >= 16
+
+
+#: sha256 of the lines f"{d} {trace.steps}\n" of construct over the 261,080
+#: classes of order 9, in code order
+ORDER9_CONSTRUCT_DIGEST = "02f4655f776310abae6606b326bb8e286b837a0a6bc19b9078cbb3b7cd436436"
+
+#: trace labels that construct never fires at order 9 (20 of 28 fire)
+ORDER9_UNFIRED = frozenset(
+    {
+        "Subcase 1.2.1(ii):member",
+        "Subcase 1.2.2:G'=C4",
+        "Subcase 1.2.3:G'=C4",
+        "Subcase 1.2.4:G'=C4",
+        "Subcase 2.1(i):member",
+        "Subcase 2.1(ii)",
+        "Subcase 2.2(ii)",
+        "fallback",
+    }
+)
+
+
+@pytest.mark.slow
+def test_order9_construct_sweep():
+    digest = hashlib.sha256()
+    fired = set()
+    try:
+        codes = _connected_codes(9)
+    finally:
+        _connected_codes.cache_clear()
+    assert len(codes) == 261080
+    for code in codes:
+        g = graph_from_code(9, code)
+        d, trace = construct(g)
+        assert verify(g, d, 4).valid, code
+        assert d.bit_count() <= (g.m + 1) // 6, code
+        fired.update(trace.labels)
+        digest.update(f"{d} {trace.steps}\n".encode())
+    assert TRACE_LABELS - fired == ORDER9_UNFIRED
+    assert digest.hexdigest() == ORDER9_CONSTRUCT_DIGEST

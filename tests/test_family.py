@@ -8,13 +8,19 @@ from cycleiso.family import (
     build,
     enumerate_trees,
     recognize,
-    recovered_tree,
     tree_canonical_key,
 )
 from cycleiso.graphs import from_edge_list
 from cycleiso.isolation import iota_exact, verify
 from cycleiso.survey import canonical_code
-from util import cycle, diamond, oracle_iota, oracle_tree_class_count, relabel
+from util import (
+    cycle,
+    diamond,
+    oracle_iota,
+    oracle_tree_class_count,
+    recovered_tree,
+    relabel,
+)
 
 K13_PLUS = Tree(5, ((0, 1), (0, 2), (0, 3), (1, 4)))
 

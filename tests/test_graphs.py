@@ -12,7 +12,9 @@ from cycleiso.graphs import (
     bits,
     boundary_edge_count,
     closed_neighborhood,
+    closed_of,
     components,
+    edges_between,
     encode_graph6,
     from_edge_list,
     graph_from_code,
@@ -252,8 +254,61 @@ def test_boundary_diamond_degree_classes():
 
 
 def test_boundary_rejects_overlap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^boundary_edge_count requires disjoint vertex sets$"):
         boundary_edge_count(cycle(4), {0, 1}, {1, 2})
+
+
+OUTSIDE_IDS = "^vertex set contains ids outside 0..n-1$"
+
+
+@pytest.mark.parametrize(
+    "helper, sets",
+    [
+        (closed_neighborhood, ({4},)),
+        (closed_neighborhood, (1 << 4,)),
+        (closed_neighborhood, (0b1111 | 1 << 70,)),
+        (closed_neighborhood, (-1,)),
+        (closed_neighborhood, ({2, -1},)),
+        (boundary_edge_count, ({0}, {4})),
+        (boundary_edge_count, (1 << 5, 0b10)),
+        (boundary_edge_count, (-2, 1)),
+        (boundary_edge_count, (1, -(1 << 64))),
+        (boundary_edge_count, ([-2], {0})),
+    ],
+)
+def test_public_set_helpers_reject_ids_outside_the_graph(helper, sets):
+    # the unchecked kernels behind them leave this to their callers
+    with pytest.raises(ValueError, match=OUTSIDE_IDS):
+        helper(cycle(4), *sets)
+
+
+def _edge_scan_closed(g: Graph, s: int) -> int:
+    out = s
+    for u, v in g.edges():
+        if s >> u & 1:
+            out |= 1 << v
+        if s >> v & 1:
+            out |= 1 << u
+    return out
+
+
+def _edge_scan_between(g: Graph, a: int, b: int) -> int:
+    return sum(1 for u, v in g.edges() if (a >> u & b >> v | a >> v & b >> u) & 1)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_mask_kernels_match_the_checked_helpers(data):
+    n = data.draw(st.integers(min_value=0, max_value=12))
+    nbits = n * (n - 1) // 2
+    g = graph_from_bitmask(n, data.draw(st.integers(min_value=0, max_value=(1 << nbits) - 1)))
+    s = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+    a = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+    b = data.draw(st.integers(min_value=0, max_value=g.full_mask)) & ~a
+    assert closed_of(g.adj, s) == closed_neighborhood(g, s) == _edge_scan_closed(g, s)
+    assert edges_between(g.adj, a, b) == boundary_edge_count(g, a, b) == _edge_scan_between(g, a, b)
+    # e(S, S) counts each edge inside S from both ends
+    assert edges_between(g.adj, s, s) == 2 * _edge_scan_between(g, s, s)
 
 
 # -- graph6 --------------------------------------------------------------------

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from cycleiso.constructive import CaseTrace
 from cycleiso.cycles import _iter_cycles
+from cycleiso.family import ConsDecomposition, Tree
 from cycleiso.graphs import (
     Graph,
     VertexSet,
@@ -68,6 +69,13 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
             row |= 1 << perm[u]
         adj[perm[v]] = row
     return Graph(g.n, adj)
+
+
+def recovered_tree(decomp: ConsDecomposition) -> Tree:
+    """The anchor tree of a decomposition, renumbered to 0..t-1."""
+    ids = bits(decomp.connection_vertices)
+    index = {v: i for i, v in enumerate(ids)}
+    return Tree(len(ids), tuple((index[u], index[v]) for u, v in decomp.tree_edges))
 
 
 def format_edge_list(g: Graph) -> str:
