@@ -101,8 +101,6 @@ def _read_text(path: str) -> str:
 
 
 def _load_graph(args) -> Graph:
-    if args.graph6 is not None and args.file is not None:
-        raise CliError("give at most one of --graph6 and --file")
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
     if args.file is not None:
@@ -316,8 +314,6 @@ def _survey_graphs(args) -> Iterable[Graph]:
         orders = [enumerate_connected(order) for order in range(1, args.enumerate + 1)]
         # pulling each order's first graph builds its classes before any graph is solved
         return chain.from_iterable([chain([next(order)], order) for order in orders])
-    if args.graph6 is not None and args.file is not None:
-        raise CliError("give at most one of --graph6 and --file")
     if args.graph6 is not None:
         source = args.graph6
     elif args.file is not None:
@@ -518,6 +514,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: cycle length must be at least 3", file=sys.stderr)
         return EXIT_USAGE
     try:
+        # every command that reads --graph6 or --file takes one of them at most
+        if getattr(args, "graph6", None) is not None and getattr(args, "file", None) is not None:
+            raise CliError("give at most one of --graph6 and --file")
         return args.fn(args)
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

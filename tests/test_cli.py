@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import re
@@ -160,11 +161,17 @@ def test_unknown_flag_exits_one(capsys):
 
 
 def test_conflicting_inputs_exit_one(capsys):
-    code, _, err = run_cli(
-        capsys, "exact", "--graph6", "C~", "--file", "nope.txt"
-    )
-    assert code == 1
-    assert "at most one" in err
+    # one check in main serves every command that reads a graph; the file is never opened
+    for command in (
+        ("verify", "--set", "0"),
+        ("exact",),
+        ("construct",),
+        ("recognize",),
+        ("check", "--bound-c4"),
+        ("survey", "--bound-c4"),
+    ):
+        code, out, err = run_cli(capsys, *command, "--graph6", "C~", "--file", "nope.txt")
+        assert (code, out, err) == (1, "", "error: give at most one of --graph6 and --file\n")
 
 
 def test_survey_rejects_graph6_with_file(capsys, tmp_path):
@@ -175,6 +182,16 @@ def test_survey_rejects_graph6_with_file(capsys, tmp_path):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: give at most one of --graph6 and --file\n"
+
+
+def test_headline_survey_csv_is_pinned(capsys):
+    # the exhaustive order-8 check of the (m+1)/6 bound, byte for byte: the
+    # sha256 of its stdout, as pinned for the benchmark's exhaustive8 workload
+    code, out, err = run_cli(capsys, "survey", "--enumerate", "8", "--bound-c4", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1 + 11117 + 853 + 112 + 21 + 6 + 2 + 1 + 1
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "6a31790b7f7191369d6dac1237a648727cbaa27847e20687e8f41a6fab106e1e"
 
 
 @pytest.mark.parametrize(

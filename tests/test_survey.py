@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -443,6 +444,95 @@ def test_generators_generate_the_whole_group_on_universe7(universe7):
         assert group_order(g.n, gens) == oracle_automorphism_count(g)
 
 
+def _is_twin_class(g: Graph, cell: list[int]) -> bool:
+    return len({g.adj[v] for v in cell}) == 1 or len({g.adj[v] | 1 << v for v in cell}) == 1
+
+
+def _settled_nodes(g: Graph):
+    """Each partition on the search's first path, from the root down to the
+    first settled one, the vertex of the first non-singleton cell
+    individualised at each step; the last one yielded is settled."""
+    nbrs = [frozenset(bits(row)) for row in g.adj]
+    cells = _refine(nbrs, [list(range(g.n))])
+    while True:
+        settled = all(_is_twin_class(g, cell) for cell in cells if len(cell) > 1)
+        yield nbrs, cells
+        if settled:
+            return
+        r = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+        x, *rest = cells[r]
+        cells = _refine(nbrs, cells[:r] + [[x], rest] + cells[r + 1 :], nbrs[x])
+
+
+def _settled_pool(universe7) -> list[Graph]:
+    return universe7 + _symmetric_stream(5, 40)
+
+
+def test_settled_partitions_are_equitable_after_individualising(universe7):
+    # a settled partition survives another refinement, whole and with any
+    # vertex of a twin cell individualised; the oracle confirms each is
+    # equitable.  359 of the 1,036 graphs settle below the root
+    deep = 0
+    for g in _settled_pool(universe7):
+        *path, (nbrs, cells) = _settled_nodes(g)
+        deep += bool(path)
+        assert _refine(nbrs, cells) == cells
+        for r, cell in enumerate(cells):
+            for x in cell if len(cell) > 1 else ():
+                child = cells[:r] + [[x], [v for v in cell if v != x]] + cells[r + 1 :]
+                assert _refine(nbrs, child, nbrs[x]) == child
+                assert _refine(nbrs, child) == child
+                assert oracle_refine(nbrs, _colours(child, g.n)) == _colours(child, g.n)
+    assert deep == 359
+
+
+def test_settled_roots_give_the_twin_class_group(universe7):
+    # Aut(G) of a settled root is the product of the twin classes' symmetric
+    # groups, which the seeded swaps generate: the search finds no generator
+    settled = 0
+    for g in _settled_pool(universe7):
+        (nbrs, cells), *deeper = _settled_nodes(g)
+        if deeper:
+            continue
+        settled += 1
+        code, gens = _canonical_search(g.n, g.adj)
+        assert code == canonical_code(g.n, g.adj)
+        assert gens == _twin_swaps(g.adj, cells)
+        order = math.prod(math.factorial(len(cell)) for cell in cells)
+        assert group_order(g.n, gens) == order == oracle_automorphism_count(g)
+    assert settled == 659 + 18
+
+
+def test_settled_codes_are_invariant_under_relabeling(universe7):
+    rng = random.Random(27)
+    for g in _settled_pool(universe7):
+        code = canonical_code(g.n, g.adj)
+        assert _canonical_search(g.n, g.adj)[0] == code
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            assert canonical_code(h.n, h.adj) == code
+            assert _canonical_search(h.n, h.adj)[0] == code
+
+
+def test_universe7_roots_settle_without_branching(universe7, monkeypatch):
+    # 153 roots are discrete and 506 more hold twin classes only: each of
+    # those 659 searches refines once, at the root, and every other branches
+    discrete = sum(len(next(_settled_nodes(g))[1]) == g.n for g in universe7)
+    settled = [len(list(_settled_nodes(g))) == 1 for g in universe7]
+    refinements = [_search_counters([g], monkeypatch)[0] for g in universe7]
+    assert (discrete, sum(settled)) == (153, 659)
+    assert [count == 1 for count in refinements] == settled
+    assert sum(refinements) == 1795
+
+
+def test_orders_zero_and_one_settle_at_the_root():
+    assert _canonical_search(0, ()) == (0, [])
+    assert _canonical_search(1, (0,)) == (0, [])
+    assert canonical_code(0, ()) == canonical_code(1, (0,)) == 0
+
+
 def _search_counters(graphs, monkeypatch) -> tuple[int, int]:
     """Search nodes, counted as refinements, and generators over the
     searches of graphs."""
@@ -461,8 +551,9 @@ def test_search_counters_on_universe7_are_pinned(universe7, monkeypatch):
     # generators from 1,880 to 1,575; seeding twin swaps as known
     # automorphisms cut the nodes to 3,153, and the generators rose to
     # 1,596, as a twin class gives its swaps before the search could show
-    # that fewer of them suffice
-    assert _search_counters(universe7, monkeypatch) == (3153, 1596)
+    # that fewer of them suffice; reading settled nodes off their partition
+    # cut the nodes to 1,795, with the same generators
+    assert _search_counters(universe7, monkeypatch) == (1795, 1596)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -471,13 +562,15 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 # (search nodes, generators); twin-free graphs search as before seeding,
 # twin-rich ones drop from t(t+1)/2 nodes (K_{1,t}), 19 (K33) and 34 (K44)
+# to t, 9 and 13 with seeding, and to 1, 3 and 3 once settled nodes are
+# read off: K_{1,t} settles at the root, K33 and K44 one level below it
 SEARCH_COUNTERS = [
     ("petersen", petersen, (15, 4)),
     ("Q3", cube, (10, 3)),
     ("C8", lambda: cycle(8), (6, 2)),
-    ("K33", k33, (9, 5)),
-    ("K44", lambda: complete_bipartite(4, 4), (13, 7)),
-] + [(f"K1_{t}", lambda t=t: complete_bipartite(1, t), (t, t - 1)) for t in range(2, 11)]
+    ("K33", k33, (3, 5)),
+    ("K44", lambda: complete_bipartite(4, 4), (3, 7)),
+] + [(f"K1_{t}", lambda t=t: complete_bipartite(1, t), (1, t - 1)) for t in range(2, 11)]
 
 
 @pytest.mark.parametrize(
@@ -780,6 +873,33 @@ def test_report_shapes(universe6):
 def test_survey_histogram(universe6):
     report = survey(universe6, BoundSpec(k=4))
     assert report.totals()["by_n"] == {"1": 1, "2": 1, "3": 2, "4": 6, "5": 21, "6": 112}
+
+
+def test_integer_status_matches_the_fraction_bound(universe6):
+    # check_graph compares iota * d with a*n + b*m + c; the record's Fraction
+    # bound, built once per numerator, orders iota the same way
+    specs = [
+        BoundSpec(k=4),
+        BoundSpec(k=3, a=1, b=-1, c=2, d=3),
+        BoundSpec(k=4, a=0, b=1, c=-3, d=1),
+        conjecture_bound(5),
+    ]
+    seen = set()
+    for spec in specs:
+        for g in universe6:
+            rec = check_graph(g, spec)
+            assert rec.bound is spec.bound_for(g.n, g.m) == Fraction(
+                spec.a * g.n + spec.b * g.m + spec.c, spec.d
+            )
+            if rec.iota is not None:
+                fraction_status = (
+                    "violation" if rec.iota > rec.bound
+                    else "equal" if rec.iota == rec.bound
+                    else "below"
+                )
+                assert rec.status == fraction_status
+                seen.add(rec.status)
+    assert seen == {"below", "equal", "violation"}
 
 
 def test_rational_bounds_never_equal_spuriously():
