@@ -8,11 +8,14 @@ common neighbours.  Everything else uses one explicit-stack depth-first
 search over paths rooted at each cycle's least vertex, whose last position
 draws only from the root's neighbours, so every leaf it reaches closes a
 cycle; that is plenty for the desk-scale graphs this package targets.
+The search, `_cycles`, returns a list of the first `limit` witnesses in
+lexicographic order, or of all of them: `find_cycle` asks it for one and
+`all_cycles` for every one.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .graphs import Graph, VertexSet
 
@@ -33,7 +36,8 @@ def find_cycle(g: Graph, k: int, alive: VertexSet | None = None) -> Optional[Cyc
         return None
     if k == 4:
         return _find_c4(g, mask)
-    return next(_iter_cycles(g, k, mask), None)
+    found = _cycles(g, k, mask, 1)
+    return found[0] if found else None
 
 
 def _find_c4(g: Graph, mask: VertexSet) -> Optional[CycleWitness]:
@@ -66,8 +70,9 @@ def _find_c4(g: Graph, mask: VertexSet) -> Optional[CycleWitness]:
     return None
 
 
-def _iter_cycles(g: Graph, k: int, mask: VertexSet) -> Iterator[CycleWitness]:
-    """All k-cycles within mask, one canonical witness each, in lex order.
+def _cycles(g: Graph, k: int, mask: VertexSet, limit: Optional[int] = None) -> list[CycleWitness]:
+    """The first `limit` k-cycles within mask, or all of them when limit is
+    None: one canonical witness each, in lex order.
 
     Canonical form: the cycle is rooted at its least vertex s, every other
     vertex exceeds s, and the second entry is smaller than the last (this
@@ -83,8 +88,10 @@ def _iter_cycles(g: Graph, k: int, mask: VertexSet) -> Iterator[CycleWitness]:
     cannot close canonically, and every position is tried in increasing id
     order, so witnesses come out in lexicographic tuple order: the first is
     the lex-least, which the solver's node counts and witnesses depend on.
+    The search stops as soon as it holds `limit` witnesses.
     """
     adj = g.adj
+    out: list[CycleWitness] = []
     last = k - 1
     path = [0] * k
     stack = [0] * k
@@ -111,7 +118,9 @@ def _iter_cycles(g: Graph, k: int, mask: VertexSet) -> Iterator[CycleWitness]:
             stack[i] = cand ^ low
             path[i] = w = low.bit_length() - 1
             if i == last:
-                yield tuple(path)
+                out.append(tuple(path))
+                if len(out) == limit:
+                    return out
                 continue
             used |= low
             i += 1
@@ -119,9 +128,10 @@ def _iter_cycles(g: Graph, k: int, mask: VertexSet) -> Iterator[CycleWitness]:
                 stack[i] = adj[w] & closing & ~used & ~((2 << path[1]) - 1)
             else:
                 stack[i] = adj[w] & higher & ~used
+    return out
 
 
 def all_cycles(g: Graph, k: int, alive: VertexSet | None = None) -> list[CycleWitness]:
     """Every k-cycle among the `alive` vertices exactly once, up to rotation/reflection."""
     check_length(k)
-    return list(_iter_cycles(g, k, g.full_mask if alive is None else alive))
+    return _cycles(g, k, g.full_mask if alive is None else alive)

@@ -32,8 +32,10 @@ one, with about n^2/2 edges, costs about what a per-pair walk did.
 decodes its payload with it, and survey's enumerator its canonical codes.
 Each pair bit sets the rows of both its ends, so the rows it builds are
 symmetric and loop-free by construction; it skips Graph's checks and takes
-m as the number of pair bits.  Rows that a caller hands to Graph(n, adj)
-keep every check.
+m as the number of pair bits.  The graph keeps those bits in a private
+slot, so encode_graph6, which a survey runs on every graph it is handed,
+writes a decoded graph without walking its rows.  Rows that a caller
+hands to Graph(n, adj) keep every check, and no pair bits are kept.
 
 `bits` returns a mask's ids as a tuple.  A table of the 256 id tuples of a
 byte answers a mask below 256 in one lookup and gives the ids 0..7 of a
@@ -106,7 +108,7 @@ def _reject(n: int, adj: Sequence[VertexSet]) -> NoReturn:
 class Graph:
     """Immutable simple graph: vertex ids 0..n-1, per-vertex neighbour bitmasks."""
 
-    __slots__ = ("n", "adj", "m", "_hash")
+    __slots__ = ("n", "adj", "m", "_hash", "_code")
 
     def __init__(self, n: int, adj: Sequence[VertexSet]):
         if n < 0:
@@ -131,7 +133,7 @@ class Graph:
                 row ^= 1 << u
         if 2 * m != sum(map(int.bit_count, adj)):
             _reject(n, adj)
-        _fill(self, n, adj, m)
+        _fill(self, n, adj, m, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -159,11 +161,12 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
 
 
-def _fill(g: Graph, n: int, adj: tuple[VertexSet, ...], m: int) -> None:
+def _fill(g: Graph, n: int, adj: tuple[VertexSet, ...], m: int, code: int | None) -> None:
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "adj", adj)
     object.__setattr__(g, "m", m)
     object.__setattr__(g, "_hash", hash((n, adj)))
+    object.__setattr__(g, "_code", code)
 
 
 def as_mask(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexSet:
@@ -281,20 +284,26 @@ _FROM_BASE64 = bytes.maketrans(_BASE64, _GRAPH6)
 
 
 def encode_graph6(g: Graph) -> str:
-    """graph6 of g; the canonical search in survey writes its pair order under any vertex order."""
+    """graph6 of g; the canonical search in survey writes its pair order under any vertex order.
+
+    A graph built from pair bits (parse_graph6, graph_from_code) kept them,
+    and its body is read straight off them; only a graph built by
+    Graph(n, adj) has its rows walked."""
     n = g.n
     if n > GRAPH6_MAX_N:
         raise GraphFormatError(f"graph6 support is limited to n <= {GRAPH6_MAX_N}")
     nbits = n * (n - 1) // 2
-    # Row j below the diagonal holds x(0,j), ..., x(j-1,j) from bit 0 up.
-    # Shifted to bit j(j-1)/2, the rows sum to the pair bits in reverse.
-    lower = [row & ((1 << j) - 1) for j, row in enumerate(g.adj)]
-    reverse = sum(map(lshift, lower, accumulate(range(n), initial=0)))
+    code = g._code
+    if code is None:
+        # Row j below the diagonal holds x(0,j), ..., x(j-1,j) from bit 0 up.
+        # Shifted to bit j(j-1)/2, the rows sum to the pair bits in reverse.
+        lower = [row & ((1 << j) - 1) for j, row in enumerate(g.adj)]
+        reverse = sum(map(lshift, lower, accumulate(range(n), initial=0)))
+        code = int(format(reverse, "b").zfill(nbits)[::-1], 2)
     # pad to whole 6-bit groups, then to whole 24-bit base64 blocks
     groups = (nbits + 5) // 6
     blocks = (groups + 3) // 4
-    text = format(reverse, "b").zfill(nbits)[::-1] + "0" * (24 * blocks - nbits)
-    raw = int(text, 2).to_bytes(3 * blocks, "big")
+    raw = (code << (24 * blocks - nbits)).to_bytes(3 * blocks, "big")
     body = b2a_base64(raw, newline=False)[:groups].translate(_FROM_BASE64)
     return chr(n + 63) + body.decode()
 
@@ -354,11 +363,11 @@ def graph_from_code(n: int, code: int) -> Graph:
 
     Each pair bit sets the rows of both its ends, so the rows are symmetric
     and loop-free as built: Graph's checks are skipped, and m is the number
-    of pair bits."""
+    of pair bits.  The graph keeps code, from which encode_graph6 writes it."""
     if not 0 <= n <= GRAPH6_MAX_N or code < 0 or code >> (n * (n - 1) // 2):
         raise ValueError(f"need 0 <= n <= {GRAPH6_MAX_N} and 0 <= code < 2**(n(n-1)/2)")
     g = Graph.__new__(Graph)
-    _fill(g, n, tuple(adjacency_from_code(n, code)), code.bit_count())
+    _fill(g, n, tuple(adjacency_from_code(n, code)), code.bit_count(), code)
     return g
 
 

@@ -12,7 +12,14 @@ from cycleiso.cli import _parse_bound, main
 from cycleiso.family import Tree, build
 from cycleiso.graphs import Graph, encode_graph6, parse_graph6
 from cycleiso.isolation import UNBUDGETED_MAX_N
-from util import cycle, diamond, format_edge_list, k23_with_tail, oracle_iota
+from util import (
+    cycle,
+    diamond,
+    format_edge_list,
+    generalized_petersen,
+    k23_with_tail,
+    oracle_iota,
+)
 
 
 def run_cli(capsys, *argv):
@@ -590,18 +597,32 @@ def test_bound_grammar_errors():
 # Violators of the --conjecture preset (m+1)/(k+2): each has the iota of its
 # row above the bound, found by solving cubic graphs, their truncations and
 # generalised Petersen graphs beyond the order-8 enumeration.
-GP_13_5 = "YhCGGC@?G?_@_@_?G?@??C??G??GA?C@?@?O?GQ??`G?@AO?@AO??`G?"
+GP = {
+    (n, j): encode_graph6(generalized_petersen(n, j))
+    for n, j in [(8, 2), (9, 2), (9, 3), (9, 4), (10, 1), (10, 2), (10, 3), (10, 4),
+                 (13, 5), (15, 3), (15, 4), (16, 4), (16, 6), (16, 7)]
+}
 TRUNCATED_PRISM = "Q{O__cG@GP?a?_?O?@O?I??g?@W"  # the truncated triangular prism
 CONJECTURE_PRESET_VIOLATORS = [
     ("K{O__cI@OP?b", 8, "K{O__cI@OP?b,12,18,8,2,19,10,violation,"),  # truncated tetrahedron
     ("LF`@?OH@OD?a?b", 8, "LF`@?OH@OD?a?b,13,18,8,2,19,10,violation,"),
     ("M??F?yOQ@G?C?D?B_", 8, "M??F?yOQ@G?C?D?B_,14,18,8,2,19,10,violation,"),
     ("MSP@@COCGS?gAI@D?", 9, "MSP@@COCGS?gAI@D?,14,20,9,2,21,11,violation,"),
-    ("OhCGKE?O@@AAAA@@?SOAa", 11, "OhCGKE?O@@AAAA@@?SOAa,16,24,11,2,25,13,violation,"),  # GP(8,2)
-    (GP_13_5, 12, f"{GP_13_5},26,39,12,3,20,7,violation,"),
-    (GP_13_5, 13, f"{GP_13_5},26,39,13,3,8,3,violation,"),
+    (GP[8, 2], 11, f"{GP[8, 2]},16,24,11,2,25,13,violation,"),
+    (GP[13, 5], 12, f"{GP[13, 5]},26,39,12,3,20,7,violation,"),
+    (GP[13, 5], 13, f"{GP[13, 5]},26,39,13,3,8,3,violation,"),
+    (GP[9, 3], 13, f"{GP[9, 3]},18,27,13,2,28,15,violation,"),
     (TRUNCATED_PRISM, 13, f"{TRUNCATED_PRISM},18,27,13,2,28,15,violation,"),
     (TRUNCATED_PRISM, 14, f"{TRUNCATED_PRISM},18,27,14,2,7,4,violation,"),
+    (GP[9, 2], 14, f"{GP[9, 2]},18,27,14,2,7,4,violation,"),
+    (GP[9, 4], 14, f"{GP[9, 4]},18,27,14,2,7,4,violation,"),
+    *((GP[10, j], 14, f"{GP[10, j]},20,30,14,2,31,16,violation,") for j in range(1, 5)),
+    (GP[15, 3], 15, f"{GP[15, 3]},30,45,15,3,46,17,violation,"),
+    (GP[15, 3], 17, f"{GP[15, 3]},30,45,17,3,46,19,violation,"),
+    (GP[15, 4], 16, f"{GP[15, 4]},30,45,16,3,23,9,violation,"),
+    (GP[16, 4], 18, f"{GP[16, 4]},32,48,18,3,49,20,violation,"),
+    (GP[16, 6], 19, f"{GP[16, 6]},32,48,19,3,7,3,violation,"),
+    (GP[16, 7], 20, f"{GP[16, 7]},32,48,20,3,49,22,violation,"),
 ]
 
 

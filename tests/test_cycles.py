@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cycleiso.cycles import all_cycles, find_cycle
+from cycleiso.cycles import _cycles, all_cycles, find_cycle
 from cycleiso.graphs import from_edge_list
 from util import (
     complete,
@@ -83,6 +83,31 @@ def test_witnesses_come_in_lex_order(universe7):
                 assert all_cycles(g, k, alive) == expected
                 if k != 4:
                     assert find_cycle(g, k, alive) == (expected[0] if expected else None)
+
+
+def test_a_limit_stops_the_search_at_the_first_witnesses(universe6):
+    rng = random.Random(28)
+    for g in universe6:
+        for alive in (g.full_mask, *(rng.getrandbits(g.n) for _ in range(3))):
+            for k in range(3, 9):
+                every = _cycles(g, k, alive)
+                for limit in (1, 2, 3):
+                    assert _cycles(g, k, alive, limit) == every[:limit]
+
+
+def test_generic_search_returns_the_lex_least_canonical_cycle():
+    # random graphs beyond the order-7 universe, at the lengths k >= 5 that
+    # only the generic search answers
+    rng = random.Random(55)
+    for _ in range(150):
+        n = rng.randint(8, 11)
+        p = rng.uniform(0.2, 0.6)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = from_edge_list(n, edges)
+        for alive in (g.full_mask, rng.getrandbits(n)):
+            for k in range(5, 9):
+                expected = oracle_canonical_cycles(g, k, alive)
+                assert find_cycle(g, k, alive) == (expected[0] if expected else None)
 
 
 def test_existence_matches_oracle_exhaustive(universe7):

@@ -449,6 +449,45 @@ def test_graph6_roundtrip_random(data):
     assert parse_graph6(encode_graph6(g)) == g
 
 
+def _assert_decoded_graphs_write_their_pair_bits(n: int, code: int) -> None:
+    """Both decoders keep the pair bits: the parsed and the decoded graph
+    each write the input line back, as the row walk writes the same rows
+    built through Graph, and each is equal to, and hashes like, those rows."""
+    line = reference_graph6(n, reference_adjacency(n, code))
+    for g in (parse_graph6(line), graph_from_code(n, code)):
+        rows = Graph(g.n, g.adj)
+        assert encode_graph6(g) == line == encode_graph6(rows)
+        assert g == rows and hash(g) == hash(rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 30, GRAPH6_MAX_N])
+def test_decoded_graphs_write_their_pair_bits(n):
+    rng = random.Random(28 + n)
+    nbits = n * (n - 1) // 2
+    for p in (0.0, 0.05, 0.5, 0.95, 1.0):
+        _assert_decoded_graphs_write_their_pair_bits(
+            n, sum(1 << b for b in range(nbits) if rng.random() < p)
+        )
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_decoded_graphs_write_their_pair_bits_random(data):
+    n = data.draw(st.integers(min_value=0, max_value=20))
+    code = data.draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
+    _assert_decoded_graphs_write_their_pair_bits(n, code)
+
+
+def test_kept_pair_bits_can_be_neither_set_nor_deleted():
+    # the C4 0-1-2-3-0 has pair bits 101101 = 45, written "Cl"
+    for g in (parse_graph6("Cl"), graph_from_code(4, 45), cycle(4)):
+        with pytest.raises(AttributeError, match="^Graph is immutable$"):
+            g._code = 0
+        with pytest.raises(AttributeError, match="^Graph is immutable$"):
+            del g._code
+        assert encode_graph6(g) == "Cl"
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_relabel_preserves_structure(data):

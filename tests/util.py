@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from cycleiso.constructive import CaseTrace
-from cycleiso.cycles import _iter_cycles
+from cycleiso.cycles import _cycles
 from cycleiso.family import ConsDecomposition, Tree
 from cycleiso.graphs import (
     Graph,
@@ -53,6 +53,14 @@ def k23_with_tail(n: int) -> Graph:
     edges = [(0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)]
     edges += [(0 if v == 6 else v - 1, v) for v in range(6, n)]
     return from_edge_list(n, edges)
+
+
+def generalized_petersen(n: int, j: int) -> Graph:
+    # GP(n, j): the outer cycle 0..n-1, the spokes i ~ n+i, and the inner
+    # edges n+i ~ n+(i+j mod n)
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + j) % n) for i in range(n)]
+    return from_edge_list(2 * n, edges)
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -221,7 +229,8 @@ def oracle_first_c4(g: Graph, alive: VertexSet) -> Optional[tuple[int, int, int,
 def contains_cycle_generic(g: Graph, k: int) -> Optional[tuple[int, ...]]:
     """First k-cycle of the library's backtracking search, which find_cycle
     bypasses at k = 4; the two paths cross-check each other."""
-    return next(_iter_cycles(g, k, g.full_mask), None)
+    found = _cycles(g, k, g.full_mask, 1)
+    return found[0] if found else None
 
 
 def oracle_all_k_cycles(g: Graph, k: int) -> set[frozenset[tuple[int, int]]]:
