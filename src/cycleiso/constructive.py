@@ -3,7 +3,9 @@
 For any connected graph other than the plain 4-cycle this builds an
 isolating set D with |D| <= floor((m+1)/6) by structural recursion:
 
-* tiny bases (no 4-cycle at all, or at most five edges);
+* tiny bases (no 4-cycle at all, or at most five edges); a piece with
+  n - 1 edges is a tree, since pieces are connected, so it settles with
+  an empty set and no 4-cycle search;
 * maximum degree 3: pick a working 4-cycle, preferring one whose induced
   span is K4, then the diamond, then a chordless one with the fewest edges
   leaving it, and split on that boundary count;
@@ -23,8 +25,10 @@ the input graph with its edge count, tag and family decomposition, so sets
 and trace steps come out in input ids.  The split into pieces is
 `graphs.components`, whose one walk per component also counts its edges,
 so no piece is walked a second time for its edge count: `recognize` takes
-that count too.  A ":member" label only marks the case of its branch where
-every endpoint is its own anchor.
+that count too, and only a piece whose order and size fit a member's
+(n = 5t, m = 6t - 1, recognize's own first test) is handed to it.  A
+":member" label only marks the case of its branch where every endpoint
+is its own anchor.
 
 The recursion reads only masks it built itself from the input's rows, each
 a subset of the piece at hand, so it calls the unchecked kernels
@@ -140,9 +144,12 @@ class ComponentClass:
             self.tag = "C4"
         elif n == 4 and m == 5:
             self.tag = "diamond"
-        else:
+        elif n % 5 == 0 and m == 6 * (n // 5) - 1:
+            # recognize's own order and size test: only such pieces can be members
             self.decomposition = recognize(g, 4, mask, m=m)
             self.tag = "other" if self.decomposition is None else "extremal"
+        else:
+            self.tag = "other"
 
     def conn_mask(self) -> VertexSet:
         return self.decomposition.connection_vertices
@@ -263,6 +270,9 @@ def _result(
 
 def _dispatch(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceStep]]:
     p = piece.mask
+    if piece.m == p.bit_count() - 1:
+        # a connected piece with n - 1 edges is a tree, so it has no cycle to find
+        return 0, [TraceStep("base:no-C4", (), ())]
     adj = g.adj
     if find_cycle(g, 4, p) is None:
         return _result(g, p, "base:no-C4", 0, 0)

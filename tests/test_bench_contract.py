@@ -55,8 +55,11 @@ def test_every_target_is_called_through(targets, monkeypatch, tmp_path, capsys):
 
     # what perfbench/one_pass.py calls: construct-mix, then the survey workloads
     g = graphs.parse_graph6(encode_graph6(k23_with_tail(9)))
-    d, _ = constructive.construct(g)
-    assert isolation.verify(g, d, 4).valid
+    # only member-sized pieces reach recognize, and the tail graph has none
+    member = build(Tree(1, ()), 4)[0]
+    for h in (g, member):
+        d, _ = constructive.construct(h)
+        assert isolation.verify(h, d, 4).valid
     monkeypatch.setattr(constructive, "_within_contract", lambda piece, d: False)
     assert constructive.construct(g)[1].labels == ("fallback",)
     stream = tmp_path / "input.g6"

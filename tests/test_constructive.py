@@ -588,7 +588,50 @@ def test_recognize_takes_each_pieces_counted_edges(monkeypatch, members_and_hung
         decomp = recognize(g, 4, mask, m=m)
         assert decomp == recognize(g, 4, mask)
         found += decomp is not None
-    assert len(calls) > 1000 and found > 50  # 1,094 pieces, 55 of them members
+    # only member-sized pieces reach recognize: 70 of them, 55 members
+    assert (len(calls), found) == (70, 55)
+
+
+def test_size_test_drops_no_member(monkeypatch, members_and_hung, universe7):
+    # a piece skips recognize unless its order and size fit a member's; the
+    # tag it gets is still the one an unconditional recognize would give
+    records = []
+    real = constructive._split
+
+    def recording(g, alive):
+        pieces = real(g, alive)
+        records.extend((g, c) for c in pieces)
+        return pieces
+
+    monkeypatch.setattr(constructive, "_split", recording)
+    for g in members_and_hung:
+        construct(g)
+    monkeypatch.undo()
+    assert len(records) == 1223
+    records += [(g, classify_component(g)) for g in universe7]
+    for g, c in records:
+        assert (c.tag == "extremal") == (recognize(g, 4, c.mask) is not None)
+
+
+def test_trees_settle_without_a_cycle_search(monkeypatch):
+    # a tree piece is settled from its edge count; the one cycle search
+    # left is the validation of its empty set
+    searches = 0
+    real = constructive.find_cycle
+
+    def counting(*args):
+        nonlocal searches
+        searches += 1
+        return real(*args)
+
+    monkeypatch.setattr(constructive, "find_cycle", counting)
+    for n in range(1, 10):
+        for tree in enumerate_trees(n):
+            searches = 0
+            d, trace = construct(from_edge_list(tree.n, tree.edges))
+            assert d == 0
+            assert trace.steps == (TraceStep("base:no-C4", (), ()),)
+            assert searches == 1
 
 
 def test_construct_calls_no_validating_set_helper(monkeypatch, members_and_hung):
