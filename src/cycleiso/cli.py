@@ -218,8 +218,9 @@ def _cmd_cons(args) -> int:
     tg = parse_edge_list(_read_text(args.tree) if args.tree else sys.stdin.read())
     tree = Tree(tg.n, tuple(tg.edges()))
     g, decomp = build(tree, args.k)
+    code = encode_graph6(g)
     payload = {
-        "graph6": encode_graph6(g),
+        "graph6": code,
         "n": g.n,
         "m": g.m,
         "connection_vertices": list(bits(decomp.connection_vertices)),
@@ -236,7 +237,7 @@ def _cmd_cons(args) -> int:
         args,
         payload,
         [
-            f"graph6: {encode_graph6(g)}",
+            f"graph6: {code}",
             f"n: {g.n}  m: {g.m}",
             f"connection vertices: {','.join(map(str, bits(decomp.connection_vertices)))}",
         ],

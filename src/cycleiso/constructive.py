@@ -24,11 +24,12 @@ Each piece of the recursion is one ComponentClass record, a vertex mask of
 the input graph with its edge count, tag and family decomposition, so sets
 and trace steps come out in input ids.  The split into pieces is
 `graphs.components`, whose one walk per component also counts its edges,
-so no piece is walked a second time for its edge count: `recognize` takes
-that count too, and only a piece whose order and size fit a member's
-(n = 5t, m = 6t - 1, recognize's own first test) is handed to it.  A
-":member" label only marks the case of its branch where every endpoint
-is its own anchor.
+so no piece is walked a second time for its edge count; only a piece whose
+order and size fit a member's (n = 5t, m = 6t - 1, recognize's own first
+test) is handed to `recognize`.  A ":member" label only marks the case of
+its branch where every endpoint is its own anchor.  Every branch that
+recurses glues onto the set it settled, its working set, so that set and
+the branch's increment are checked against the gluing hypothesis.
 
 The recursion reads only masks it built itself from the input's rows, each
 a subset of the piece at hand, so it calls the unchecked kernels
@@ -146,7 +147,7 @@ class ComponentClass:
             self.tag = "diamond"
         elif n % 5 == 0 and m == 6 * (n // 5) - 1:
             # recognize's own order and size test: only such pieces can be members
-            self.decomposition = recognize(g, 4, mask, m=m)
+            self.decomposition = recognize(g, 4, mask)
             self.tag = "other" if self.decomposition is None else "extremal"
         else:
             self.tag = "other"
@@ -252,11 +253,13 @@ def _result(
     working: VertexSet,
     direct: VertexSet,
     recursed: list[ComponentClass] | None = None,
-    lemma_s: VertexSet | None = None,
 ) -> tuple[VertexSet, list[TraceStep]]:
-    """Assemble a branch result on piece p: direct part plus recursion on components."""
-    recursed = recursed or []
-    if lemma_s is not None and not check_gluing_hypothesis(g, lemma_s, direct, 4, p):
+    """Assemble a branch result on piece p: direct part plus recursion on
+    components.  A branch that recurses glues onto its working set, so
+    (working, direct) must meet the gluing hypothesis."""
+    if recursed is None:
+        recursed = []
+    elif not check_gluing_hypothesis(g, working, direct, 4, p):
         raise _DispatchError("gluing hypothesis violated in a structural branch")
     d, sub_steps = _solve_pieces(g, recursed)
     head = TraceStep(
@@ -318,7 +321,14 @@ def _case1(g: Graph, p: VertexSet) -> tuple[VertexSet, list[TraceStep]]:
     e, _, cyc, mask = min(
         (edges_between(adj, m, p & ~m), sorted(c), c, m) for c, m, _ in spans
     )
-    return _subcase_1_2(g, p, cyc, mask, e)
+    carriers = sorted(u for u in cyc if adj[u] & p & ~mask)
+    if len(carriers) != e:  # maximum degree 3 allows one external edge per vertex
+        raise _DispatchError("carrier count does not match the boundary")
+    if e == 1:
+        return _sub_1_2_1(g, p, mask, carriers[0])
+    if 2 <= e <= 4:
+        return _sub_1_2_234(g, p, cyc, mask, carriers, e)
+    raise _DispatchError(f"chordless working cycle with boundary {e}")
 
 
 def _subcase_1_1(g: Graph, p: VertexSet, wmask: VertexSet) -> tuple[VertexSet, list[TraceStep]]:
@@ -350,7 +360,6 @@ def _subcase_1_1(g: Graph, p: VertexSet, wmask: VertexSet) -> tuple[VertexSet, l
                 wmask | ha.mask,
                 1 << ux,
                 recursed=[hb],
-                lemma_s=wmask | ha.mask,
             )
         raise _DispatchError("more than two components off a diamond span")
 
@@ -374,22 +383,7 @@ def _subcase_1_1(g: Graph, p: VertexSet, wmask: VertexSet) -> tuple[VertexSet, l
             d = ha.swap_set(wa) | hb.conn_mask()
         return _result(g, p, "Subcase 1.1(ii)", p, d)
 
-    return _result(
-        g, p, "Subcase 1.1(ii)", wmask, 1 << high[0], recursed=comps, lemma_s=wmask
-    )
-
-
-def _subcase_1_2(
-    g: Graph, p: VertexSet, cyc: tuple[int, ...], wmask: VertexSet, e: int
-) -> tuple[VertexSet, list[TraceStep]]:
-    carriers = sorted(u for u in cyc if g.adj[u] & p & ~wmask)
-    if len(carriers) != e:  # maximum degree 3 allows one external edge per vertex
-        raise _DispatchError("carrier count does not match the boundary")
-    if e == 1:
-        return _sub_1_2_1(g, p, wmask, carriers[0])
-    if 2 <= e <= 4:
-        return _sub_1_2_234(g, p, cyc, wmask, carriers, e)
-    raise _DispatchError(f"chordless working cycle with boundary {e}")
+    return _result(g, p, "Subcase 1.1(ii)", wmask, 1 << high[0], recursed=comps)
 
 
 def _sub_1_2_1(
@@ -418,7 +412,6 @@ def _sub_1_2_1(
                 smask | ha.mask,
                 1 << v,
                 recursed=[hb],
-                lemma_s=smask | ha.mask,
             )
         raise _DispatchError("unexpected component layout around a pendant cycle")
 
@@ -438,9 +431,7 @@ def _sub_1_2_1(
         label = "Subcase 1.2.1(ii):member" if member else "Subcase 1.2.1(ii)"
         return _result(g, p, label, p, d)
 
-    return _result(
-        g, p, "Subcase 1.2.1(ii)", smask, 1 << u1, recursed=comps, lemma_s=smask
-    )
+    return _result(g, p, "Subcase 1.2.1(ii)", smask, 1 << u1, recursed=comps)
 
 
 def _sub_1_2_234(
@@ -494,15 +485,13 @@ def _sub_1_2_234(
         else:
             w1 = min(bits(g.adj[ux] & h1.mask))
             d_s = h1.swap_set(w1)
-        return _result(
-            g, p, f"{tag}(i)", wmask | h1.mask, d_s, recursed=[h2], lemma_s=wmask | h1.mask
-        )
+        return _result(g, p, f"{tag}(i)", wmask | h1.mask, d_s, recursed=[h2])
 
     if e == 4:
         ui = cyc[0]
     else:
         ui = min(u for i, u in enumerate(cyc) if cyc[(i + 2) % 4] not in carriers)
-    return _result(g, p, f"{tag}(ii)", wmask, 1 << ui, recursed=comps, lemma_s=wmask)
+    return _result(g, p, f"{tag}(ii)", wmask, 1 << ui, recursed=comps)
 
 
 # -- maximum degree >= 4 -------------------------------------------------------
@@ -525,12 +514,8 @@ def _case2(
     if not specials:
         inner = edges_between(adj, nv_closed, nv_closed) // 2
         if delta == 4 and e == 1 and inner == 4:
-            return _result(
-                g, p, "Case 2:star-bridge", nv_closed, 0, recursed=others, lemma_s=nv_closed
-            )
-        return _result(
-            g, p, "Case 2:no-special", nv_closed, 1 << v, recursed=others, lemma_s=nv_closed
-        )
+            return _result(g, p, "Case 2:star-bridge", nv_closed, 0, recursed=others)
+        return _result(g, p, "Case 2:no-special", nv_closed, 1 << v, recursed=others)
 
     def n_of(c: ComponentClass) -> VertexSet:
         return closed_of(adj, c.mask) & p & ~c.mask
@@ -607,13 +592,11 @@ def _subcase_2_1(
         for c in h3:
             u_h = min(bits(g.adj[v1] & c.mask))
             d_s |= c.swap_set(u_h)
-        return _result(
-            g, p, "Subcase 2.1(ii)", smask, d_s, recursed=recursed, lemma_s=smask
-        )
+        return _result(g, p, "Subcase 2.1(ii)", smask, d_s, recursed=recursed)
     d_s = 1 << v1
     for c in h3:
         d_s |= c.conn_mask()
-    return _result(g, p, "Subcase 2.1", smask, d_s, recursed=recursed, lemma_s=smask)
+    return _result(g, p, "Subcase 2.1", smask, d_s, recursed=recursed)
 
 
 def _subcase_2_2(
@@ -659,4 +642,4 @@ def _subcase_2_2(
             return _result(g, p, "Subcase 2.2(i):rescue", smask, 1 << best_u)
         return _result(g, p, "Subcase 2.2(i)", smask, d_s)
 
-    return _result(g, p, "Subcase 2.2(ii)", smask, d_s, recursed=others, lemma_s=smask)
+    return _result(g, p, "Subcase 2.2(ii)", smask, d_s, recursed=others)

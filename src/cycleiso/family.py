@@ -116,19 +116,16 @@ def build(tree: Tree, k: int) -> tuple[Graph, ConsDecomposition]:
     return g, decomp
 
 
-def recognize(
-    g: Graph, k: int, within: VertexSet | None = None, *, m: int | None = None
-) -> Optional[ConsDecomposition]:
+def recognize(g: Graph, k: int, within: VertexSet | None = None) -> Optional[ConsDecomposition]:
     """Decomposition witnessing membership in the family, or None.
 
     With `within`, the subgraph induced on that vertex mask is recognised
-    and the decomposition is given in g's ids.  A caller that has counted
-    that subgraph's edges passes the count as `m`, which is trusted, not
-    checked, and saves a walk over the mask.  After the order and size
-    tests (n = (k+1)t vertices, (k+2)t - 1 edges), candidate constituent
-    cycles are the k-cycles whose vertices all have degree 2 except
-    exactly one of degree 3, and only two tests can fail: the candidates'
-    anchors are distinct and are exactly the rest; the rest is connected.
+    and the decomposition is given in g's ids.  After the order and size
+    tests (n = (k+1)t vertices, (k+2)t - 1 edges, counted over the mask
+    once the order fits), candidate constituent cycles are the k-cycles
+    whose vertices all have degree 2 except exactly one of degree 3, and
+    only two tests can fail: the candidates' anchors are distinct and are
+    exactly the rest; the rest is connected.
     No other test is needed, since:
 
     1. a candidate has no chord: a chord would give two vertices of
@@ -156,8 +153,7 @@ def recognize(
         return None
     t = n // (k + 1)
     adj = g.adj
-    if m is None:
-        m = edges_between(adj, alive, alive) // 2
+    m = edges_between(adj, alive, alive) // 2
     if m != (k + 2) * t - 1:
         return None
     used = 0

@@ -30,12 +30,15 @@ one, with about n^2/2 edges, costs about what a per-pair walk did.
 
 `graph_from_code` is the one place pair bits become a Graph: parse_graph6
 decodes its payload with it, and survey's enumerator its canonical codes.
-Each pair bit sets the rows of both its ends, so the rows it builds are
-symmetric and loop-free by construction; it skips Graph's checks and takes
-m as the number of pair bits.  The graph keeps those bits in a private
-slot, so encode_graph6, which a survey runs on every graph it is handed,
-writes a decoded graph without walking its rows.  Rows that a caller
-hands to Graph(n, adj) keep every check, and no pair bits are kept.
+`from_edge_list` is the other builder.  Each pair bit, or each edge, sets
+the rows of both its ends, so the rows they build are symmetric and
+loop-free by construction; both skip Graph's checks, and m is the number
+of pair bits or half the rows' bit count.  A graph from pair bits keeps
+them in a private slot, so encode_graph6, which a survey runs on every
+graph it is handed, writes a decoded graph without walking its rows.
+Rows that a caller hands to Graph(n, adj) are checked in one pass, ids
+and loops in every row first, then the first asymmetric pair in scan
+order; no pair bits are kept.
 
 `bits` returns a mask's ids as a tuple.  A table of the 256 id tuples of a
 byte answers a mask below 256 in one lookup and gives the ids 0..7 of a
@@ -51,7 +54,7 @@ from __future__ import annotations
 from binascii import a2b_base64, b2a_base64
 from itertools import accumulate
 from operator import lshift
-from typing import Iterable, NoReturn, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 VertexSet = int  # bitmask over vertex ids
 
@@ -89,26 +92,10 @@ def bits(mask: VertexSet) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def _reject(n: int, adj: Sequence[VertexSet]) -> NoReturn:
-    """Raise the first defect of rows that fail Graph's checks: ids and loops
-    over every row first, then the first asymmetric pair in scan order."""
-    full = (1 << n) - 1
-    for v, row in enumerate(adj):
-        if row & ~full:
-            raise ValueError(f"vertex {v} has a neighbour id >= {n}")
-        if row >> v & 1:
-            raise ValueError(f"vertex {v} is adjacent to itself")
-    for v, row in enumerate(adj):
-        for u in bits(row):
-            if not adj[u] >> v & 1:
-                raise ValueError(f"adjacency not symmetric at ({v}, {u})")
-    raise AssertionError("rows passed every check")
-
-
 class Graph:
     """Immutable simple graph: vertex ids 0..n-1, per-vertex neighbour bitmasks."""
 
-    __slots__ = ("n", "adj", "m", "_hash", "_code")
+    __slots__ = ("n", "adj", "m", "_code")
 
     def __init__(self, n: int, adj: Sequence[VertexSet]):
         if n < 0:
@@ -116,24 +103,17 @@ class Graph:
         adj = tuple(adj)
         if len(adj) != n:
             raise ValueError("adjacency length must equal vertex count")
-        # any failed check hands over to _reject, which names the first defect
-        if adj and (min(adj) < 0 or max(adj) >> n):
-            _reject(n, adj)
-        # Each of the m pairs below the diagonal needs its mirror above it.
-        # The rows then hold 2m bits in all only if no other bit lies above
-        # the diagonal and none on it: no asymmetric pair and no loop.
-        m = 0
+        full = (1 << n) - 1
         for v, row in enumerate(adj):
-            row &= (1 << v) - 1
-            m += row.bit_count()
-            while row:
-                u = row.bit_length() - 1
+            if row & ~full:
+                raise ValueError(f"vertex {v} has a neighbour id >= {n}")
+            if row >> v & 1:
+                raise ValueError(f"vertex {v} is adjacent to itself")
+        for v, row in enumerate(adj):
+            for u in bits(row):
                 if not adj[u] >> v & 1:
-                    _reject(n, adj)
-                row ^= 1 << u
-        if 2 * m != sum(map(int.bit_count, adj)):
-            _reject(n, adj)
-        _fill(self, n, adj, m, None)
+                    raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+        _fill(self, n, adj, sum(map(int.bit_count, adj)) // 2, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -145,7 +125,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -165,7 +145,6 @@ def _fill(g: Graph, n: int, adj: tuple[VertexSet, ...], m: int, code: int | None
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "adj", adj)
     object.__setattr__(g, "m", m)
-    object.__setattr__(g, "_hash", hash((n, adj)))
     object.__setattr__(g, "_code", code)
 
 
@@ -181,7 +160,12 @@ def as_mask(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexSet:
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a simple graph; duplicate edges collapse, loops are rejected."""
+    """Build a simple graph; duplicate edges collapse, loops are rejected.
+
+    Each edge sets the rows of both its ends, so the rows are symmetric and
+    loop-free as built: Graph's checks are skipped, as in graph_from_code."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     adj = [0] * n
     for u, v in edges:
         if u == v:
@@ -190,7 +174,9 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u}, {v}) outside id range 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, adj)
+    g = Graph.__new__(Graph)
+    _fill(g, n, tuple(adj), sum(map(int.bit_count, adj)) // 2, None)
+    return g
 
 
 def closed_neighborhood(g: Graph, s: Union[VertexSet, Iterable[int]]) -> VertexSet:
@@ -287,8 +273,8 @@ def encode_graph6(g: Graph) -> str:
     """graph6 of g; the canonical search in survey writes its pair order under any vertex order.
 
     A graph built from pair bits (parse_graph6, graph_from_code) kept them,
-    and its body is read straight off them; only a graph built by
-    Graph(n, adj) has its rows walked."""
+    and its body is read straight off them; only a graph built from rows
+    (Graph(n, adj), from_edge_list) has its rows walked."""
     n = g.n
     if n > GRAPH6_MAX_N:
         raise GraphFormatError(f"graph6 support is limited to n <= {GRAPH6_MAX_N}")

@@ -143,16 +143,6 @@ class _Search:
             cycles[alive] = find_cycle(self.g, self.k, alive)
         return cycles[alive]
 
-    def closed(self, mask: VertexSet) -> VertexSet:
-        """N[mask], the union of the closed rows of its vertices."""
-        rows = self.rows
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= rows[low.bit_length() - 1]
-            mask ^= low
-        return out
-
     def candidates(self, cyc: CycleWitness) -> VertexSet:
         """N[V(C)] & comp: under `within`, a cycle's neighbours outside the
         mask are not candidates."""
@@ -172,11 +162,12 @@ class _Search:
             return False
         hood = self.candidates(cyc)
         # cycles with pairwise disjoint candidate sets each need their own vertex
-        rest = alive & ~self.closed(hood)
+        adj = self.g.adj
+        rest = alive & ~closed_of(adj, hood)
         packed = 1
         while packed <= remaining and (other := self.cycle(rest)) is not None:
             packed += 1
-            rest &= ~self.closed(self.candidates(other))
+            rest &= ~closed_of(adj, self.candidates(other))
         if packed <= remaining:
             if remaining == 1:
                 if self.last_pick(alive, hood) is not None:

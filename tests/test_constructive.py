@@ -568,28 +568,55 @@ def members_and_hung() -> list[Graph]:
     return members + _hung_corpus(5, 150)
 
 
-def test_recognize_takes_each_pieces_counted_edges(monkeypatch, members_and_hung):
-    # every piece hands recognize the edge count its component walk took;
-    # with it or without it, recognize gives the same decomposition
+def test_recognize_sees_only_member_sized_pieces(monkeypatch, members_and_hung):
+    # a piece reaches recognize only when its order and size fit a member's,
+    # n = 5t and m = 6t - 1; recognize counts the piece's edges itself
     calls = []
     real = constructive.recognize
 
-    def recording(g, k, within=None, *, m=None):
-        calls.append((g, within, m))
-        return real(g, k, within, m=m)
+    def recording(g, k, within=None):
+        decomp = real(g, k, within)
+        calls.append((g, within, decomp))
+        return decomp
 
     monkeypatch.setattr(constructive, "recognize", recording)
     for g in members_and_hung:
         construct(g)
     monkeypatch.undo()
     found = 0
-    for g, mask, m in calls:
-        assert m == sum(1 for u, v in g.edges() if mask >> u & mask >> v & 1)
-        decomp = recognize(g, 4, mask, m=m)
-        assert decomp == recognize(g, 4, mask)
+    for g, mask, decomp in calls:
+        n = mask.bit_count()
+        m = sum(1 for u, v in g.edges() if mask >> u & mask >> v & 1)
+        assert n % 5 == 0 and m == 6 * (n // 5) - 1
         found += decomp is not None
-    # only member-sized pieces reach recognize: 70 of them, 55 members
+    # 70 member-sized pieces, 55 of them members
     assert (len(calls), found) == (70, 55)
+
+
+def test_gluing_is_checked_on_every_step_that_recurses(monkeypatch, members_and_hung):
+    # a branch that recurses glues onto its working set: the guard runs once
+    # per such step, on that step's working set and increment, in trace order
+    calls = []
+    real = constructive.check_gluing_hypothesis
+
+    def recording(g, s, d, k, within=None):
+        calls.append((s, d))
+        return real(g, s, d, k, within)
+
+    monkeypatch.setattr(constructive, "check_gluing_hypothesis", recording)
+    total = 0
+    for g in members_and_hung:
+        calls.clear()
+        trace = construct(g)[1]
+        assert not trace.used_fallback()
+        glued = [
+            (mask_of(step.working), mask_of(step.increment))
+            for step in trace.steps
+            if step.recursed
+        ]
+        assert calls == glued
+        total += len(calls)
+    assert total == 332
 
 
 def test_size_test_drops_no_member(monkeypatch, members_and_hung, universe7):

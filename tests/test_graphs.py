@@ -71,6 +71,42 @@ def test_from_edge_list_rejects_out_of_range():
 
 
 @pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (-1, [], "vertex count must be non-negative"),
+        (3, [(0, 1), (2, 2)], "loop edge at vertex 2"),
+        (3, [(0, 1), (-1, 2)], "edge (-1, 2) outside id range 0..2"),
+        (3, [(1, 3)], "edge (1, 3) outside id range 0..2"),
+    ],
+    ids=["negative-n", "loop", "negative-id", "id-too-large"],
+)
+def test_from_edge_list_error_messages(n, edges, message):
+    with pytest.raises(ValueError) as err:
+        from_edge_list(n, edges)
+    assert str(err.value) == message
+
+
+def test_from_edge_list_equals_the_checked_constructor():
+    # from_edge_list skips Graph's checks; its graph is the one Graph(n, rows)
+    # validates, duplicates and both orders of a pair collapsing to one edge
+    rng = random.Random(30)
+    for _ in range(500):
+        n = rng.randrange(0, 14)
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        edges = rng.sample(pairs, rng.randrange(len(pairs) + 1))
+        edges += rng.choices(edges, k=rng.randrange(4)) if edges else []
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+        rows = [0] * n
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        g, h = from_edge_list(n, edges), Graph(n, rows)
+        assert (g.adj, g.m) == (h.adj, h.m) == (tuple(rows), len(set(map(frozenset, edges))))
+        assert g == h and hash(g) == hash(h)
+
+
+@pytest.mark.parametrize(
     "n, adj, message",
     [
         (-1, [], "vertex count must be non-negative"),
