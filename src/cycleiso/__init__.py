@@ -10,10 +10,8 @@ over exhaustive or ingested graph streams.
 
 from .constructive import (
     CaseTrace,
-    ComponentClass,
     TraceStep,
     bound_value,
-    classify_component,
     construct,
 )
 from .cycles import all_cycles
@@ -59,7 +57,6 @@ __all__ = [
     "BoundSpec",
     "BudgetExceededError",
     "CaseTrace",
-    "ComponentClass",
     "ConsDecomposition",
     "ExactResult",
     "Graph",
@@ -73,9 +70,8 @@ __all__ = [
     "bound_value",
     "boundary_edge_count",
     "build",
-    "check_graph",
     "check_gluing_hypothesis",
-    "classify_component",
+    "check_graph",
     "closed_neighborhood",
     "conjecture_bound",
     "construct",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 import time
@@ -518,7 +519,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         # every command that reads --graph6 or --file takes one of them at most
         if getattr(args, "graph6", None) is not None and getattr(args, "file", None) is not None:
             raise CliError("give at most one of --graph6 and --file")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a reader that left early is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -59,7 +59,6 @@ from .graphs import (
     closed_of,
     components,
     edges_between,
-    is_connected,
     mask_of,
 )
 from .isolation import check_gluing_hypothesis, iota_exact
@@ -166,12 +165,6 @@ class ComponentClass:
         connection set.
         """
         return (1 << w) | (self.conn_mask() & ~(1 << self.anchor_of(w)))
-
-
-def classify_component(h: Graph) -> ComponentClass:
-    if not is_connected(h):
-        raise ValueError("classification requires a connected graph")
-    return ComponentClass(h, h.full_mask, h.m)
 
 
 class _DispatchError(Exception):
@@ -558,6 +551,9 @@ def _subcase_2_1(
     h3 = [c for c in picked if c.tag == "extremal"]
     all_single = all(e_of(c) == 1 for c in picked)
     e_v1_out = (g.adj[v1] & outside).bit_count()
+    conns = 0
+    for c in h3:
+        conns |= c.conn_mask()
 
     if (
         c1 == 1
@@ -567,18 +563,13 @@ def _subcase_2_1(
         and all_single
     ):
         if gv.tag == "diamond":
-            d = 1 << v1
-            for c in h3:
-                d |= c.conn_mask()
-            return _result(g, p, "Subcase 2.1(i)", smask, d)
+            return _result(g, p, "Subcase 2.1(i)", smask, 1 << v1 | conns)
         if gv.tag == "extremal":
             # gv first, then h3 in vertex order: the order _split yields them
             endpoints = [(gv, _single_bit(g.adj[v1] & outside))]
             endpoints += [(c, _single_bit(g.adj[v1] & c.mask)) for c in h3]
             stray = [(c, w) for c, w in endpoints if w != c.anchor_of(w)]
-            d = 1 << v1
-            for c, _ in endpoints:
-                d |= c.conn_mask()
+            d = 1 << v1 | gv.conn_mask() | conns
             if stray:
                 # v1 already covers the first stray endpoint, so its anchor is dropped
                 c, w = stray[0]
@@ -593,10 +584,7 @@ def _subcase_2_1(
             u_h = min(bits(g.adj[v1] & c.mask))
             d_s |= c.swap_set(u_h)
         return _result(g, p, "Subcase 2.1(ii)", smask, d_s, recursed=recursed)
-    d_s = 1 << v1
-    for c in h3:
-        d_s |= c.conn_mask()
-    return _result(g, p, "Subcase 2.1", smask, d_s, recursed=recursed)
+    return _result(g, p, "Subcase 2.1", smask, 1 << v1 | conns, recursed=recursed)
 
 
 def _subcase_2_2(

@@ -40,6 +40,10 @@ Rows that a caller hands to Graph(n, adj) are checked in one pass, ids
 and loops in every row first, then the first asymmetric pair in scan
 order; no pair bits are kept.
 
+`parse_edge_list` reads ASCII decimal integers and feeds `from_edge_list`
+one line's edge at a time, so the builder's loop and range checks are the
+only ones; the parser puts that line's number in front of any error.
+
 `bits` returns a mask's ids as a tuple.  A table of the 256 id tuples of a
 byte answers a mask below 256 in one lookup and gives the ids 0..7 of a
 wider one; its set bits above those are taken one at a time into a list.
@@ -361,26 +365,27 @@ def graph_from_code(n: int, code: int) -> Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the "n <count>" header plus one "u v" pair per line."""
+    """Parse the "n <count>" header plus one "u v" pair per line; ids may be negative."""
     lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise GraphFormatError("empty edge-list input")
-    headno, head = lines[0]
-    if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
+    lineno, head = lines[0]
+    # int() alone would also take "1_0", "+1" and non-ASCII digits
+    if len(head) != 2 or head[0] != "n" or not (head[1].isascii() and head[1].isdigit()):
         raise GraphFormatError(
-            f'line {headno}: edge-list input must start with a "n <count>" header'
+            f'line {lineno}: edge-list input must start with a "n <count>" header'
         )
-    n = int(head[1])
-    edges = []
-    for lineno, parts in lines[1:]:
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex id") from exc
-        edges.append((u, v))
+
+    def edges():
+        nonlocal lineno
+        for lineno, parts in lines[1:]:
+            if len(parts) != 2:
+                raise ValueError("expected 'u v'")
+            if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+                raise ValueError("non-integer vertex id")
+            yield int(parts[0]), int(parts[1])
+
     try:
-        return from_edge_list(n, edges)
+        return from_edge_list(int(head[1]), edges())
     except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+        raise GraphFormatError(f"line {lineno}: {exc}") from exc

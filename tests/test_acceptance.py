@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from cycleiso.cli import main as cli_main
-from cycleiso.constructive import bound_value, classify_component, construct
+from cycleiso.constructive import ComponentClass, bound_value, construct
 from cycleiso.family import (
     Tree,
     build,
@@ -145,7 +145,7 @@ def test_criterion_05_constructive_exhaustive(universe8):
     for g in universe8:
         exact = iota_exact(g, 4)
         digest.update(f"{encode_graph6(g)} {exact.iota} {exact.witness} {exact.explored}\n".encode())
-        if classify_component(g).tag == "C4":
+        if ComponentClass(g, g.full_mask, g.m).tag == "C4":
             with pytest.raises(ValueError) as exc:
                 construct(g)
             digest.update(f"error {exc.value}\n".encode())

@@ -2,8 +2,11 @@ import gc
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ from cycleiso.family import Tree, build
 from cycleiso.graphs import Graph, encode_graph6, parse_graph6
 from cycleiso.isolation import UNBUDGETED_MAX_N
 from util import (
+    EDGE_LIST_ERRORS,
     cycle,
     diamond,
     format_edge_list,
@@ -414,6 +418,41 @@ def test_file_with_broken_header_is_read_as_edge_list(capsys, tmp_path, text):
     assert run_cli(capsys, "exact", "--file", str(path)) == (
         1, "", 'error: line 1: edge-list input must start with a "n <count>" header\n'
     )
+
+
+@pytest.mark.parametrize("text, message", EDGE_LIST_ERRORS.values(), ids=EDGE_LIST_ERRORS.keys())
+def test_file_edge_list_errors_cite_their_line(capsys, tmp_path, text, message):
+    # a file is read as ASCII, so a non-ASCII byte fails as its replacement character would
+    path = tmp_path / "graph.txt"
+    path.write_bytes(text.encode())
+    assert run_cli(capsys, "exact", "--file", str(path)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", EDGE_LIST_ERRORS.values(), ids=EDGE_LIST_ERRORS.keys())
+def test_stdin_edge_list_errors_cite_their_line(capsys, monkeypatch, text, message):
+    # stdin keeps non-ASCII characters, so "\u00b2" and "\uff11" reach the id checks as themselves
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run_cli(capsys, "cons") == (1, "", f"error: {message}\n")
+
+
+def test_closed_stdout_ends_quietly():
+    # order 8 prints 77,819 bytes, more than a pipe holds, so the command is
+    # still writing when the reader closes the pipe after one line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycleiso.cli", "enumerate", "-n", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline().endswith(b"\n")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, b"")
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,8 @@ from cycleiso.constructive import (
     FALLBACK_NODE_BUDGET,
     TRACE_LABELS,
     bound_value,
+    ComponentClass,
     TraceStep,
-    classify_component,
     construct,
 )
 from cycleiso.family import Tree, build, enumerate_trees, recognize
@@ -63,16 +63,9 @@ def test_construct_past_id_63():
 
 
 def test_classify():
-    assert classify_component(cycle(4)).tag == "C4"
-    assert classify_component(diamond()).tag == "diamond"
-    cls = classify_component(c4_plus())
-    assert cls.tag == "extremal" and cls.decomposition is not None
-    assert classify_component(complete(5)).tag == "other"
-
-
-def test_classify_rejects_disconnected():
-    with pytest.raises(ValueError):
-        classify_component(disjoint_union(cycle(3), cycle(3)))
+    classes = [ComponentClass(g, g.full_mask, g.m) for g in (cycle(4), diamond(), c4_plus(), complete(5))]
+    assert [c.tag for c in classes] == ["C4", "diamond", "extremal", "other"]
+    assert classes[2].decomposition is not None
 
 
 def test_construct_c4_free_graph():
@@ -227,7 +220,7 @@ def test_trace_increments_union_is_output():
 
 def test_trace_labels_are_known(universe7):
     for g in universe7:
-        if classify_component(g).tag == "C4":
+        if ComponentClass(g, g.full_mask, g.m).tag == "C4":
             continue
         _, trace = construct(g)
         assert set(trace.labels) <= TRACE_LABELS
@@ -235,7 +228,7 @@ def test_trace_labels_are_known(universe7):
 
 def test_exhaustive_soundness_n7(universe7):
     for g in universe7:
-        if classify_component(g).tag == "C4":
+        if ComponentClass(g, g.full_mask, g.m).tag == "C4":
             continue
         d, trace = construct(g)
         size = d.bit_count()
@@ -249,7 +242,8 @@ def test_equality_cases_n7(universe7):
     attained = [
         g
         for g in universe7
-        if classify_component(g).tag != "C4" and iota_exact(g, 4).iota == bound_value(g.m)
+        if ComponentClass(g, g.full_mask, g.m).tag != "C4"
+        and iota_exact(g, 4).iota == bound_value(g.m)
     ]
     shapes = sorted((g.n, g.m) for g in attained)
     assert shapes == [(4, 5), (5, 5)]
@@ -635,7 +629,7 @@ def test_size_test_drops_no_member(monkeypatch, members_and_hung, universe7):
         construct(g)
     monkeypatch.undo()
     assert len(records) == 1223
-    records += [(g, classify_component(g)) for g in universe7]
+    records += [(g, ComponentClass(g, g.full_mask, g.m)) for g in universe7]
     for g, c in records:
         assert (c.tag == "extremal") == (recognize(g, 4, c.mask) is not None)
 

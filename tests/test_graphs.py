@@ -23,6 +23,7 @@ from cycleiso.graphs import (
     parse_graph6,
 )
 from util import (
+    EDGE_LIST_ERRORS,
     c4_plus,
     complete,
     cycle,
@@ -554,6 +555,14 @@ def test_edge_list_text_errors():
         parse_edge_list("n 3\n\n0 x\n")
     with pytest.raises(GraphFormatError, match='^line 2: edge-list input must start with a "n'):
         parse_edge_list("\n3\n0 1\n")
+
+
+@pytest.mark.parametrize("text, message", EDGE_LIST_ERRORS.values(), ids=EDGE_LIST_ERRORS.keys())
+def test_edge_list_errors_cite_their_line(text, message):
+    # ids are ASCII decimal integers; from_edge_list's loop and range errors gain the line
+    with pytest.raises(GraphFormatError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
 
 
 def test_graph_immutable_and_hashable():

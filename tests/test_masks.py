@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from cycleiso.constructive import _split, classify_component
+from cycleiso.constructive import ComponentClass, _split
 from cycleiso.cycles import all_cycles
 from cycleiso.family import ConsDecomposition, Constituent, Tree, build, recognize
 from cycleiso.graphs import Graph, components, from_edge_list, mask_of
@@ -121,7 +121,7 @@ def test_piece_record_matches_the_renumbered_piece():
             pieces = zip(_split(g, alive), oracle_components(g, alive), strict=True)
             for got, (mask, _) in pieces:
                 sub, emb = induced_subgraph(g, mask)
-                want = classify_component(sub)
+                want = ComponentClass(sub, sub.full_mask, sub.m)
                 assert (got.mask, got.tag, got.m) == (mask, want.tag, want.m)
                 assert got.decomposition == _lift(want.decomposition, emb)
                 tags.add(got.tag)

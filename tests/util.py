@@ -93,6 +93,19 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: malformed edge lists and the error each gives, through parse_edge_list and
+#: the CLI alike; every message cites the physical line, blank lines counted
+EDGE_LIST_ERRORS = {
+    "id-too-large": ("n 3\n0 1\n\n1 5\n", "line 4: edge (1, 5) outside id range 0..2"),
+    "loop": ("n 3\n0 1\n2 2\n", "line 3: loop edge at vertex 2"),
+    "superscript-count": ("n \u00b2\n", 'line 1: edge-list input must start with a "n <count>" header'),
+    "underscore-id": ("n 12\n1_0 1\n", "line 2: non-integer vertex id"),
+    "plus-id": ("n 12\n+1 2\n", "line 2: non-integer vertex id"),
+    "fullwidth-id": ("n 3\n\uff11 2\n", "line 2: non-integer vertex id"),
+    "negative-id": ("n 3\n0 1\n-1 2\n", "line 3: edge (-1, 2) outside id range 0..2"),
+}
+
+
 def increments_union(trace: CaseTrace) -> VertexSet:
     """The union of a case trace's step increments."""
     out = 0
