@@ -117,7 +117,7 @@ def _load_graph(args) -> Graph:
 
 def _looks_like_graph6(text: str) -> bool:
     """A lone token of graph6 bytes (63..126) on the first non-blank line."""
-    first = next((ln.split() for ln in text.splitlines() if ln.strip()), [])
+    first = next((ln.split() for ln in text.split("\n") if ln.strip()), [])
     if len(first) != 1:
         return False
     token = first[0].removeprefix(">>graph6<<")

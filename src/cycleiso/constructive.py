@@ -28,20 +28,27 @@ so no piece is walked a second time for its edge count; only a piece whose
 order and size fit a member's (n = 5t, m = 6t - 1, recognize's own first
 test) is handed to `recognize`.  A ":member" label only marks the case of
 its branch where every endpoint is its own anchor.  Every branch that
-recurses glues onto the set it settled, its working set, so that set and
-the branch's increment are checked against the gluing hypothesis.
+recurses glues onto the set it settled, its working set.
 
 The recursion reads only masks it built itself from the input's rows, each
 a subset of the piece at hand, so it calls the unchecked kernels
 `graphs.closed_of` and `graphs.edges_between` rather than the validating
 public helpers; the input graph is checked once, when it is built.
 
-Every level is validated (the set isolates, the size bound holds).  If a
-structural step ever fails validation the level falls back to the exact
-solver and marks its trace step "fallback", so the returned set is always
-sound; the fallback firing at all signals a fidelity bug in the case
-analysis and is treated as a reportable finding.  The fallback search runs
-under FALLBACK_NODE_BUDGET nodes on pieces of any order, and raises
+Every step is validated by the fact its soundness rests on, with no
+search of the whole piece after dispatch.  A leaf step's increment must
+isolate its piece, checked by a 4-cycle search.  A glued step must meet
+the gluing hypothesis, and its recursed pieces must cover exactly the
+piece minus the working set; each comes from a split of a superset of that
+rest, so they are then its components, and sound sets on them extend the
+increment to an isolating set of the piece (Borg's gluing argument).  A
+"base:no-C4" step is proved by its edge count (a tree) or by the probe
+that found no 4-cycle.  Every level's set must also meet the size bound.
+If a structural step ever fails validation the level falls back to the
+exact solver and marks its trace step "fallback", so the returned set is
+always sound; the fallback firing at all signals a fidelity bug in the
+case analysis and is treated as a reportable finding.  The fallback search
+runs under FALLBACK_NODE_BUDGET nodes on pieces of any order, and raises
 BudgetExceededError when it runs out rather than return an unproven set.
 """
 
@@ -209,10 +216,11 @@ def _solve_pieces(g: Graph, pieces: list[ComponentClass]) -> tuple[VertexSet, li
 
 
 def _construct(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceStep]]:
-    """Connected recursion with validation and exact-solver fallback."""
+    """Connected recursion with a size check and exact-solver fallback; each
+    step's isolation is checked where `_result` assembles it."""
     try:
         d, steps = _dispatch(g, piece)
-        ok = _isolates(g, piece.mask, d) and _within_contract(piece, d)
+        ok = _within_contract(piece, d)
     except (_DispatchError, StopIteration):
         ok = False
     if not ok:
@@ -248,12 +256,21 @@ def _result(
     recursed: list[ComponentClass] | None = None,
 ) -> tuple[VertexSet, list[TraceStep]]:
     """Assemble a branch result on piece p: direct part plus recursion on
-    components.  A branch that recurses glues onto its working set, so
-    (working, direct) must meet the gluing hypothesis."""
+    components.  A leaf's direct part must isolate p.  A branch that recurses
+    glues onto its working set, so (working, direct) must meet the gluing
+    hypothesis and the recursed pieces must cover exactly p - working."""
     if recursed is None:
+        if not _isolates(g, p, direct):
+            raise _DispatchError("a leaf increment leaves a 4-cycle in its piece")
         recursed = []
-    elif not check_gluing_hypothesis(g, working, direct, 4, p):
-        raise _DispatchError("gluing hypothesis violated in a structural branch")
+    else:
+        if not check_gluing_hypothesis(g, working, direct, 4, p):
+            raise _DispatchError("gluing hypothesis violated in a structural branch")
+        cover = 0
+        for c in recursed:
+            cover |= c.mask
+        if cover != p & ~working:
+            raise _DispatchError("recursed pieces do not cover the piece outside the working set")
     d, sub_steps = _solve_pieces(g, recursed)
     head = TraceStep(
         label=label,
@@ -266,12 +283,11 @@ def _result(
 
 def _dispatch(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceStep]]:
     p = piece.mask
-    if piece.m == p.bit_count() - 1:
-        # a connected piece with n - 1 edges is a tree, so it has no cycle to find
+    # a connected piece with n - 1 edges is a tree, so it has no cycle to find;
+    # otherwise the probe's own search proves the empty set isolates p
+    if piece.m == p.bit_count() - 1 or find_cycle(g, 4, p) is None:
         return 0, [TraceStep("base:no-C4", (), ())]
     adj = g.adj
-    if find_cycle(g, 4, p) is None:
-        return _result(g, p, "base:no-C4", 0, 0)
     if piece.m <= 5:
         # connected, has a 4-cycle, not the plain C4: diamond or C4-plus-pendant
         want = 3 if p.bit_count() == 4 else 1

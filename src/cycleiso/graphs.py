@@ -366,7 +366,7 @@ def graph_from_code(n: int, code: int) -> Graph:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n <count>" header plus one "u v" pair per line; ids may be negative."""
-    lines = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = [(no, ln.split()) for no, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if not lines:
         raise GraphFormatError("empty edge-list input")
     lineno, head = lines[0]

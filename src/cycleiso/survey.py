@@ -518,7 +518,7 @@ def ingest_graph6(
     With a failures list a malformed line is recorded there and skipped;
     without one it aborts with the line number.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = source.split("\n") if isinstance(source, str) else source
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:

@@ -411,7 +411,7 @@ def test_order_zero_exclusion_matches_order_zero_record(capsys, tmp_path):
     assert (code, out) == (0, "records: 1\n  excluded: 1\n")
 
 
-@pytest.mark.parametrize("text", ["3\n0 1\n", "C~ C~\n"])
+@pytest.mark.parametrize("text", ["3\n0 1\n", "C~ C~\n", "C~\x0bC~\n", "n 3\x0c0 1\n"])
 def test_file_with_broken_header_is_read_as_edge_list(capsys, tmp_path, text):
     path = tmp_path / "graph.txt"
     path.write_text(text)

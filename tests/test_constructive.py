@@ -290,6 +290,49 @@ def test_fallback_replaces_a_failed_glued_branch(monkeypatch):
     assert verify(g, d, 4).valid
 
 
+def test_fallback_replaces_a_leaf_that_does_not_isolate(monkeypatch):
+    # K4's leaf branch handing back an empty increment meets the size bound,
+    # so only the leaf's own isolation check can refuse it
+    g = complete(4)
+    assert construct(g)[1].labels == ("Case 1:K4",)
+    monkeypatch.setattr(
+        constructive, "_case1", lambda g, p: constructive._result(g, p, "Case 1:K4", p, 0)
+    )
+    d, trace = construct(g)
+    assert trace.labels == ("fallback",)
+    assert d == iota_exact(g, 4).witness
+    assert verify(g, d, 4).valid
+
+
+def test_fallback_replaces_a_glued_step_missing_a_piece(monkeypatch):
+    # a star K_{1,4} bridged to a K_{2,3}: the glued "Case 2:star-bridge"
+    # step recurses on the K_{2,3}.  Dropping that piece keeps the gluing
+    # hypothesis and the size bound but leaves its 4-cycles, so only the
+    # cover check refuses the step
+    g = from_edge_list(
+        10,
+        [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5),
+         (5, 7), (5, 8), (5, 9), (6, 7), (6, 8), (6, 9)],
+    )
+    assert construct(g)[1].labels == ("Case 2:star-bridge", "Subcase 1.2.2(ii)", "base:no-C4")
+    real = constructive._result
+    dropped = []
+
+    def dropping(g, p, label, working, direct, recursed=None):
+        if recursed:
+            assert constructive.check_gluing_hypothesis(g, working, direct, 4, p)
+            dropped.append(direct)
+            recursed = recursed[:-1]
+        return real(g, p, label, working, direct, recursed)
+
+    monkeypatch.setattr(constructive, "_result", dropping)
+    d, trace = construct(g)
+    assert trace.labels == ("fallback",)
+    assert not verify(g, dropped[0], 4).valid
+    assert d == iota_exact(g, 4).witness
+    assert verify(g, d, 4).valid
+
+
 def test_fallback_on_a_piece_above_20_vertices(monkeypatch):
     # the glued branch of test_fallback_replaces_a_failed_glued_branch on a
     # graph the exact solver refuses to search without a budget
@@ -635,8 +678,8 @@ def test_size_test_drops_no_member(monkeypatch, members_and_hung, universe7):
 
 
 def test_trees_settle_without_a_cycle_search(monkeypatch):
-    # a tree piece is settled from its edge count; the one cycle search
-    # left is the validation of its empty set
+    # a tree piece is settled from its edge count, which also proves its
+    # empty set isolates it, so no cycle search runs at all
     searches = 0
     real = constructive.find_cycle
 
@@ -652,7 +695,40 @@ def test_trees_settle_without_a_cycle_search(monkeypatch):
             d, trace = construct(from_edge_list(tree.n, tree.edges))
             assert d == 0
             assert trace.steps == (TraceStep("base:no-C4", (), ()),)
-            assert searches == 1
+            assert searches == 0
+
+
+def test_each_search_is_a_probe_or_a_leaf_check(monkeypatch, members_and_hung):
+    # every non-tree piece is probed for a 4-cycle once, and every leaf step
+    # but a "base:no-C4" one is checked once; a glued step or a "base:no-C4"
+    # piece is proved by its own facts, not by a second search
+    searches = 0
+    real_search = constructive.find_cycle
+
+    def counting(*args):
+        nonlocal searches
+        searches += 1
+        return real_search(*args)
+
+    pieces = []
+    real_dispatch = constructive._dispatch
+
+    def recording(g, piece):
+        pieces.append(piece)
+        return real_dispatch(g, piece)
+
+    monkeypatch.setattr(constructive, "find_cycle", counting)
+    monkeypatch.setattr(constructive, "_dispatch", recording)
+    for g in members_and_hung:
+        searches = 0
+        pieces.clear()
+        trace = construct(g)[1]
+        assert not trace.used_fallback()
+        non_trees = sum(1 for c in pieces if c.m != c.mask.bit_count() - 1)
+        checked_leaves = sum(
+            1 for step in trace.steps if not step.recursed and step.label != "base:no-C4"
+        )
+        assert searches == non_trees + checked_leaves
 
 
 def test_construct_calls_no_validating_set_helper(monkeypatch, members_and_hung):

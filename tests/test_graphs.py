@@ -565,6 +565,13 @@ def test_edge_list_errors_cite_their_line(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("sep", ["\x85", "\x0b", "\u2028"])
+def test_edge_list_lines_break_only_at_newline(sep):
+    # str.splitlines would also break at these, one line ahead of grep -n
+    with pytest.raises(GraphFormatError, match=r"^line 3: edge \(1, 5\) outside id range 0\.\.2$"):
+        parse_edge_list(f"n 3\n0 1{sep}\n1 5\n")
+
+
 def test_graph_immutable_and_hashable():
     g = cycle(4)
     with pytest.raises(AttributeError):

@@ -711,6 +711,12 @@ def test_ingest_bad_line_aborts_with_line_number():
         assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("sep", ["\x85", "\x0b", "\u2028"])
+def test_ingest_lines_break_only_at_newline(sep):
+    with pytest.raises(GraphFormatError, match="^line 2: "):
+        list(ingest_graph6(f"C~{sep}\nBADLINE\n"))
+
+
 def test_ingest_skip_mode_records_failure():
     for bad in BAD_LINES:
         failures: list[IngestFailure] = []
