@@ -93,9 +93,11 @@ def _parse_bound(text: str, k: int) -> BoundSpec:
 
 
 def _read_text(path: str) -> str:
-    """A file's text; undecodable bytes become U+FFFD, never a valid graph6 byte."""
+    """A file's text; undecodable bytes become U+FFFD, never a valid graph6
+    byte.  Only "\n" ends a line, as in parse_edge_list, ingest_graph6 and
+    sys.stdin, which CPython sets up that way on POSIX systems."""
     try:
-        with open(path, encoding="ascii", errors="replace") as fh:
+        with open(path, encoding="ascii", errors="replace", newline="\n") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(str(exc)) from None

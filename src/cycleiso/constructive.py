@@ -4,8 +4,8 @@ For any connected graph other than the plain 4-cycle this builds an
 isolating set D with |D| <= floor((m+1)/6) by structural recursion:
 
 * tiny bases (no 4-cycle at all, or at most five edges); a piece with
-  n - 1 edges is a tree, since pieces are connected, so it settles with
-  an empty set and no 4-cycle search;
+  n - 1 edges is a tree, since pieces are connected, so it settles where
+  it is split, with an empty set and no dispatch or 4-cycle search;
 * maximum degree 3: pick a working 4-cycle, preferring one whose induced
   span is K4, then the diamond, then a chordless one with the fewest edges
   leaving it, and split on that boundary count;
@@ -21,14 +21,18 @@ graph outside {diamond} + family gets a set of size at most floor(m/6);
 the refined equality branches below exist exactly to preserve it.
 
 Each piece of the recursion is one ComponentClass record, a vertex mask of
-the input graph with its edge count, tag and family decomposition, so sets
-and trace steps come out in input ids.  The split into pieces is
-`graphs.components`, whose one walk per component also counts its edges,
-so no piece is walked a second time for its edge count; only a piece whose
-order and size fit a member's (n = 5t, m = 6t - 1, recognize's own first
-test) is handed to `recognize`.  A ":member" label only marks the case of
-its branch where every endpoint is its own anchor.  Every branch that
-recurses glues onto the set it settled, its working set.
+the input graph with its edge count, dispatch vertex, tag and family
+decomposition, so sets and trace steps come out in input ids.  The split
+into pieces is `graphs.components`, whose one walk per component also
+counts its edges and finds its least vertex of maximum degree, the vertex
+both cases dispatch on; so no piece is walked a second time, for its edge
+count or for that vertex.  `_solve_pieces` settles a tree piece as it
+meets it, with one shared "base:no-C4" step, and hands every other piece
+to `_construct`.  Only a piece whose order and size fit a member's
+(n = 5t, m = 6t - 1, recognize's own first test) is handed to
+`recognize`.  A ":member" label only marks the case of its branch where
+every endpoint is its own anchor.  Every branch that recurses glues onto
+the set it settled, its working set.
 
 The recursion reads only masks it built itself from the input's rows, each
 a subset of the piece at hand, so it calls the unchecked kernels
@@ -42,14 +46,15 @@ the gluing hypothesis, and its recursed pieces must cover exactly the
 piece minus the working set; each comes from a split of a superset of that
 rest, so they are then its components, and sound sets on them extend the
 increment to an isolating set of the piece (Borg's gluing argument).  A
-"base:no-C4" step is proved by its edge count (a tree) or by the probe
-that found no 4-cycle.  Every level's set must also meet the size bound.
-If a structural step ever fails validation the level falls back to the
-exact solver and marks its trace step "fallback", so the returned set is
-always sound; the fallback firing at all signals a fidelity bug in the
-case analysis and is treated as a reportable finding.  The fallback search
-runs under FALLBACK_NODE_BUDGET nodes on pieces of any order, and raises
-BudgetExceededError when it runs out rather than return an unproven set.
+"base:no-C4" step is proved by its edge count (a tree, settled in
+`_solve_pieces`) or by the probe that found no 4-cycle.  Every level's set
+must also meet the size bound.  If a structural step ever fails
+validation the level falls back to the exact solver and marks its trace
+step "fallback", so the returned set is always sound; the fallback firing
+at all signals a fidelity bug in the case analysis and is treated as a
+reportable finding.  The fallback search runs under FALLBACK_NODE_BUDGET
+nodes on pieces of any order, and raises BudgetExceededError when it runs
+out rather than return an unproven set.
 """
 
 from __future__ import annotations
@@ -135,16 +140,18 @@ def bound_value(m: int) -> Fraction:
 
 
 class ComponentClass:
-    """One connected piece of a graph: a vertex mask of g, its edge count
-    and its structural class, tag "C4", "diamond", "extremal" (a family
-    member, with its decomposition in g's ids) or "other".  Its maker
-    passes the edge count m in, so the piece is not walked again for it."""
+    """One connected piece of a graph: a vertex mask of g, its edge count,
+    its least vertex of maximum degree (top) and its structural class, tag
+    "C4", "diamond", "extremal" (a family member, with its decomposition in
+    g's ids) or "other".  Its maker passes m and top in, as
+    `graphs.components` gives them, so the piece is not walked again."""
 
-    __slots__ = ("mask", "m", "tag", "decomposition")
+    __slots__ = ("mask", "m", "top", "tag", "decomposition")
 
-    def __init__(self, g: Graph, mask: VertexSet, m: int):
+    def __init__(self, g: Graph, mask: VertexSet, m: int, top: int):
         self.mask = mask
         self.m = m
+        self.top = top
         self.decomposition = None
         n = mask.bit_count()
         if n == 4 and m == 4 and all((g.adj[v] & mask).bit_count() == 2 for v in bits(mask)):
@@ -180,7 +187,7 @@ class _DispatchError(Exception):
 
 def _split(g: Graph, alive: VertexSet) -> list[ComponentClass]:
     """The components of g on alive as piece records, least vertex first."""
-    return [ComponentClass(g, comp, m) for comp, m in components(g.adj, alive)]
+    return [ComponentClass(g, comp, m, top) for comp, m, top in components(g.adj, alive)]
 
 
 def _single_bit(mask: VertexSet) -> int:
@@ -204,11 +211,21 @@ def construct(g: Graph) -> tuple[VertexSet, CaseTrace]:
     return d, CaseTrace(tuple(steps))
 
 
+#: the step of every piece settled with the empty set, trees included
+_NO_C4_STEP = TraceStep("base:no-C4", (), ())
+
+
 def _solve_pieces(g: Graph, pieces: list[ComponentClass]) -> tuple[VertexSet, list[TraceStep]]:
-    """Solve each piece; the union of their sets and their trace steps."""
+    """Solve each piece; the union of their sets and their trace steps.
+
+    A connected piece with n - 1 edges is a tree: it has no cycle, so it
+    settles here with the empty set and no recursion."""
     d = 0
     steps: list[TraceStep] = []
     for piece in pieces:
+        if piece.m == piece.mask.bit_count() - 1:
+            steps.append(_NO_C4_STEP)
+            continue
         local, local_steps = _construct(g, piece)
         d |= local
         steps.extend(local_steps)
@@ -283,26 +300,19 @@ def _result(
 
 def _dispatch(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceStep]]:
     p = piece.mask
-    # a connected piece with n - 1 edges is a tree, so it has no cycle to find;
-    # otherwise the probe's own search proves the empty set isolates p
-    if piece.m == p.bit_count() - 1 or find_cycle(g, 4, p) is None:
-        return 0, [TraceStep("base:no-C4", (), ())]
+    # the probe's own search proves the empty set isolates p
+    if find_cycle(g, 4, p) is None:
+        return 0, [_NO_C4_STEP]
     adj = g.adj
     if piece.m <= 5:
         # connected, has a 4-cycle, not the plain C4: diamond or C4-plus-pendant
         want = 3 if p.bit_count() == 4 else 1
         d = 1 << next(v for v in bits(p) if (adj[v] & p).bit_count() == want)
         return _result(g, p, "base:m<=5", p, d)
-    # the least vertex of maximum degree; sets and traces depend on the tie-break
-    v = delta = -1
-    rest = p
-    while rest:
-        low = rest & -rest
-        u = low.bit_length() - 1
-        du = (adj[u] & p).bit_count()
-        if du > delta:
-            v, delta = u, du
-        rest ^= low
+    # the least vertex of maximum degree, found by the split that made the
+    # piece; sets and traces depend on the tie-break
+    v = piece.top
+    delta = (adj[v] & p).bit_count()
     if delta == 3:
         return _case1(g, p)
     return _case2(g, piece, v, delta)

@@ -6,9 +6,12 @@ boundary edge counts -- then runs in a handful of machine-word operations,
 which matters because these are the inner loops of exhaustive enumeration
 and exact search.  Graphs are immutable after construction and safe to share.
 
-`components` is the one walk that splits a mask into its components, each
-with its edge count, for the solver, the certificate and the constructive
-pieces; `reach` grows a single connected set, for connectivity tests.
+`components` is the one walk that splits a mask into its components, for
+the solver, the certificate and the constructive pieces.  Each comes with
+its edge count and its least vertex of maximum degree, both read off the
+degrees the walk computes anyway; only the constructive recursion uses
+that vertex, the one its case analysis dispatches on.  `reach` grows a
+single connected set, for connectivity tests.
 
 The public set helpers, `as_mask`, `closed_neighborhood` and
 `boundary_edge_count`, take a Graph and validate every set they are given:
@@ -221,24 +224,34 @@ def reach(adj: Sequence[VertexSet], start: VertexSet, alive: VertexSet) -> Verte
     return comp
 
 
-def components(adj: Sequence[VertexSet], alive: VertexSet) -> list[tuple[VertexSet, int]]:
+def components(
+    adj: Sequence[VertexSet], alive: VertexSet
+) -> list[tuple[VertexSet, int, int]]:
     """The components of the subgraph induced on alive as (vertex mask, edge
-    count), least vertex first.  One walk per component visits each vertex
-    once, taking the lowest unvisited one, and sums the degrees
-    |N(u) & alive|, twice the component's edge count."""
+    count, top), least vertex first, where top is the component's least
+    vertex of maximum degree.  One walk per component visits each vertex
+    once, taking the lowest unvisited one, and reads its degree
+    |N(u) & alive| once: the degrees sum to twice the component's edge
+    count, and a tie for the largest goes to the lower id, since the walk
+    does not visit in id order."""
     out = []
     while alive:
         comp = todo = alive & -alive
         degrees = 0
+        top = delta = -1
         while todo:
             low = todo & -todo
             todo ^= low
-            row = adj[low.bit_length() - 1] & alive
-            degrees += row.bit_count()
+            u = low.bit_length() - 1
+            row = adj[u] & alive
+            du = row.bit_count()
+            degrees += du
+            if du >= delta and (du > delta or u < top):
+                top, delta = u, du
             row &= ~comp
             comp |= row
             todo |= row
-        out.append((comp, degrees // 2))
+        out.append((comp, degrees // 2, top))
         alive &= ~comp
     return out
 

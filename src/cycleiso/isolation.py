@@ -109,7 +109,7 @@ def verify(g: Graph, d: Union[VertexSet, Iterable[int]], k: int) -> IsolationCer
     check_length(k)
     dm = as_mask(g, d)
     alive = g.full_mask & ~closed_of(g.adj, dm)
-    residual = tuple(comp for comp, _ in components(g.adj, alive))
+    residual = tuple(comp for comp, _, _ in components(g.adj, alive))
     valid = find_cycle(g, k, alive) is None
     return IsolationCertificate(k=k, members=dm, valid=valid, residual=residual)
 
@@ -297,7 +297,7 @@ def iota_exact(
     total = 0
     found = 0
     explored = 0
-    comps = [comp for comp, _ in components(g.adj, alive)]
+    comps = [comp for comp, _, _ in components(g.adj, alive)]
     for comp in comps:
         budget = None if node_budget is None else node_budget - explored
         search = _Search(g, comp, k, budget)
@@ -346,7 +346,7 @@ def check_gluing_hypothesis(
     if find_cycle(g, k, residual) is not None:
         return False
     outside = alive & ~sm
-    for comp, _ in components(adj, residual):
+    for comp, _, _ in components(adj, residual):
         if edges_between(adj, comp, outside) > 1:
             return False
     return True

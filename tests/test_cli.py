@@ -411,7 +411,10 @@ def test_order_zero_exclusion_matches_order_zero_record(capsys, tmp_path):
     assert (code, out) == (0, "records: 1\n  excluded: 1\n")
 
 
-@pytest.mark.parametrize("text", ["3\n0 1\n", "C~ C~\n", "C~\x0bC~\n", "n 3\x0c0 1\n"])
+# only "\n" ends a line, so "n 3\r0 1\r1 5\n" is one line with a malformed header
+@pytest.mark.parametrize(
+    "text", ["3\n0 1\n", "C~ C~\n", "C~\x0bC~\n", "n 3\x0c0 1\n", "n 3\r0 1\r1 5\n"]
+)
 def test_file_with_broken_header_is_read_as_edge_list(capsys, tmp_path, text):
     path = tmp_path / "graph.txt"
     path.write_text(text)
@@ -435,6 +438,25 @@ def test_stdin_edge_list_errors_cite_their_line(capsys, monkeypatch, text, messa
     assert run_cli(capsys, "cons") == (1, "", f"error: {message}\n")
 
 
+def _run_module(argv: list[str], stdin: bytes) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "cycleiso.cli", *argv],
+        input=stdin, capture_output=True, env=env, timeout=60,
+    )
+
+
+def test_stdin_lines_end_only_at_newline():
+    # the real stdin, not a StringIO, splits lines only at "\n" on POSIX
+    # systems, as a --file does
+    proc = _run_module(["cons"], b"n 3\r0 1\r1 5\n")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert b"error: line 1: " in proc.stderr
+    proc = _run_module(["exact"], b"C~\r\n")
+    assert (proc.returncode, proc.stdout) == (0, b"iota: 1\nwitness: 0\nexplored: 4\n")
+
+
 def test_closed_stdout_ends_quietly():
     # order 8 prints 77,819 bytes, more than a pipe holds, so the command is
     # still writing when the reader closes the pipe after one line
@@ -456,10 +478,18 @@ def test_closed_stdout_ends_quietly():
 
 
 @pytest.mark.parametrize(
-    "text", ["C~\n", "\n  C~  \n", ">>graph6<<C~\n", "n 4\n0 1\n1 2\n2 3\n3 0\n0 2\n1 3\n"]
+    "text",
+    [
+        "C~\n",
+        "\n  C~  \n",
+        ">>graph6<<C~\n",
+        "n 4\n0 1\n1 2\n2 3\n3 0\n0 2\n1 3\n",
+        "n 4\r\n0 1\r\n1 2\r\n2 3\r\n3 0\r\n0 2\r\n1 3\r\n",
+    ],
 )
 def test_file_sniffs_graph6_or_edge_list(capsys, tmp_path, text):
-    # K4 written as graph6 (with blank lines, padding or a header) and as an edge list
+    # K4 written as graph6 (with blank lines, padding or a header) and as an
+    # edge list, with "\n" or "\r\n" line ends
     path = tmp_path / "graph.txt"
     path.write_text(text)
     assert run_cli(capsys, "exact", "--file", str(path)) == (

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from cycleiso.constructive import (
     FALLBACK_NODE_BUDGET,
     TRACE_LABELS,
     bound_value,
+    CaseTrace,
     ComponentClass,
     TraceStep,
     construct,
@@ -18,6 +20,7 @@ from cycleiso.family import Tree, build, enumerate_trees, recognize
 from cycleiso.graphs import (
     Graph,
     bits,
+    components,
     encode_graph6,
     from_edge_list,
     graph_from_code,
@@ -28,6 +31,7 @@ from cycleiso.isolation import BudgetExceededError, iota_exact, verify
 from cycleiso.survey import _connected_codes
 from util import (
     c4_plus,
+    check_trace,
     complete,
     cycle,
     diamond,
@@ -35,7 +39,9 @@ from util import (
     increments_union,
     k23_with_tail,
     oracle_iota,
+    oracle_is_member,
     path,
+    trace_pieces,
 )
 
 K13_PLUS = Tree(5, ((0, 1), (0, 2), (0, 3), (1, 4)))
@@ -62,8 +68,14 @@ def test_construct_past_id_63():
         assert not trace.used_fallback()
 
 
+def _whole(g: Graph) -> ComponentClass:
+    """The piece record of a connected graph taken whole."""
+    return ComponentClass(g, *components(g.adj, g.full_mask)[0])
+
+
 def test_classify():
-    classes = [ComponentClass(g, g.full_mask, g.m) for g in (cycle(4), diamond(), c4_plus(), complete(5))]
+    cases = ((cycle(4), 0), (diamond(), 1), (c4_plus(), 0), (complete(5), 0))
+    classes = [ComponentClass(g, g.full_mask, g.m, top) for g, top in cases]
     assert [c.tag for c in classes] == ["C4", "diamond", "extremal", "other"]
     assert classes[2].decomposition is not None
 
@@ -220,7 +232,7 @@ def test_trace_increments_union_is_output():
 
 def test_trace_labels_are_known(universe7):
     for g in universe7:
-        if ComponentClass(g, g.full_mask, g.m).tag == "C4":
+        if _whole(g).tag == "C4":
             continue
         _, trace = construct(g)
         assert set(trace.labels) <= TRACE_LABELS
@@ -228,7 +240,7 @@ def test_trace_labels_are_known(universe7):
 
 def test_exhaustive_soundness_n7(universe7):
     for g in universe7:
-        if ComponentClass(g, g.full_mask, g.m).tag == "C4":
+        if _whole(g).tag == "C4":
             continue
         d, trace = construct(g)
         size = d.bit_count()
@@ -242,7 +254,7 @@ def test_equality_cases_n7(universe7):
     attained = [
         g
         for g in universe7
-        if ComponentClass(g, g.full_mask, g.m).tag != "C4"
+        if _whole(g).tag != "C4"
         and iota_exact(g, 4).iota == bound_value(g.m)
     ]
     shapes = sorted((g.n, g.m) for g in attained)
@@ -672,7 +684,7 @@ def test_size_test_drops_no_member(monkeypatch, members_and_hung, universe7):
         construct(g)
     monkeypatch.undo()
     assert len(records) == 1223
-    records += [(g, ComponentClass(g, g.full_mask, g.m)) for g in universe7]
+    records += [(g, _whole(g)) for g in universe7]
     for g, c in records:
         assert (c.tag == "extremal") == (recognize(g, 4, c.mask) is not None)
 
@@ -731,6 +743,104 @@ def test_each_search_is_a_probe_or_a_leaf_check(monkeypatch, members_and_hung):
         assert searches == non_trees + checked_leaves
 
 
+def test_trees_settle_where_they_are_split(monkeypatch, members_and_hung):
+    # _solve_pieces settles a tree piece with the shared "base:no-C4" step,
+    # so _construct runs once per other piece, in trace order, and
+    # _dispatch never sees a tree
+    constructed = []
+    dispatched = []
+    real_construct = constructive._construct
+    real_dispatch = constructive._dispatch
+
+    def recording_construct(g, piece):
+        constructed.append(piece.mask)
+        return real_construct(g, piece)
+
+    def recording_dispatch(g, piece):
+        dispatched.append(piece)
+        return real_dispatch(g, piece)
+
+    monkeypatch.setattr(constructive, "_construct", recording_construct)
+    monkeypatch.setattr(constructive, "_dispatch", recording_dispatch)
+    steps = trees = 0
+    for g in members_and_hung:
+        constructed.clear()
+        trace = construct(g)[1]
+        assert not trace.used_fallback()
+        pieces = trace_pieces(g, trace)
+        tree = [
+            sum((g.adj[v] & p).bit_count() for v in bits(p)) // 2 == p.bit_count() - 1
+            for p in pieces
+        ]
+        assert constructed == [p for p, t in zip(pieces, tree) if not t]
+        assert all(s.label == "base:no-C4" for s, t in zip(trace.steps, tree) if t)
+        steps += len(pieces)
+        trees += sum(tree)
+    assert all(c.m != c.mask.bit_count() - 1 for c in dispatched)
+    assert len(dispatched) == steps - trees
+    # 839 pieces, 426 of them trees that never reach _construct
+    assert (steps, trees) == (839, 426)
+
+
+def test_construct_traces_check_as_proofs(members_and_hung, universe7):
+    # the independent checker in util rebuilds each step's piece and checks
+    # cover, gluing, leaf isolation and the per-step budget
+    order7 = [g for g in universe7 if _whole(g).tag != "C4"]
+    assert len(order7) == len(universe7) - 1
+    for g in members_and_hung + order7:
+        d, trace = construct(g)
+        check_trace(g, d, trace)
+
+
+def test_member_oracle_agrees_with_the_piece_tags(monkeypatch, members_and_hung):
+    # the checker's budget rests on its own membership test; on every piece
+    # the recursion splits off it must agree with the record's tag
+    records = []
+    real = constructive._split
+
+    def recording(g, alive):
+        pieces = real(g, alive)
+        records.extend((g, c) for c in pieces)
+        return pieces
+
+    monkeypatch.setattr(constructive, "_split", recording)
+    for g in members_and_hung:
+        construct(g)
+    assert sum(c.tag == "extremal" for _, c in records) == 55
+    for g, c in records:
+        assert oracle_is_member(g, c.mask) == (c.tag == "extremal")
+
+
+def _broken(trace: CaseTrace, i: int, **fields) -> CaseTrace:
+    steps = list(trace.steps)
+    steps[i] = replace(steps[i], **fields)
+    return CaseTrace(tuple(steps))
+
+
+def test_trace_checker_refuses_each_broken_fact():
+    g = k23_with_tail(9)
+    d, trace = construct(g)
+    check_trace(g, d, trace)
+    assert trace.steps[0] == TraceStep(
+        "Case 2:no-special", (0, 1, 2, 3, 5), (5,), ((4,), (6, 7, 8))
+    )
+    k4 = complete(4)
+    k4_set, k4_trace = construct(k4)
+    cases = [
+        (g, d, _broken(trace, 0, recursed=((4,), (6, 7))), "not the components of P - S"),
+        # with no increment, the star at 5 sends three edges to 4
+        (g, 0, _broken(trace, 0, increment=()), "sends two edges out of S"),
+        (k4, k4_set, _broken(k4_trace, 0, increment=()), "leaves a 4-cycle in its piece"),
+        (k4, 0b11, _broken(k4_trace, 0, increment=(0, 1)), "overspends its budget"),
+        (g, d | 1, trace, "not the union"),
+        (g, d, CaseTrace(trace.steps + trace.steps[-1:]), "no piece left"),
+        (g, d, CaseTrace(trace.steps[:-1]), "have no step"),
+    ]
+    for h, h_set, h_trace, message in cases:
+        with pytest.raises(AssertionError, match=message):
+            check_trace(h, h_set, h_trace)
+
+
 def test_construct_calls_no_validating_set_helper(monkeypatch, members_and_hung):
     # the recursion builds every mask from the input's own rows, so it
     # calls the unchecked kernels, never the public helpers that validate
@@ -783,6 +893,7 @@ def test_order9_construct_sweep():
         d, trace = construct(g)
         assert verify(g, d, 4).valid, code
         assert d.bit_count() <= (g.m + 1) // 6, code
+        check_trace(g, d, trace)
         fired.update(trace.labels)
         digest.update(f"{d} {trace.steps}\n".encode())
     assert TRACE_LABELS - fired == ORDER9_UNFIRED

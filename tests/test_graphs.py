@@ -221,16 +221,18 @@ def test_deleted_vertices_not_adjacent_to_members():
 
 def test_connected_components_single():
     g = cycle(4)
-    assert components(g.adj, g.full_mask) == [(g.full_mask, 4)]
+    assert components(g.adj, g.full_mask) == [(g.full_mask, 4, 0)]
 
 
 def test_connected_components_union():
     g = disjoint_union(cycle(4), diamond())
     comps = components(g.adj, g.full_mask)
-    split = [induced_subgraph(g, mask) for mask, _ in comps]
+    split = [induced_subgraph(g, mask) for mask, _, _ in comps]
     assert [emb for _, emb in split] == [(0, 1, 2, 3), (4, 5, 6, 7)]
     assert [sub.n for sub, _ in split] == [4, 4]
-    assert [sub.m for sub, _ in split] == [m for _, m in comps] == [4, 5]
+    assert [sub.m for sub, _ in split] == [m for _, m, _ in comps] == [4, 5]
+    # the diamond's two vertices of degree 3 are 5 and 7
+    assert [top for _, _, top in comps] == [0, 5]
 
 
 def test_connected_components_empty_graph():
@@ -245,10 +247,12 @@ def _brute_edge_count(g: Graph, mask: int) -> int:
 
 def test_components_count_edges_by_brute_force():
     # isolated vertices are pieces of no edges; a mask that cuts a cycle
-    # leaves a path
+    # leaves a path.  The top is the least vertex of maximum degree even
+    # where the walk meets it late: on the path 0-3-1-2 it visits 3 before 1
     g = disjoint_union(from_edge_list(3, [(1, 2)]), cycle(5))
-    assert components(g.adj, g.full_mask) == [(0b1, 0), (0b110, 1), (0b11111000, 5)]
-    assert components(g.adj, 0b11011001) == [(0b1, 0), (0b11011000, 3)]
+    assert components(g.adj, g.full_mask) == [(0b1, 0, 0), (0b110, 1, 1), (0b11111000, 5, 3)]
+    assert components(g.adj, 0b11011001) == [(0b1, 0, 0), (0b11011000, 3, 3)]
+    assert components(from_edge_list(4, [(0, 3), (3, 1), (1, 2)]).adj, 0b1111) == [(0b1111, 3, 1)]
     rng = random.Random(41)
     for _ in range(300):
         n = rng.randint(1, 11)
@@ -256,13 +260,14 @@ def test_components_count_edges_by_brute_force():
         h = graph_from_bitmask(n, rng.getrandbits(pairs) & rng.getrandbits(pairs))
         for alive in (0, h.full_mask, rng.getrandbits(n)):
             comps = components(h.adj, alive)
-            assert [mask for mask, _ in comps] == [mask for mask, _ in oracle_components(h, alive)]
-            assert [m for _, m in comps] == [_brute_edge_count(h, mask) for mask, _ in comps]
+            want = oracle_components(h, alive)
+            assert [(mask, top) for mask, _, top in comps] == [(c[0], c[2]) for c in want]
+            assert [m for _, m, _ in comps] == [_brute_edge_count(h, mask) for mask, _, _ in comps]
 
 
 def test_components_partition_and_no_cross_edges():
     g = disjoint_union(c4_plus(), cycle(3))
-    masks = [mask for mask, _ in components(g.adj, g.full_mask)]
+    masks = [mask for mask, _, _ in components(g.adj, g.full_mask)]
     seen = []
     for m in masks:
         seen.extend(bits(m))

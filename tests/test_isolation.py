@@ -210,7 +210,7 @@ def test_memo_is_keyed_on_the_alive_set():
 
 def _checked_failed_entries(g, k):
     entries = 0
-    for comp, _ in components(g.adj, g.full_mask):
+    for comp, _, _ in components(g.adj, g.full_mask):
         search = _Search(g, comp, k, None)
         search.solve()
         for alive, r in search.failed.items():
@@ -337,7 +337,7 @@ def test_walk_bound_formula():
 def _walk_ticks(g, k):
     """(component order, iota, witness walk nodes) per component search."""
     out = []
-    for comp, _ in components(g.adj, g.full_mask):
+    for comp, _, _ in components(g.adj, g.full_mask):
         search = _Search(g, comp, k, None)
         if search.cycle(comp) is None:
             continue

@@ -7,7 +7,7 @@ records of `_split(g, alive)` work on the subgraph induced on a mask,
 in g's ids.  Each must equal the same call on the `induced_subgraph` copy
 with its answer mapped back through the embedding.  The pieces and
 `components(adj, alive)`, which share one walk, are each checked against
-a union-find oracle.
+a union-find oracle, edge counts and dispatch vertices included.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def test_mask_arguments_match_the_renumbered_subgraph():
 def test_split_counts_the_edges_of_each_piece():
     for g, mask in _cases():
         want = oracle_components(g, mask)
-        assert [(c.mask, c.m) for c in _split(g, mask)] == want
+        assert [(c.mask, c.m, c.top) for c in _split(g, mask)] == want
         assert components(g.adj, mask) == want
 
 
@@ -119,10 +119,11 @@ def test_piece_record_matches_the_renumbered_piece():
         for v in range(g.n):
             alive = g.full_mask & ~(1 << v)
             pieces = zip(_split(g, alive), oracle_components(g, alive), strict=True)
-            for got, (mask, _) in pieces:
+            for got, (mask, _, _) in pieces:
                 sub, emb = induced_subgraph(g, mask)
-                want = ComponentClass(sub, sub.full_mask, sub.m)
+                want = ComponentClass(sub, *oracle_components(sub, sub.full_mask)[0])
                 assert (got.mask, got.tag, got.m) == (mask, want.tag, want.m)
+                assert got.top == emb[want.top]
                 assert got.decomposition == _lift(want.decomposition, emb)
                 tags.add(got.tag)
     assert tags == {"C4", "diamond", "extremal", "other"}

@@ -120,10 +120,12 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
     return from_edge_list(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
-def oracle_components(g: Graph, alive: VertexSet) -> list[tuple[VertexSet, int]]:
-    """(vertex mask, edge count) of each component of the subgraph induced
-    on alive, least vertex first: a union-find over the edges with both
-    ends in alive, whose trees are rooted at their least vertex."""
+def oracle_components(g: Graph, alive: VertexSet) -> list[tuple[VertexSet, int, int]]:
+    """(vertex mask, edge count, top) of each component of the subgraph
+    induced on alive, least vertex first, where top is the component's
+    least vertex of maximum degree: a union-find over the edges with both
+    ends in alive, whose trees are rooted at their least vertex, and
+    degrees counted over those edges."""
     root = {v: v for v in range(g.n) if alive >> v & 1}
 
     def find(v: int) -> int:
@@ -132,16 +134,130 @@ def oracle_components(g: Graph, alive: VertexSet) -> list[tuple[VertexSet, int]]
         return v
 
     inside = [(u, v) for u, v in g.edges() if u in root and v in root]
+    degree = dict.fromkeys(root, 0)
     for u, v in inside:
         a, b = find(u), find(v)
         root[max(a, b)] = min(a, b)
-    masks: dict[int, int] = {}
+        degree[u] += 1
+        degree[v] += 1
+    members: dict[int, list[int]] = {}
     sizes: dict[int, int] = {}
     for v in root:
-        masks[find(v)] = masks.get(find(v), 0) | 1 << v
+        members.setdefault(find(v), []).append(v)
     for u, _ in inside:
         sizes[find(u)] = sizes.get(find(u), 0) + 1
-    return [(masks[r], sizes.get(r, 0)) for r in sorted(masks)]
+    return [
+        (mask_of(members[r]), sizes.get(r, 0), min(members[r], key=lambda v: (-degree[v], v)))
+        for r in sorted(members)
+    ]
+
+
+def _edge_count(g: Graph, mask: VertexSet) -> int:
+    return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
+
+
+def _edges_out(g: Graph, a: VertexSet, b: VertexSet) -> int:
+    """Edges from a to the disjoint set b."""
+    return sum((g.adj[v] & b).bit_count() for v in bits(a))
+
+
+def _neighbours(g: Graph, mask: VertexSet) -> VertexSet:
+    out = 0
+    for v in bits(mask):
+        out |= g.adj[v]
+    return out
+
+
+def oracle_is_member(g: Graph, p: VertexSet) -> bool:
+    """Is the piece p cons(T, 4) for a tree T?  Its order and size must be
+    5t and 6t - 1, and it must hold t pendant squares, chordless 4-cycles
+    that send one edge out, whose outer ends are t distinct vertices that
+    make up the connected rest.  A cycle cannot cross a one-edge cut, so
+    pendant squares are pairwise disjoint, and the size leaves t - 1 edges
+    to the rest, a tree."""
+    n, m = p.bit_count(), _edge_count(g, p)
+    t, r = divmod(n, 5)
+    if r or m != 6 * t - 1:
+        return False
+    squares = set()
+    for u, v in combinations(bits(p), 2):
+        for a, b in combinations(bits(g.adj[u] & g.adj[v] & p), 2):
+            squares.add(1 << u | 1 << v | 1 << a | 1 << b)
+    pendant = [c for c in squares if _edge_count(g, c) == 4 and _edges_out(g, c, p & ~c) == 1]
+    covered = sum(pendant)
+    rest = p & ~covered
+    anchors = _neighbours(g, covered) & rest
+    return (
+        len(pendant) == t
+        and anchors.bit_count() == t
+        and anchors == rest
+        and len(oracle_components(g, rest)) == 1
+    )
+
+
+def _limit(g: Graph, p: VertexSet) -> int:
+    """The recursion's budget on a piece: floor((m+1)/6) for the diamond and
+    the family members, which attain it, and floor(m/6) for any other."""
+    m = _edge_count(g, p)
+    special = (p.bit_count() == 4 and m == 5) or oracle_is_member(g, p)
+    return (m + 1) // 6 if special else m // 6
+
+
+def trace_pieces(g: Graph, trace: CaseTrace) -> list[VertexSet]:
+    """The piece of each step of a construct trace, rebuilt from its
+    pre-order: the components of g, least vertex first, each followed by
+    the pieces its steps recurse on, depth first."""
+    todo = [c[0] for c in reversed(oracle_components(g, g.full_mask))]
+    pieces = []
+    for step in trace.steps:
+        if not todo:
+            raise AssertionError(f"step {len(pieces)} has no piece left to settle")
+        pieces.append(todo.pop())
+        todo.extend(mask_of(r) for r in reversed(step.recursed))
+    if todo:
+        raise AssertionError(f"{len(todo)} pieces have no step")
+    return pieces
+
+
+def check_trace(g: Graph, d: VertexSet, trace: CaseTrace) -> None:
+    """Check a construct trace as a proof, one step at a time, with no help
+    from the library's recursion, solver or cycle search; raise
+    AssertionError at the first step that fails.
+
+    Each step's piece P is rebuilt from the pre-order, and its working set
+    S and increment D must lie in P.  A step that recurses must have D in
+    S, recurse on exactly the components of P - S (in any order) and pass
+    the gluing check: S - N[D] holds no 4-cycle, and each of its components
+    sends at most one edge to P - S.  A leaf's increment must isolate P.
+    No step may overspend: |D| plus the children's budgets is at most P's
+    budget.  With gluing and leaf isolation, the union of the increments
+    isolates g, and by the budgets it meets the bound on every component;
+    d must be that union."""
+    union = 0
+    for i, (step, p) in enumerate(zip(trace.steps, trace_pieces(g, trace))):
+        s, inc = mask_of(step.working), mask_of(step.increment)
+        children = [mask_of(r) for r in step.recursed]
+        union |= inc
+        where = f"step {i} ({step.label})"
+        if (s | inc) & ~p:
+            raise AssertionError(f"{where}: its sets leave the piece")
+        if children:
+            if inc & ~s:
+                raise AssertionError(f"{where}: the increment leaves the working set")
+            if set(children) != {c[0] for c in oracle_components(g, p & ~s)}:
+                raise AssertionError(f"{where}: recursed pieces are not the components of P - S")
+            residual = s & ~inc & ~_neighbours(g, inc)
+            if oracle_first_c4(g, residual) is not None:
+                raise AssertionError(f"{where}: the increment leaves a 4-cycle in S")
+            for comp, _, _ in oracle_components(g, residual):
+                if _edges_out(g, comp, p & ~s) > 1:
+                    raise AssertionError(f"{where}: a residual component sends two edges out of S")
+        elif oracle_first_c4(g, p & ~inc & ~_neighbours(g, inc)) is not None:
+            raise AssertionError(f"{where}: the increment leaves a 4-cycle in its piece")
+        if inc.bit_count() + sum(_limit(g, c) for c in children) > _limit(g, p):
+            raise AssertionError(f"{where}: overspends its budget")
+    if union != d:
+        raise AssertionError("the set is not the union of the trace's increments")
 
 
 def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, tuple[int, ...]]:
