@@ -130,8 +130,8 @@ def _parse_vertex_set(text: str) -> int:
     if not text.strip():
         return 0
     try:
-        return mask_of(int(part) for part in text.split(","))
-    except ValueError:
+        return mask_of(_integer(part.strip()) for part in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
         raise CliError(f"bad vertex set {text!r}; expected comma-separated ids") from None
 
 
@@ -404,12 +404,17 @@ def _cmd_check(args) -> int:
     return _STATUS_EXIT.get(rec.status, EXIT_OK)
 
 
+def _integer(text: str) -> int:
+    """argparse type of every integer option: an optional "-", then ASCII
+    digits; int() alone would also take "1_0", "+3" and non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _node_budget(text: str) -> int:
     """argparse type of --budget: a node count N >= 0."""
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    budget = _integer(text)
     if budget < 0:
         raise argparse.ArgumentTypeError("node budget must be at least 0")
     return budget
@@ -421,7 +426,7 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json")) -> None:
-    p.add_argument("-k", type=int, default=4, help="cycle length")
+    p.add_argument("-k", type=_integer, default=4, help="cycle length")
     p.add_argument("--format", choices=formats, default="text")
 
 
@@ -460,12 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_recognize)
 
     p = sub.add_parser("trees", help="enumerate trees up to isomorphism")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_integer, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_trees)
 
     p = sub.add_parser("enumerate", help="enumerate connected graphs as graph6")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_integer, required=True)
     p.set_defaults(fn=_cmd_enumerate)
 
     for name in ("survey", "check"):
@@ -492,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "survey":
             p.add_argument(
                 "--enumerate",
-                type=int,
+                type=_integer,
                 default=None,
                 metavar="N",
                 help="survey every connected graph with at most N vertices",

@@ -26,11 +26,11 @@ from .graphs import (
     VertexSet,
     as_mask,
     bits,
+    connected,
     edges_between,
     from_edge_list,
     is_connected,
     mask_of,
-    reach,
 )
 
 MAX_TREE_N = 12
@@ -175,7 +175,7 @@ def recognize(g: Graph, k: int, within: VertexSet | None = None) -> Optional[Con
     anchors = {c.connection for c in constituents}
     if len(anchors) != len(constituents) or anchors != set(bits(rest)):
         return None
-    if reach(adj, rest & -rest, rest) != rest:
+    if not connected(adj, rest):
         return None
     tree_edges = tuple(
         (u, v) for u in bits(rest) for v in bits(adj[u] & rest) if u < v

@@ -6,17 +6,18 @@ boundary edge counts -- then runs in a handful of machine-word operations,
 which matters because these are the inner loops of exhaustive enumeration
 and exact search.  Graphs are immutable after construction and safe to share.
 
-`components` is the one walk that splits a mask into its components, for
-the solver, the certificate and the constructive pieces.  Each comes with
-its edge count and its least vertex of maximum degree, both read off the
-degrees the walk computes anyway; only the constructive recursion uses
-that vertex, the one its case analysis dispatches on.  `reach` grows a
-single connected set, for connectivity tests.
+`components` is the one walk over a graph: it splits a mask into its
+components, for the solver, the certificate and the constructive pieces.
+Each comes with its edge count and its least vertex of maximum degree,
+both read off the degrees the walk computes anyway; only the constructive
+recursion uses that vertex, the one its case analysis dispatches on.
+`connected` asks the walk for at most one component, for the connectivity
+tests of `is_connected`, the enumerator and `recognize`.
 
 The public set helpers, `as_mask`, `closed_neighborhood` and
 `boundary_edge_count`, take a Graph and validate every set they are given:
 ids outside 0..n-1, negative masks and, for e(A, B), overlapping sets raise
-ValueError.  The mask kernels `reach`, `components`, `closed_of` and
+ValueError.  The mask kernels `components`, `connected`, `closed_of` and
 `edges_between` take the adjacency rows and masks the caller vouches for,
 and check nothing; the public helpers validate, then call them.  Code that
 builds its masks from a graph's own rows, like the constructive recursion,
@@ -212,18 +213,6 @@ def edges_between(adj: Sequence[VertexSet], a: VertexSet, b: VertexSet) -> int:
     return total
 
 
-def reach(adj: Sequence[VertexSet], start: VertexSet, alive: VertexSet) -> VertexSet:
-    """Vertices of alive joined to the start mask by paths inside alive."""
-    comp = frontier = start
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & alive & ~comp
-        comp |= frontier
-    return comp
-
-
 def components(
     adj: Sequence[VertexSet], alive: VertexSet
 ) -> list[tuple[VertexSet, int, int]]:
@@ -256,8 +245,13 @@ def components(
     return out
 
 
+def connected(adj: Sequence[VertexSet], alive: VertexSet) -> bool:
+    """Whether the subgraph induced on alive is connected; the empty one is."""
+    return len(components(adj, alive)) <= 1
+
+
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or reach(g.adj, 1, g.full_mask) == g.full_mask
+    return connected(g.adj, g.full_mask)
 
 
 def boundary_edge_count(

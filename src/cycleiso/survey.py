@@ -168,11 +168,11 @@ from .graphs import (
     GraphFormatError,
     adjacency_from_code,
     bits,
+    connected,
     encode_graph6,
     graph_from_code,
     is_connected,
     parse_graph6,
-    reach,
 )
 from .isolation import BudgetExceededError, iota_exact
 
@@ -416,8 +416,7 @@ def _is_least_deletion(adj: Sequence[int]) -> bool:
                 least = sorted(map(deg.__getitem__, bits(adj[last])))
             if sorted(map(deg.__getitem__, bits(adj[v]))) >= least:
                 continue
-        rest = full & ~(1 << v)
-        if reach(adj, 1 << last, rest) == rest:
+        if connected(adj, full & ~(1 << v)):
             return False
     return True
 
@@ -429,8 +428,7 @@ def _least_non_cut(adj: Sequence[int]) -> tuple[int, int]:
     d0, least = len(adj), 0
     for v, row in enumerate(adj):
         d = row.bit_count()
-        rest = full & ~(1 << v)
-        if d > d0 or rest and reach(adj, rest & -rest, rest) != rest:
+        if d > d0 or not connected(adj, full & ~(1 << v)):
             continue
         if d < d0:
             d0, least = d, 0

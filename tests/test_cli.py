@@ -376,6 +376,40 @@ def test_zero_budget_is_valid(capsys, command, g6, expected):
     assert run_cli(capsys, *command, "--graph6", g6, "--budget", "0")[0] == expected
 
 
+VERIFY_12 = ("verify", "--graph6", "KhCGGC@?G?o@", "-k", "12", "--set")
+
+
+# int() alone would take each of these: "1_0" as 10, "+3" as 3, "\uff11" as 1
+@pytest.mark.parametrize("text", ["1_0", "+3", "\uff11", "2, 1_0"])
+def test_vertex_set_ids_are_ascii_decimal(capsys, text):
+    error = f"error: bad vertex set {text!r}; expected comma-separated ids\n"
+    assert run_cli(capsys, *VERIFY_12, text) == (1, "", error)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("exact", "--graph6", "C~", "--budget"), "1_0"),
+        (("exact", "--graph6", "C~", "--budget"), "abc"),
+        (("check", "--bound-c4", "--graph6", "C~", "--budget"), "+5"),
+        (("exact", "--graph6", "C~", "-k"), "\uff14"),
+        (("trees", "-n"), "\uff15"),
+        (("enumerate", "-n"), "+3"),
+        (("survey", "--enumerate"), "+3"),
+    ],
+)
+def test_integer_options_are_ascii_decimal(capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv, text)
+    assert (code, out) == (1, "")
+    assert f"argument {argv[-1]}: invalid int value: {text!r}\n" in err
+
+
+def test_vertex_set_parts_keep_their_spaces(capsys):
+    code, out, _ = run_cli(capsys, *VERIFY_12, " 3, 4 ")
+    assert code == 0
+    assert "set: 3,4\n" in out
+
+
 NON_ASCII_EDGE_LIST = "n 3\n0 1\n1 \u00e9\n".encode()  # the last id is UTF-8 bytes
 
 
@@ -455,6 +489,23 @@ def test_stdin_lines_end_only_at_newline():
     assert b"error: line 1: " in proc.stderr
     proc = _run_module(["exact"], b"C~\r\n")
     assert (proc.returncode, proc.stdout) == (0, b"iota: 1\nwitness: 0\nexplored: 4\n")
+
+
+def test_exact_on_an_empty_stdin_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert run_cli(capsys, "exact") == (1, "", "error: no graph on stdin\n")
+
+
+def test_survey_reads_a_graph6_stream_from_stdin(capsys, monkeypatch, tmp_path):
+    # what "cycleiso enumerate -n 5 | cycleiso survey --bound-c4" reads
+    code, stream, _ = run_cli(capsys, "enumerate", "-n", "5")
+    assert code == 0
+    path = tmp_path / "stream.g6"
+    path.write_text(stream)
+    expected = run_cli(capsys, "survey", "--bound-c4", "--file", str(path))
+    assert "records: 21\n" in expected[1] and "  equal: 1\n" in expected[1]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stream))
+    assert run_cli(capsys, "survey", "--bound-c4") == expected
 
 
 def test_closed_stdout_ends_quietly():

@@ -14,10 +14,12 @@ from cycleiso.graphs import (
     closed_neighborhood,
     closed_of,
     components,
+    connected,
     edges_between,
     encode_graph6,
     from_edge_list,
     graph_from_code,
+    is_connected,
     mask_of,
     parse_edge_list,
     parse_graph6,
@@ -33,6 +35,7 @@ from util import (
     graph_from_bitmask,
     induced_subgraph,
     oracle_components,
+    path,
     reference_adjacency,
     reference_graph6,
     reference_graph_error,
@@ -238,6 +241,26 @@ def test_connected_components_union():
 def test_connected_components_empty_graph():
     assert components(from_edge_list(0, []).adj, 0) == []
     assert components(cycle(4).adj, 0) == []
+
+
+def test_connected_matches_the_union_find_oracle():
+    # every mask, so the empty one and each single vertex are among them
+    graphs = [
+        from_edge_list(0, []),
+        from_edge_list(1, []),
+        path(4),
+        cycle(5),
+        diamond(),
+        disjoint_union(cycle(4), from_edge_list(2, [(0, 1)])),
+        from_edge_list(5, [(0, 4), (4, 1), (2, 3)]),
+    ]
+    for g in graphs:
+        for alive in range(1 << g.n):
+            assert connected(g.adj, alive) == (len(oracle_components(g, alive)) <= 1)
+        assert connected(g.adj, 0)
+        assert all(connected(g.adj, 1 << v) for v in range(g.n))
+        assert is_connected(g) == (len(oracle_components(g, g.full_mask)) <= 1)
+    assert [is_connected(g) for g in graphs] == [True, True, True, True, True, False, False]
 
 
 def _brute_edge_count(g: Graph, mask: int) -> int:

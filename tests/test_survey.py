@@ -14,7 +14,6 @@ from cycleiso.graphs import (
     bits,
     encode_graph6,
     from_edge_list,
-    is_connected,
     parse_graph6,
 )
 from cycleiso.isolation import iota_exact
@@ -43,8 +42,8 @@ from util import (
     diamond,
     disjoint_union,
     graph_from_bitmask,
-    induced_subgraph,
     oracle_automorphism_count,
+    oracle_components,
     oracle_connected_class_count,
     oracle_is_least_deletion,
     oracle_mask_orbit_minima,
@@ -130,7 +129,7 @@ def _symmetric_stream(seed: int, count: int) -> list[Graph]:
 
 def _oracle_least_non_cut(g: Graph) -> tuple[int, int]:
     non_cut = [
-        v for v in range(g.n) if is_connected(induced_subgraph(g, g.full_mask & ~(1 << v))[0])
+        v for v in range(g.n) if len(oracle_components(g, g.full_mask & ~(1 << v))) <= 1
     ]
     d0 = min(g.adj[v].bit_count() for v in non_cut)
     return d0, sum(1 << v for v in non_cut if g.adj[v].bit_count() == d0)

@@ -22,7 +22,6 @@ from cycleiso.graphs import (
     bits,
     from_edge_list,
     mask_of,
-    reach,
 )
 
 
@@ -470,17 +469,18 @@ def oracle_refine(nbrs, colors: list) -> list[int]:
 
 def oracle_is_least_deletion(adj) -> bool:
     """Whether no non-cut vertex has a smaller (degree, sorted neighbour
-    degrees) key than the last vertex, every key built in full."""
-    deg = [row.bit_count() for row in adj]
-    last = len(adj) - 1
-    full = (1 << len(adj)) - 1
+    degrees) key than the last vertex, every key built in full and every
+    cut test read off oracle_components."""
+    g = Graph(len(adj), adj)
+    deg = g.degrees()
+    last = g.n - 1
 
     def key(v: int) -> tuple:
         return deg[v], sorted(deg[u] for u in bits(adj[v]))
 
     least = key(last)
     return not any(
-        key(v) < least and reach(adj, 1 << last, full & ~(1 << v)) == full & ~(1 << v)
+        key(v) < least and len(oracle_components(g, g.full_mask & ~(1 << v))) == 1
         for v in range(last)
     )
 
