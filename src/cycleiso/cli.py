@@ -25,7 +25,6 @@ from .constructive import bound_value, construct
 from .family import Tree, build, enumerate_trees, recognize
 from .graphs import (
     Graph,
-    GraphFormatError,
     bits,
     encode_graph6,
     mask_of,
@@ -92,10 +91,13 @@ def _parse_bound(text: str, k: int) -> BoundSpec:
     return BoundSpec(k=k, a=a, b=b, c=c, d=d)
 
 
-def _read_text(path: str) -> str:
-    """A file's text; undecodable bytes become U+FFFD, never a valid graph6
-    byte.  Only "\n" ends a line, as in parse_edge_list, ingest_graph6 and
-    sys.stdin, which CPython sets up that way on POSIX systems."""
+def _read_text(path: Optional[str]) -> str:
+    """The named file's text, or all of stdin when path is None.  Undecodable
+    file bytes become U+FFFD, never a valid graph6 byte.  Only "\n" ends a
+    line, as in parse_edge_list, ingest_graph6 and sys.stdin, which CPython
+    sets up that way on POSIX systems."""
+    if path is None:
+        return sys.stdin.read()
     try:
         with open(path, encoding="ascii", errors="replace", newline="\n") as fh:
             return fh.read()
@@ -218,7 +220,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_cons(args) -> int:
-    tg = parse_edge_list(_read_text(args.tree) if args.tree else sys.stdin.read())
+    tg = parse_edge_list(_read_text(args.tree))
     tree = Tree(tg.n, tuple(tg.edges()))
     g, decomp = build(tree, args.k)
     code = encode_graph6(g)
@@ -294,14 +296,11 @@ def _survey_spec(args) -> BoundSpec:
         spec = _parse_bound(args.bound, args.k)
     else:  # --bound-c3 and --bound-c4 are the (m+1)/(k+2) bound at k = 3 and 4
         spec = conjecture_bound(3 if args.bound_c3 else 4 if args.bound_c4 else args.k)
-    if args.exclude:
+    if args.exclude is not None:
         try:
             lines = [ln.strip() for ln in _read_text(args.exclude).split("\n")]
-            try:
-                spec = dataclasses.replace(spec, exclusions=tuple(filter(None, lines)))
-            except GraphFormatError:
-                list(ingest_graph6(lines))  # raises the same error citing its file line
-                raise
+            list(ingest_graph6(lines))  # a bad record fails here, citing its file line
+            spec = dataclasses.replace(spec, exclusions=tuple(filter(None, lines)))
         except (CliError, ValueError) as exc:
             raise CliError(f"bad exclusion list: {exc}") from None
     return spec
@@ -318,12 +317,7 @@ def _survey_graphs(args) -> Iterable[Graph]:
         orders = [enumerate_connected(order) for order in range(1, args.enumerate + 1)]
         # pulling each order's first graph builds its classes before any graph is solved
         return chain.from_iterable([chain([next(order)], order) for order in orders])
-    if args.graph6 is not None:
-        source = args.graph6
-    elif args.file is not None:
-        source = _read_text(args.file)
-    else:
-        source = sys.stdin.read()
+    source = args.graph6 if args.graph6 is not None else _read_text(args.file)
     failures: list[IngestFailure] = []
     graphs = list(ingest_graph6(source, failures if args.skip_bad else None))
     for failure in failures:

@@ -242,12 +242,25 @@ def test_empty_graph6_is_given_not_absent(capsys, monkeypatch, argv, expected):
     assert run_cli(capsys, *argv) == expected
 
 
-@pytest.mark.parametrize("command", [("exact",), ("survey", "--bound-c4")])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("exact", "--file"),
+        ("survey", "--bound-c4", "--file"),
+        ("cons", "--tree"),
+        ("survey", "--bound-c4", "--exclude"),
+        ("check", "--graph6", "C~", "--bound-c4", "--exclude"),
+    ],
+)
 def test_empty_file_name_is_given_not_absent(capsys, monkeypatch, command):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("C~\n"))
-    code, out, err = run_cli(capsys, *command, "--file", "")
+    # an empty file name is still a file to read: stdin, which holds an input, is not read
+    stdin = io.StringIO("C~\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, *command, "")
     assert (code, out) == (1, "")
-    assert err.startswith("error: [Errno 2] No such file or directory: ''")
+    context = "bad exclusion list: " if command[-1] == "--exclude" else ""
+    assert err.startswith(f"error: {context}[Errno 2] No such file or directory: ''")
+    assert stdin.read() == "C~\n"
 
 
 def test_bad_k_rejected(capsys):
