@@ -202,9 +202,9 @@ def _cmd_construct(args) -> int:
         "trace": [
             {
                 "label": s.label,
-                "working": list(s.working),
-                "increment": list(s.increment),
-                "recursed": [list(p) for p in s.recursed],
+                "working": list(bits(s.working)),
+                "increment": list(bits(s.increment)),
+                "recursed": [list(bits(p)) for p in s.recursed],
             }
             for s in trace.steps
         ],

@@ -22,17 +22,19 @@ the refined equality branches below exist exactly to preserve it.
 
 Each piece of the recursion is one ComponentClass record, a vertex mask of
 the input graph with its edge count, dispatch vertex, tag and family
-decomposition, so sets and trace steps come out in input ids.  The split
-into pieces is `graphs.components`, whose one walk per component also
-counts its edges and finds its least vertex of maximum degree, the vertex
-both cases dispatch on; so no piece is walked a second time, for its edge
-count or for that vertex.  `_solve_pieces` settles a tree piece as it
-meets it, with one shared "base:no-C4" step, and hands every other piece
-to `_construct`.  Only a piece whose order and size fit a member's
-(n = 5t, m = 6t - 1, recognize's own first test) is handed to
-`recognize`.  A ":member" label only marks the case of its branch where
-every endpoint is its own anchor.  Every branch that recurses glues onto
-the set it settled, its working set.
+decomposition, so nothing is renumbered.  The set is a VertexSet of the
+input graph, and so is every TraceStep's `working` and `increment`; its
+`recursed` is a tuple of VertexSet piece masks, and `graphs.bits` lists
+any of them as input ids.  The split into pieces is `graphs.components`,
+whose one walk per component also counts its edges and finds its least
+vertex of maximum degree, the vertex both cases dispatch on; so no piece
+is walked a second time, for its edge count or for that vertex.
+`_solve_pieces` settles a tree piece as it meets it, with one shared
+"base:no-C4" step, and hands every other piece to `_construct`.  Only a
+piece whose order and size fit a member's (n = 5t, m = 6t - 1,
+recognize's own first test) is handed to `recognize`.  A ":member" label
+only marks the case of its branch where every endpoint is its own anchor.
+Every branch that recurses glues onto the set it settled, its working set.
 
 The recursion reads only masks it built itself from the input's rows, each
 a subset of the piece at hand, so it calls the unchecked kernels
@@ -114,10 +116,14 @@ TRACE_LABELS = frozenset(
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One step of the recursion: its case label, its working set and
+    increment as vertex masks of the input graph, and the masks of the
+    pieces it recurses on, in the order they are solved."""
+
     label: str
-    working: tuple[int, ...]
-    increment: tuple[int, ...]
-    recursed: tuple[tuple[int, ...], ...] = ()
+    working: VertexSet
+    increment: VertexSet
+    recursed: tuple[VertexSet, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -212,7 +218,7 @@ def construct(g: Graph) -> tuple[VertexSet, CaseTrace]:
 
 
 #: the step of every piece settled with the empty set, trees included
-_NO_C4_STEP = TraceStep("base:no-C4", (), ())
+_NO_C4_STEP = TraceStep("base:no-C4", 0, 0)
 
 
 def _solve_pieces(g: Graph, pieces: list[ComponentClass]) -> tuple[VertexSet, list[TraceStep]]:
@@ -243,13 +249,7 @@ def _construct(g: Graph, piece: ComponentClass) -> tuple[VertexSet, list[TraceSt
     if not ok:
         res = iota_exact(g, 4, FALLBACK_NODE_BUDGET, piece.mask)
         d = res.witness
-        steps = [
-            TraceStep(
-                label="fallback",
-                working=bits(piece.mask),
-                increment=bits(d),
-            )
-        ]
+        steps = [TraceStep("fallback", piece.mask, d)]
     return d, steps
 
 
@@ -289,12 +289,7 @@ def _result(
         if cover != p & ~working:
             raise _DispatchError("recursed pieces do not cover the piece outside the working set")
     d, sub_steps = _solve_pieces(g, recursed)
-    head = TraceStep(
-        label=label,
-        working=bits(working),
-        increment=bits(direct),
-        recursed=tuple(bits(c.mask) for c in recursed),
-    )
+    head = TraceStep(label, working, direct, tuple(c.mask for c in recursed))
     return direct | d, [head] + sub_steps
 
 
@@ -557,7 +552,8 @@ def _subcase_2_1(
     n_of,
     e_of,
 ) -> tuple[VertexSet, list[TraceStep]]:
-    hstar = min(qualifying, key=lambda c: bits(c.mask))
+    # disjoint pieces, least vertex first: the first has the lex-least ids
+    hstar = qualifying[0]
     v1 = min(bits(n_of(hstar)))
     picked = [
         c

@@ -39,6 +39,7 @@ from util import (
     induced_subgraph,
     oracle_connected_class_count,
     recovered_tree,
+    step_ids,
 )
 
 K13_PLUS = Tree(5, ((0, 1), (0, 2), (0, 3), (1, 4)))
@@ -154,7 +155,7 @@ def test_criterion_05_constructive_exhaustive(universe8):
         d, trace = construct(g)
         digest.update(f"set {d}\n".encode())
         fired.update(trace.labels)
-        for s in trace.steps:
+        for s in map(step_ids, trace.steps):
             digest.update(f"{s.label} {s.working} {s.increment} {s.recursed}\n".encode())
         size = d.bit_count()
         if trace.used_fallback():

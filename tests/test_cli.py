@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import io
@@ -10,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from cycleiso import cli
+from cycleiso import cli, constructive
 from cycleiso.cli import _parse_bound, main
+from cycleiso.constructive import TraceStep, construct
 from cycleiso.family import Tree, build
 from cycleiso.graphs import Graph, encode_graph6, parse_graph6
-from cycleiso.isolation import UNBUDGETED_MAX_N
+from cycleiso.isolation import UNBUDGETED_MAX_N, iota_exact
 from util import (
     EDGE_LIST_ERRORS,
     cycle,
@@ -23,6 +25,7 @@ from util import (
     generalized_petersen,
     k23_with_tail,
     oracle_iota,
+    step_ids,
 )
 
 
@@ -58,6 +61,34 @@ def test_construct_diamond(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["size"] == 1 and data["fallback"] is False
+
+
+def _json_trace(capsys, graph6: str) -> list[dict]:
+    code, out, _ = run_cli(capsys, "construct", "--graph6", graph6, "--format", "json")
+    assert code == 0
+    return json.loads(out)["trace"]
+
+
+def _ids_trace(trace) -> list[dict]:
+    return json.loads(json.dumps([dataclasses.asdict(step_ids(s)) for s in trace.steps]))
+
+
+def test_construct_json_trace_lists_the_step_masks_as_ids(capsys, monkeypatch):
+    # trace steps hold vertex masks; the JSON trace lists their ids
+    g = parse_graph6("H?^s?C@")
+    _, trace = construct(g)
+    assert _json_trace(capsys, "H?^s?C@") == _ids_trace(trace) == [
+        {"label": "Case 2:no-special", "working": [0, 1, 2, 3, 5], "increment": [5],
+         "recursed": [[4], [6, 7, 8]]},
+        {"label": "base:no-C4", "working": [], "increment": [], "recursed": []},
+        {"label": "base:no-C4", "working": [], "increment": [], "recursed": []},
+    ]
+    # the fallback step's working set is its piece and its increment the
+    # exact solver's witness
+    monkeypatch.setattr(constructive, "_within_contract", lambda piece, d: False)
+    _, trace = construct(g)
+    assert trace.steps == (TraceStep("fallback", g.full_mask, iota_exact(g, 4).witness),)
+    assert _json_trace(capsys, "H?^s?C@") == _ids_trace(trace)
 
 
 def test_construct_fallback_budget_exit_code(capsys, monkeypatch, tmp_path):

@@ -41,6 +41,7 @@ from util import (
     oracle_iota,
     oracle_is_member,
     path,
+    step_ids,
     trace_pieces,
 )
 
@@ -141,9 +142,9 @@ def test_construct_builds_no_graph(monkeypatch):
         assert trace.labels == labels
         traces.append(trace)
     assert traces[0].steps[0] == TraceStep(
-        "Case 2:no-special", (0, 1, 2, 3, 5), (5,), ((4,), (6, 7, 8))
+        "Case 2:no-special", mask_of((0, 1, 2, 3, 5)), 1 << 5, (1 << 4, mask_of((6, 7, 8)))
     )
-    assert traces[2].steps[1] == TraceStep("Case 1:K4", (4, 5, 6, 7), (4,))
+    assert traces[2].steps[1] == TraceStep("Case 1:K4", mask_of((4, 5, 6, 7)), 1 << 4)
 
 
 #: sha256 over construct's set and every trace step on _hung_corpus(1, 800);
@@ -205,7 +206,7 @@ def test_hung_corpus_digest():
         assert not trace.used_fallback()
         digest.update(f"{encode_graph6(g)} {d}\n".encode())
         fired.update(trace.labels)
-        for s in trace.steps:
+        for s in map(step_ids, trace.steps):
             digest.update(f"{s.label} {s.working} {s.increment} {s.recursed}\n".encode())
     assert digest.hexdigest() == HUNG_CORPUS_DIGEST
     assert TRACE_LABELS - fired == HUNG_CORPUS_UNFIRED
@@ -220,7 +221,10 @@ def test_subcase_2_2_counts_only_piece_neighbours():
     assert bits(d) == (0, 5, 7)
     assert trace.labels == ("Subcase 2.1", "Subcase 2.2(ii)", "base:no-C4")
     assert trace.steps[1] == TraceStep(
-        "Subcase 2.2(ii)", (0, 3, 4, 7, 8, 10, 13, 14, 16), (0, 7), ((2, 11, 12),)
+        "Subcase 2.2(ii)",
+        mask_of((0, 3, 4, 7, 8, 10, 13, 14, 16)),
+        mask_of((0, 7)),
+        (mask_of((2, 11, 12)),),
     )
 
 
@@ -493,7 +497,7 @@ def test_member_on_a_path_hits_the_pendant_membership_branch():
     d, trace = construct(g)
     assert d == decomp.connection_vertices == 0b11
     assert trace.steps == (
-        TraceStep("Subcase 1.2.1(ii):member", tuple(range(10)), (0, 1)),
+        TraceStep("Subcase 1.2.1(ii):member", mask_of(range(10)), mask_of((0, 1))),
     )
 
 
@@ -508,7 +512,7 @@ def test_pendant_branch_drops_the_anchor_of_a_stray_endpoint():
          (10, 11), (11, 12), (12, 13), (13, 14), (14, 11)],
     )
     d, trace = _assert_sound(g)
-    assert trace.steps == (TraceStep("Subcase 1.2.1(ii)", tuple(range(15)), (4, 5)),)
+    assert trace.steps == (TraceStep("Subcase 1.2.1(ii)", mask_of(range(15)), mask_of((4, 5))),)
 
 
 def test_pendant_branch_with_a_stray_endpoint_in_the_hung_corpus():
@@ -516,7 +520,7 @@ def test_pendant_branch_with_a_stray_endpoint_in_the_hung_corpus():
     d, trace = _assert_sound(g)
     assert bits(d) == (4, 5, 10, 28)
     assert TraceStep(
-        "Subcase 1.2.1(ii)", (0, 2, 5, 6, 7, 8, 21, 25, 26, 30), (5,)
+        "Subcase 1.2.1(ii)", mask_of((0, 2, 5, 6, 7, 8, 21, 25, 26, 30)), 1 << 5
     ) in trace.steps
 
 
@@ -571,7 +575,9 @@ def test_refined_peel_drops_the_anchor_of_a_stray_remainder():
          (10, 11), (11, 12), (12, 13), (13, 14), (14, 11), (5, 13)],
     )
     d, trace = _assert_sound(g)
-    assert trace.steps == (TraceStep("Subcase 2.1(i)", tuple(range(5, 15)), (5, 10)),)
+    assert trace.steps == (
+        TraceStep("Subcase 2.1(i)", mask_of(range(5, 15)), mask_of((5, 10))),
+    )
 
 
 def test_rescue_branch_star_over_square():
@@ -594,7 +600,7 @@ def test_subcase_2_2_i_fires_on_the_first_order_9_graph():
     g = parse_graph6("H??EXw{")
     d, trace = _assert_sound(g, "Subcase 2.2(i)")
     assert bits(d) == (6, 7)
-    assert trace.steps == (TraceStep("Subcase 2.2(i)", tuple(range(9)), (6, 7)),)
+    assert trace.steps == (TraceStep("Subcase 2.2(i)", mask_of(range(9)), mask_of((6, 7))),)
 
 
 def test_big_combined_graph_stays_sound():
@@ -658,11 +664,7 @@ def test_gluing_is_checked_on_every_step_that_recurses(monkeypatch, members_and_
         calls.clear()
         trace = construct(g)[1]
         assert not trace.used_fallback()
-        glued = [
-            (mask_of(step.working), mask_of(step.increment))
-            for step in trace.steps
-            if step.recursed
-        ]
+        glued = [(step.working, step.increment) for step in trace.steps if step.recursed]
         assert calls == glued
         total += len(calls)
     assert total == 332
@@ -706,7 +708,7 @@ def test_trees_settle_without_a_cycle_search(monkeypatch):
             searches = 0
             d, trace = construct(from_edge_list(tree.n, tree.edges))
             assert d == 0
-            assert trace.steps == (TraceStep("base:no-C4", (), ()),)
+            assert trace.steps == (TraceStep("base:no-C4", 0, 0),)
             assert searches == 0
 
 
@@ -822,16 +824,21 @@ def test_trace_checker_refuses_each_broken_fact():
     d, trace = construct(g)
     check_trace(g, d, trace)
     assert trace.steps[0] == TraceStep(
-        "Case 2:no-special", (0, 1, 2, 3, 5), (5,), ((4,), (6, 7, 8))
+        "Case 2:no-special", mask_of((0, 1, 2, 3, 5)), 1 << 5, (1 << 4, mask_of((6, 7, 8)))
     )
     k4 = complete(4)
     k4_set, k4_trace = construct(k4)
     cases = [
-        (g, d, _broken(trace, 0, recursed=((4,), (6, 7))), "not the components of P - S"),
+        (
+            g,
+            d,
+            _broken(trace, 0, recursed=(1 << 4, mask_of((6, 7)))),
+            "not the components of P - S",
+        ),
         # with no increment, the star at 5 sends three edges to 4
-        (g, 0, _broken(trace, 0, increment=()), "sends two edges out of S"),
-        (k4, k4_set, _broken(k4_trace, 0, increment=()), "leaves a 4-cycle in its piece"),
-        (k4, 0b11, _broken(k4_trace, 0, increment=(0, 1)), "overspends its budget"),
+        (g, 0, _broken(trace, 0, increment=0), "sends two edges out of S"),
+        (k4, k4_set, _broken(k4_trace, 0, increment=0), "leaves a 4-cycle in its piece"),
+        (k4, 0b11, _broken(k4_trace, 0, increment=0b11), "overspends its budget"),
         (g, d | 1, trace, "not the union"),
         (g, d, CaseTrace(trace.steps + trace.steps[-1:]), "no piece left"),
         (g, d, CaseTrace(trace.steps[:-1]), "have no step"),
@@ -860,8 +867,8 @@ def test_construct_calls_no_validating_set_helper(monkeypatch, members_and_hung)
     assert len(fired) >= 16
 
 
-#: sha256 of the lines f"{d} {trace.steps}\n" of construct over the 261,080
-#: classes of order 9, in code order
+#: sha256 of the lines f"{d} {steps}\n" of construct over the 261,080 classes
+#: of order 9, in code order, with each trace step written by step_ids
 ORDER9_CONSTRUCT_DIGEST = "02f4655f776310abae6606b326bb8e286b837a0a6bc19b9078cbb3b7cd436436"
 
 #: trace labels that construct never fires at order 9 (20 of 28 fire)
@@ -895,6 +902,6 @@ def test_order9_construct_sweep():
         assert d.bit_count() <= (g.m + 1) // 6, code
         check_trace(g, d, trace)
         fired.update(trace.labels)
-        digest.update(f"{d} {trace.steps}\n".encode())
+        digest.update(f"{d} {tuple(map(step_ids, trace.steps))}\n".encode())
     assert TRACE_LABELS - fired == ORDER9_UNFIRED
     assert digest.hexdigest() == ORDER9_CONSTRUCT_DIGEST

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
-from cycleiso.constructive import CaseTrace
+from cycleiso.constructive import CaseTrace, TraceStep
 from cycleiso.cycles import _cycles
 from cycleiso.family import ConsDecomposition, Tree
 from cycleiso.graphs import (
@@ -109,8 +109,16 @@ def increments_union(trace: CaseTrace) -> VertexSet:
     """The union of a case trace's step increments."""
     out = 0
     for step in trace.steps:
-        out |= mask_of(step.increment)
+        out |= step.increment
     return out
+
+
+def step_ids(step: TraceStep) -> TraceStep:
+    """A trace step with its masks written as id tuples, the form whose repr
+    the pinned trace digests were taken over."""
+    return TraceStep(
+        step.label, bits(step.working), bits(step.increment), tuple(map(bits, step.recursed))
+    )
 
 
 def graph_from_bitmask(n: int, mask: int) -> Graph:
@@ -212,7 +220,7 @@ def trace_pieces(g: Graph, trace: CaseTrace) -> list[VertexSet]:
         if not todo:
             raise AssertionError(f"step {len(pieces)} has no piece left to settle")
         pieces.append(todo.pop())
-        todo.extend(mask_of(r) for r in reversed(step.recursed))
+        todo.extend(reversed(step.recursed))
     if todo:
         raise AssertionError(f"{len(todo)} pieces have no step")
     return pieces
@@ -234,8 +242,7 @@ def check_trace(g: Graph, d: VertexSet, trace: CaseTrace) -> None:
     d must be that union."""
     union = 0
     for i, (step, p) in enumerate(zip(trace.steps, trace_pieces(g, trace))):
-        s, inc = mask_of(step.working), mask_of(step.increment)
-        children = [mask_of(r) for r in step.recursed]
+        s, inc, children = step.working, step.increment, step.recursed
         union |= inc
         where = f"step {i} ({step.label})"
         if (s | inc) & ~p:
