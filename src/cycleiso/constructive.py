@@ -11,7 +11,10 @@ isolating set D with |D| <= floor((m+1)/6) by structural recursion:
   leaving it, and split on that boundary count;
 * maximum degree >= 4: peel the closed neighbourhood of a maximum-degree
   vertex together with the special components (4-cycles, diamonds, family
-  members) it cuts off cheaply, then recurse on the remainder.
+  members) it cuts off cheaply, then recurse on the remainder.  Each
+  special piece H is measured once, for its attachment N(H) ∩ N(v) and
+  e(H, N[v]); Subcase 2.2 enters a 4-cycle or diamond H at the least
+  neighbour in H of H's least attachment vertex.
 
 Choosing the working cycle extremally up front makes the redirections
 between subcases unnecessary: whenever a branch would defer to a subcase
@@ -521,57 +524,59 @@ def _case2(
     if rest == 0:
         return _result(g, p, "Case 2:e=0", nv_closed, 1 << v)
     comps = _split(g, rest)
-    e = edges_between(adj, nv_closed, rest)
     specials = [c for c in comps if c.tag != "other"]
     others = [c for c in comps if c.tag == "other"]
 
     if not specials:
-        inner = edges_between(adj, nv_closed, nv_closed) // 2
-        if delta == 4 and e == 1 and inner == 4:
+        # only the star-bridge test, at delta = 4, reads e(N[v], rest) and N[v]'s inner edges
+        if (
+            delta == 4
+            and edges_between(adj, nv_closed, rest) == 1
+            and edges_between(adj, nv_closed, nv_closed) // 2 == 4
+        ):
             return _result(g, p, "Case 2:star-bridge", nv_closed, 0, recursed=others)
         return _result(g, p, "Case 2:no-special", nv_closed, 1 << v, recursed=others)
 
-    def n_of(c: ComponentClass) -> VertexSet:
-        return closed_of(adj, c.mask) & p & ~c.mask
-
-    def e_of(c: ComponentClass) -> int:
-        return edges_between(adj, c.mask, nv_closed)
-
-    qualifying = [c for c in specials if n_of(c).bit_count() == 1 or e_of(c) <= 2]
-    if qualifying:
-        return _subcase_2_1(g, p, v, specials, qualifying, n_of, e_of)
-    return _subcase_2_2(g, piece, v, delta, nv_closed, specials, others)
+    # each special piece H measured once: its attachment N(H) ∩ P - H and
+    # e(H, N[v]); H is a component of P - N[v] inside the connected piece P,
+    # so its attachment lies in N(v) and is never empty
+    measured = [
+        (c, closed_of(adj, c.mask) & p & ~c.mask, edges_between(adj, c.mask, nv_closed))
+        for c in specials
+    ]
+    # H* is the first that qualifies: pieces come least vertex first
+    for _, attachment, e in measured:
+        if attachment.bit_count() == 1 or e <= 2:
+            return _subcase_2_1(g, p, v, measured, attachment)
+    return _subcase_2_2(g, piece, v, delta, nv_closed, measured, others)
 
 
 def _subcase_2_1(
     g: Graph,
     p: VertexSet,
     v: int,
-    specials: list[ComponentClass],
-    qualifying: list[ComponentClass],
-    n_of,
-    e_of,
+    measured: list[tuple[ComponentClass, VertexSet, int]],
+    hstar_attachment: VertexSet,
 ) -> tuple[VertexSet, list[TraceStep]]:
-    # disjoint pieces, least vertex first: the first has the lex-least ids
-    hstar = qualifying[0]
-    v1 = min(bits(n_of(hstar)))
+    low = hstar_attachment & -hstar_attachment
+    v1 = low.bit_length() - 1
     picked = [
-        c
-        for c in specials
-        if n_of(c) == 1 << v1 or ((n_of(c) >> v1 & 1) and e_of(c) <= 2)
+        (c, e)
+        for c, attachment, e in measured
+        if attachment == low or (attachment & low and e <= 2)
     ]
     smask = 1 << v1
-    for c in picked:
+    for c, _ in picked:
         smask |= c.mask
     outside = p & ~smask
     pieces = _split(g, outside)
     gv = next(c for c in pieces if c.mask >> v & 1)
     others = [c for c in pieces if c is not gv]
 
-    c1 = sum(1 for c in picked if c.tag == "C4")
-    c2 = sum(1 for c in picked if c.tag == "diamond")
-    h3 = [c for c in picked if c.tag == "extremal"]
-    all_single = all(e_of(c) == 1 for c in picked)
+    c1 = sum(1 for c, _ in picked if c.tag == "C4")
+    c2 = sum(1 for c, _ in picked if c.tag == "diamond")
+    h3 = [c for c, _ in picked if c.tag == "extremal"]
+    all_single = all(e == 1 for _, e in picked)
     e_v1_out = (g.adj[v1] & outside).bit_count()
     conns = 0
     for c in h3:
@@ -615,32 +620,26 @@ def _subcase_2_2(
     v: int,
     delta: int,
     nv_closed: VertexSet,
-    specials: list[ComponentClass],
+    measured: list[tuple[ComponentClass, VertexSet, int]],
     others: list[ComponentClass],
 ) -> tuple[VertexSet, list[TraceStep]]:
     p = piece.mask
     nv_open = nv_closed & ~(1 << v)
     smask = nv_closed
-    for c in specials:
-        smask |= c.mask
-
-    def entry_vertex(c: ComponentClass) -> int:
-        for a in bits(nv_open):
-            hit = g.adj[a] & c.mask
-            if hit:
-                return min(bits(hit))
-        raise _DispatchError("special component not attached to the neighbourhood")
-
     d_s = 1 << v
-    for c in specials:
+    for c, attachment, _ in measured:
+        smask |= c.mask
         if c.tag in ("C4", "diamond"):
-            d_s |= 1 << entry_vertex(c)
+            # the entry vertex: the least neighbour in H of H's least attachment vertex
+            a = (attachment & -attachment).bit_length() - 1
+            hit = g.adj[a] & c.mask
+            d_s |= hit & -hit
         else:
             d_s |= c.conn_mask()
 
     if not others:
-        if delta == 4 and [c.tag for c in specials] == ["C4"] and piece.m == 11:
-            hstar = specials[0].mask
+        if delta == 4 and [c.tag for c, _, _ in measured] == ["C4"] and piece.m == 11:
+            hstar = measured[0][0].mask
 
             def bridges(x: int) -> int:
                 hood = (g.adj[x] & hstar) | (1 << x)

@@ -11,8 +11,9 @@ components, for the solver, the certificate and the constructive pieces.
 Each comes with its edge count and its least vertex of maximum degree,
 both read off the degrees the walk computes anyway; only the constructive
 recursion uses that vertex, the one its case analysis dispatches on.
-`connected` asks the walk for at most one component, for the connectivity
-tests of `is_connected`, the enumerator and `recognize`.
+`connected` runs the whole walk and answers whether it found at most one
+component, for the connectivity tests of `is_connected`, the enumerator
+and `recognize`.
 
 The public set helpers, `as_mask`, `closed_neighborhood` and
 `boundary_edge_count`, take a Graph and validate every set they are given:

@@ -212,20 +212,51 @@ def test_hung_corpus_digest():
     assert TRACE_LABELS - fired == HUNG_CORPUS_UNFIRED
 
 
-def test_subcase_2_2_counts_only_piece_neighbours():
+# (graph6, set, labels, index of the Subcase 2.2(ii) step, that step)
+SUBCASE_2_2_ENTRIES = [
     # in the second step v = 0 has the neighbour 5 outside its piece;
     # counting it moves an entry vertex and gives (0, 5, 8)
-    g = parse_graph6("P?iA?_SPCAD?G@_IOk?C_@W?")
+    (
+        "P?iA?_SPCAD?G@_IOk?C_@W?",
+        (0, 5, 7),
+        ("Subcase 2.1", "Subcase 2.2(ii)", "base:no-C4"),
+        1,
+        TraceStep(
+            "Subcase 2.2(ii)",
+            mask_of((0, 3, 4, 7, 8, 10, 13, 14, 16)),
+            mask_of((0, 7)),
+            (mask_of((2, 11, 12)),),
+        ),
+    ),
+    # the entry vertex is the least neighbour in H of H's least attachment
+    # vertex; taking H's highest attachment vertex gives the increment (4, 10)
+    (
+        "POSGOq_E?IWG?O@AS?AAOO?S",
+        (0, 4, 15),
+        ("Subcase 2.2(ii)", "Case 2:e=0", "base:no-C4"),
+        0,
+        TraceStep(
+            "Subcase 2.2(ii)",
+            mask_of((1, 3, 4, 5, 6, 7, 9, 10, 13, 15, 16)),
+            mask_of((4, 15)),
+            (mask_of((0, 2, 8, 11, 14)), 1 << 12),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "g6, members, labels, index, step",
+    SUBCASE_2_2_ENTRIES,
+    ids=["neighbour-outside-piece", "least-attachment-vertex"],
+)
+def test_subcase_2_2_counts_only_piece_neighbours(g6, members, labels, index, step):
+    g = parse_graph6(g6)
     assert (g.n, g.m) == (17, 27)
     d, trace = construct(g)
-    assert bits(d) == (0, 5, 7)
-    assert trace.labels == ("Subcase 2.1", "Subcase 2.2(ii)", "base:no-C4")
-    assert trace.steps[1] == TraceStep(
-        "Subcase 2.2(ii)",
-        mask_of((0, 3, 4, 7, 8, 10, 13, 14, 16)),
-        mask_of((0, 7)),
-        (mask_of((2, 11, 12)),),
-    )
+    assert bits(d) == members
+    assert trace.labels == labels
+    assert trace.steps[index] == step
 
 
 def test_trace_increments_union_is_output():
