@@ -5,6 +5,10 @@ sets, exact isolation numbers, the constructive bound with its case trace,
 building and recognising the extremal family, tree and connected-graph
 enumeration, and bound surveys over graph streams.
 
+Stdin is read as a --file is: the first non-blank line decides between
+graph6 and an edge list, a one-graph command takes one graph, and edge-list
+errors cite the stdin line.
+
 Exit codes: 0 success, 1 usage or parse error, 2 survey found violations,
 3 solver node budget exhausted.
 """
@@ -22,6 +26,7 @@ from itertools import chain
 from typing import Iterable, Optional
 
 from .constructive import bound_value, construct
+from .cycles import check_length
 from .family import Tree, build, enumerate_trees, recognize
 from .graphs import (
     Graph,
@@ -33,8 +38,6 @@ from .graphs import (
 )
 from .isolation import BudgetExceededError, iota_exact, verify
 from .survey import (
-    ENUMERATION_MAX_N,
-    ENUMERATION_RANGE_ERROR,
     BoundSpec,
     IngestFailure,
     SurveyReport,
@@ -108,15 +111,12 @@ def _read_text(path: Optional[str]) -> str:
 def _load_graph(args) -> Graph:
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
-    if args.file is not None:
-        text = _read_text(args.file)
-        if _looks_like_graph6(text):
-            return parse_graph6(text)
-        return parse_edge_list(text)
-    line = sys.stdin.readline()
-    if not line.strip():
+    text = _read_text(args.file)
+    if args.file is None and not text.strip():
         raise CliError("no graph on stdin")
-    return parse_graph6(line)
+    if _looks_like_graph6(text):
+        return parse_graph6(text)
+    return parse_edge_list(text)
 
 
 def _looks_like_graph6(text: str) -> bool:
@@ -312,11 +312,12 @@ def _survey_graphs(args) -> Iterable[Graph]:
             raise CliError("--enumerate conflicts with --graph6/--file input")
         if args.enumerate < 1:
             raise CliError("--enumerate needs N >= 1")
-        if args.enumerate > ENUMERATION_MAX_N:
-            raise CliError(ENUMERATION_RANGE_ERROR)
-        orders = [enumerate_connected(order) for order in range(1, args.enumerate + 1)]
-        # pulling each order's first graph builds its classes before any graph is solved
-        return chain.from_iterable([chain([next(order)], order) for order in orders])
+        top = enumerate_connected(args.enumerate)
+        # enumerate_connected checks the range here; each order grows from the
+        # one below, so this builds every order's classes before any is solved
+        first = next(top)
+        lower = [enumerate_connected(order) for order in range(1, args.enumerate)]
+        return chain(*lower, [first], top)
     source = args.graph6 if args.graph6 is not None else _read_text(args.file)
     failures: list[IngestFailure] = []
     graphs = list(ingest_graph6(source, failures if args.skip_bad else None))
@@ -513,10 +514,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "k", 3) < 3:
-        print("error: cycle length must be at least 3", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        check_length(getattr(args, "k", 3))
         # every command that reads --graph6 or --file takes one of them at most
         if getattr(args, "graph6", None) is not None and getattr(args, "file", None) is not None:
             raise CliError("give at most one of --graph6 and --file")

@@ -163,7 +163,8 @@ class ComponentClass:
         self.top = top
         self.decomposition = None
         n = mask.bit_count()
-        if n == 4 and m == 4 and all((g.adj[v] & mask).bit_count() == 2 for v in bits(mask)):
+        # the paw, the other connected graph with n = m = 4, has a top of degree 3
+        if n == 4 and m == 4 and (g.adj[top] & mask).bit_count() == 2:
             self.tag = "C4"
         elif n == 4 and m == 5:
             self.tag = "diamond"

@@ -163,6 +163,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import AbstractSet, Collection, Iterable, Iterator, Optional, Sequence, TextIO, Union
 
+from .cycles import check_length
 from .graphs import (
     Graph,
     GraphFormatError,
@@ -177,10 +178,6 @@ from .graphs import (
 from .isolation import BudgetExceededError, iota_exact
 
 ENUMERATION_MAX_N = 8
-ENUMERATION_RANGE_ERROR = (
-    f"built-in enumeration supports 1 <= n <= {ENUMERATION_MAX_N}; "
-    "ingest larger graphs from a graph6 stream"
-)
 
 
 # -- canonical forms -----------------------------------------------------------
@@ -493,7 +490,10 @@ def _connected_codes(n: int) -> tuple[int, ...]:
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """One canonical representative per isomorphism class of connected graphs."""
     if not 1 <= n <= ENUMERATION_MAX_N:
-        raise ValueError(ENUMERATION_RANGE_ERROR)
+        raise ValueError(
+            f"built-in enumeration supports 1 <= n <= {ENUMERATION_MAX_N}; "
+            "ingest larger graphs from a graph6 stream"
+        )
     for code in _connected_codes(n):
         yield graph_from_code(n, code)
 
@@ -548,8 +548,7 @@ class BoundSpec:
     _bounds: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k < 3:
-            raise ValueError("cycle length must be at least 3")
+        check_length(self.k)
         if self.d < 1:
             raise ValueError("bound denominator must be at least 1")
         object.__setattr__(self, "_codes", {})

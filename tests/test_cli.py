@@ -294,8 +294,27 @@ def test_empty_file_name_is_given_not_absent(capsys, monkeypatch, command):
     assert stdin.read() == "C~\n"
 
 
-def test_bad_k_rejected(capsys):
-    assert run_cli(capsys, "exact", "--graph6", "C~", "-k", "2")[0] == 1
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("verify", "--set", "0"),
+        ("exact",),
+        ("construct",),
+        ("cons",),
+        ("recognize",),
+        ("survey", "--bound-c4"),
+        ("check", "--bound-c4"),
+    ],
+    ids=lambda c: c[0],
+)
+def test_bad_k_rejected(capsys, monkeypatch, command):
+    # the preset fixes k=4 for the bound, so only the length check can refuse -k 2
+    stdin = io.StringIO("C~\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run_cli(capsys, *command, "-k", "2") == (
+        1, "", "error: cycle length must be at least 3\n"
+    )
+    assert stdin.read() == "C~\n"
 
 
 def test_out_of_range_vertex_set_exits_one(capsys):
@@ -381,8 +400,13 @@ def no_enumeration(monkeypatch):
     monkeypatch.setattr(survey_module, "canonical_code", refuse)
 
 
-def test_survey_enumerate_above_eight_fails_before_enumerating(capsys, no_enumeration):
-    code, out, err = run_cli(capsys, "survey", "--enumerate", "9")
+@pytest.mark.parametrize(
+    "extra",
+    [(), ("--format", "csv"), ("--format", "json"), ("--timing",)],
+    ids=["text", "csv", "json", "timing"],
+)
+def test_survey_enumerate_above_eight_fails_before_enumerating(capsys, no_enumeration, extra):
+    code, out, err = run_cli(capsys, "survey", "--enumerate", "9", *extra)
     assert code == 1
     assert out == ""
     assert err == (
@@ -535,9 +559,34 @@ def test_stdin_lines_end_only_at_newline():
     assert (proc.returncode, proc.stdout) == (0, b"iota: 1\nwitness: 0\nexplored: 4\n")
 
 
-def test_exact_on_an_empty_stdin_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
-    assert run_cli(capsys, "exact") == (1, "", "error: no graph on stdin\n")
+ONE_GRAPH_COMMANDS = [
+    ("exact",),
+    ("verify", "--set", "0"),
+    ("construct",),
+    ("recognize",),
+    ("check", "--bound-c4"),
+]
+
+
+@pytest.mark.parametrize("command", ONE_GRAPH_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "text",
+    ["\nDIk\n", "n 2\n0 1\n", "DIk\nDIk\n", "C~\r\n"],
+    ids=["blank-first", "edge-list", "two-records", "crlf"],
+)
+def test_stdin_reads_like_a_file(capsys, monkeypatch, tmp_path, command, text):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(text.encode())
+    from_file = run_cli(capsys, *command, "--file", str(path))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run_cli(capsys, *command) == from_file
+
+
+@pytest.mark.parametrize("command", ONE_GRAPH_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("text", ["", " \n\n\t\n"], ids=["empty", "whitespace"])
+def test_blank_stdin_holds_no_graph(capsys, monkeypatch, command, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run_cli(capsys, *command) == (1, "", "error: no graph on stdin\n")
 
 
 def test_survey_reads_a_graph6_stream_from_stdin(capsys, monkeypatch, tmp_path):
@@ -640,6 +689,23 @@ def test_survey_enumerates_every_order_before_solving(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "survey", solving)
     assert run_cli(capsys, "survey", "--enumerate", "5", "--bound-c4")[0] == 0
+
+
+def test_survey_builds_every_order_before_checking_a_graph(capsys, monkeypatch):
+    # the phase --timing reports as "enumerate" ends before the first check
+    survey_module = sys.modules["cycleiso.survey"]
+    survey_module._connected_codes.cache_clear()
+    real = survey_module.check_graph
+    cached = []
+
+    def checking(g, *args, **kwargs):
+        cached.append(survey_module._connected_codes.cache_info().currsize)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(survey_module, "check_graph", checking)
+    assert run_cli(capsys, "survey", "--enumerate", "5", "--bound-c4")[0] == 0
+    # 1 + 1 + 2 + 6 + 21 connected graphs of orders 1..5
+    assert cached == [5] * 31
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -25,8 +25,8 @@ LAYERS = {
     "isolation": ({"cycles", "graphs"}, set()),
     "family": ({"cycles", "graphs"}, set()),
     "constructive": ({"cycles", "family", "graphs", "isolation"}, set()),
-    "survey": ({"graphs", "isolation"}, {"family"}),
-    "cli": ({"constructive", "family", "graphs", "isolation", "survey"}, set()),
+    "survey": ({"cycles", "graphs", "isolation"}, {"family"}),
+    "cli": ({"constructive", "cycles", "family", "graphs", "isolation", "survey"}, set()),
     "__init__": ({"constructive", "cycles", "family", "graphs", "isolation", "survey"}, set()),
 }
 

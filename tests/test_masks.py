@@ -19,9 +19,16 @@ import pytest
 from cycleiso.constructive import ComponentClass, _split
 from cycleiso.cycles import all_cycles
 from cycleiso.family import ConsDecomposition, Constituent, Tree, build, recognize
-from cycleiso.graphs import Graph, components, from_edge_list, mask_of
+from cycleiso.graphs import Graph, bits, components, from_edge_list, mask_of
 from cycleiso.isolation import check_gluing_hypothesis, iota_exact
-from util import graph_from_bitmask, induced_subgraph, oracle_components, path, relabel
+from util import (
+    graph_from_bitmask,
+    induced_subgraph,
+    oracle_components,
+    oracle_is_member,
+    path,
+    relabel,
+)
 
 
 def _lift(decomp: ConsDecomposition | None, emb: tuple[int, ...]):
@@ -108,14 +115,19 @@ def _hung_graph(rng: random.Random) -> Graph:
     return relabel(from_edge_list(n, edges), perm)
 
 
+def _peeled_cases() -> list[Graph]:
+    """Members with extras and hung graphs, whose pieces after peeling one
+    vertex cover every tag."""
+    rng = random.Random(21)
+    cases = [_member_with_extras(seed)[0] for seed in range(3)]
+    return cases + [_hung_graph(rng) for _ in range(8)]
+
+
 def test_piece_record_matches_the_renumbered_piece():
     # the pieces are the components of g minus one vertex, as the
     # constructive recursion sees them after peeling
-    rng = random.Random(21)
-    cases = [_member_with_extras(seed)[0] for seed in range(3)]
-    cases += [_hung_graph(rng) for _ in range(8)]
     tags = set()
-    for g in cases:
+    for g in _peeled_cases():
         for v in range(g.n):
             alive = g.full_mask & ~(1 << v)
             pieces = zip(_split(g, alive), oracle_components(g, alive), strict=True)
@@ -127,6 +139,22 @@ def test_piece_record_matches_the_renumbered_piece():
                 assert got.decomposition == _lift(want.decomposition, emb)
                 tags.add(got.tag)
     assert tags == {"C4", "diamond", "extremal", "other"}
+
+
+def test_piece_tags_match_independent_oracles(universe6):
+    # each connected graph of order <= 6 taken whole, and each peeled piece;
+    # the paw shares the C4's order and size but not its degrees
+    pieces = [(g, _split(g, g.full_mask)[0]) for g in universe6]
+    for g in _peeled_cases():
+        for v in range(g.n):
+            pieces += [(g, c) for c in _split(g, g.full_mask & ~(1 << v))]
+    for g, c in pieces:
+        degrees = sorted((g.adj[v] & c.mask).bit_count() for v in bits(c.mask))
+        n, m = len(degrees), sum(degrees) // 2
+        assert (c.tag == "C4") == (degrees == [2, 2, 2, 2])
+        assert (c.tag == "diamond") == ((n, m) == (4, 5))
+        assert (c.tag == "extremal") == oracle_is_member(g, c.mask)
+    assert {c.tag for _, c in pieces} == {"C4", "diamond", "extremal", "other"}
 
 
 def test_recognize_finds_a_member_on_a_proper_mask():

@@ -725,7 +725,7 @@ def test_ingest_skip_mode_records_failure():
 
 
 def test_bound_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cycle length must be at least 3$"):
         BoundSpec(k=2)
     with pytest.raises(ValueError):
         BoundSpec(k=4, d=0)
