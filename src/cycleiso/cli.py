@@ -114,9 +114,12 @@ def _load_graph(args) -> Graph:
     text = _read_text(args.file)
     if args.file is None and not text.strip():
         raise CliError("no graph on stdin")
-    if _looks_like_graph6(text):
-        return parse_graph6(text)
-    return parse_edge_list(text)
+    if not _looks_like_graph6(text):
+        return parse_edge_list(text)
+    records = [(no, line) for no, line in enumerate(text.split("\n"), 1) if line.strip()]
+    if len(records) > 1:
+        raise CliError(f"line {records[1][0]}: a second graph6 record; this command takes one graph")
+    return parse_graph6(records[0][1])
 
 
 def _looks_like_graph6(text: str) -> bool:
@@ -508,8 +511,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: main's parser, built at its first call: parsing leaves a parser as it is,
+#: and each command's function reads what it calls at call time
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -109,8 +109,14 @@ def verify(g: Graph, d: Union[VertexSet, Iterable[int]], k: int) -> IsolationCer
     check_length(k)
     dm = as_mask(g, d)
     alive = g.full_mask & ~closed_of(g.adj, dm)
-    residual = tuple(comp for comp, _, _ in components(g.adj, alive))
-    valid = find_cycle(g, k, alive) is None
+    parts = components(g.adj, alive)
+    # a k-cycle lies in one component, and a tree or one of fewer than k
+    # vertices holds none
+    valid = not any(
+        m >= comp.bit_count() >= k and find_cycle(g, k, comp) is not None
+        for comp, m, _ in parts
+    )
+    residual = tuple(comp for comp, _, _ in parts)
     return IsolationCertificate(k=k, members=dm, valid=valid, residual=residual)
 
 
@@ -343,10 +349,12 @@ def check_gluing_hypothesis(
     # the masks are checked above, so the kernels take them as they are
     adj = g.adj
     residual = sm & ~closed_of(adj, dm)
-    if find_cycle(g, k, residual) is not None:
-        return False
     outside = alive & ~sm
-    for comp, _, _ in components(adj, residual):
+    for comp, m, _ in components(adj, residual):
         if edges_between(adj, comp, outside) > 1:
+            return False
+        # as in verify: only a component that is no tree and has k vertices
+        # or more can hold a k-cycle
+        if m >= comp.bit_count() >= k and find_cycle(g, k, comp) is not None:
             return False
     return True

@@ -66,10 +66,11 @@ vertex out of its cell, as refinement commutes with automorphisms, and
 every permutation of a class of twins is one, so Aut(G) is the product of
 the symmetric groups of the twin classes, which the twin swaps generate.  A
 settled root never branches, so it seeds no swaps; _canonical_search adds
-them afterwards when the generators are wanted, and canonical_code, which
-discards the generators, never builds them.  4,235 of the order-<=8
-enumerator's 13,854 searches have a discrete root and 6,163 more a settled
-one, and its refinements fall from 36,206 to 22,148.
+them afterwards when the generators are wanted, and canonical_code builds
+them only when it is given a list to put generators in.  4,082 of the
+order-<=8 enumerator's 12,858 searches have a discrete root and 5,657 more
+a settled one; they make 20,353 refinements, where reading no settled node
+off made 36,206 in 13,854 searches.
 
 When a leaf repeats the best code, the search jumps back to the node where
 the leaf's path leaves the best leaf's path: the first position where the
@@ -131,6 +132,18 @@ P that maps subset S to S' extends, fixing the new vertex, to an
 isomorphism between the two children that maps new vertex to new vertex, so
 the children share their class and their least-deletion verdict.
 
+Each class is searched once.  P is the canonical form of the first
+candidate of its class that the order below canonicalised, and that search
+also found generators of the candidate's automorphism group: the found ones
+and the seeded twin swaps, or the twin swaps alone at a settled root.  The
+canonical form's vertex i is the best leaf's i-th vertex, so conjugating
+each generator by that labelling gives generators of Aut(P), and the orbits
+on the subsets, which depend only on the group, come out as a fresh search
+of P would give them.  While an order is enumerated, the order below keeps
+these generators for its classes, and nothing else does: the top order
+keeps none, and an order read from the cache kept none, so its classes are
+searched again.
+
 Most subsets fail the least-deletion test on degree alone, so they are
 never walked.  Let d0 be the least degree of a non-cut vertex of P, and L
 the non-cut vertices of degree d0.  A non-cut vertex v of P stays non-cut
@@ -147,6 +160,17 @@ orbits: a subset that no earlier orbit reached is the least of its own,
 and applying the generators to the subsets of its orbit found so far
 reaches the rest.  So the generators act on admitted subsets only, and
 the representatives are those a walk over every subset would keep.
+
+The same argument spares the least-deletion test its connectivity walks.
+A vertex of P can beat the new vertex only if its degree in P is at most
+|H| <= d0 + 1, and the walks that find d0 and L test every vertex of P of
+such degree, so they also tell which of those are non-cut.  Each of these
+is non-cut in the child unless H is that vertex alone, and then it cannot
+beat the new vertex: its child degree is at least 2 = |H| + 1, or the child
+is K2 and their keys tie.  So the test walks only the cut vertices of P
+that it reaches, and no child up to order 8 needs one: the order-8
+enumeration makes 3,928 connectivity walks, all for d0 and L, where it
+made 7,500 when the test walked every vertex it reached.
 
 A survey evaluates iota(G, C_k) against a rational bound (a*n + b*m + c)/d
 for every graph of a stream, classifies each record as below / equal /
@@ -294,11 +318,13 @@ def _merge_orbits(root: list[int], perms: Iterable[Sequence[int]]) -> None:
 
 
 def _canonical_search(
-    n: int, adj: Sequence[int], *, generators: bool = True
+    n: int, adj: Sequence[int], *, generators: bool = True, canonical: bool = False
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Canonical code of the graph (n, adj) and a generating set of its
     automorphism group (see the module docstring).  With generators=False
-    the list is left empty when the root partition is settled."""
+    the list is left empty when the root partition is settled.  With
+    canonical=True the generators act on the vertices of the canonical form,
+    the graph the code encodes, whose vertex i is the best leaf's i-th."""
     nbits = n * (n - 1) // 2
     nbrs = [bits(row) for row in adj]
     # no leaf yet: a code of nbits + 1 bits is above every leaf and every prefix
@@ -390,17 +416,32 @@ def _canonical_search(
         # the root settled, so it seeded no swaps, and they generate Aut(G)
         # (a root that branched with no twins and found nothing has none)
         gens = _twin_swaps(adj, cells)
+    if canonical:
+        # p conjugated by the labelling: best_leaf[i] -> p[best_leaf[i]] in form ids
+        at = [0] * n
+        for i, v in enumerate(best_leaf):
+            at[v] = i
+        gens = [tuple([at[p[v]] for v in best_leaf]) for p in gens]
     return best, gens
 
 
-def canonical_code(n: int, adj: Sequence[int]) -> int:
-    """Canonical adjacency encoding of (n, adj): equal codes <=> isomorphic graphs."""
-    return _canonical_search(n, adj, generators=False)[0]
+def canonical_code(
+    n: int, adj: Sequence[int], *, generators: Optional[list[tuple[int, ...]]] = None
+) -> int:
+    """Canonical adjacency encoding of (n, adj): equal codes <=> isomorphic
+    graphs.  A list given as generators is extended by a generating set of
+    the automorphism group of the canonical form, the graph the code encodes."""
+    if generators is None:
+        return _canonical_search(n, adj, generators=False)[0]
+    code, gens = _canonical_search(n, adj, canonical=True)
+    generators += gens
+    return code
 
 
-def _is_least_deletion(adj: Sequence[int]) -> bool:
+def _is_least_deletion(adj: Sequence[int], non_cut: int = 0) -> bool:
     """Whether no non-cut vertex has a smaller (degree, sorted neighbour
-    degrees) key than the last vertex, itself a non-cut vertex."""
+    degrees) key than the last vertex, itself a non-cut vertex.  The
+    vertices of non_cut are known to be non-cut and are not walked."""
     deg = [row.bit_count() for row in adj]
     last = len(adj) - 1
     full = (1 << len(adj)) - 1
@@ -413,24 +454,27 @@ def _is_least_deletion(adj: Sequence[int]) -> bool:
                 least = sorted(map(deg.__getitem__, bits(adj[last])))
             if sorted(map(deg.__getitem__, bits(adj[v]))) >= least:
                 continue
-        if connected(adj, full & ~(1 << v)):
+        if non_cut >> v & 1 or connected(adj, full & ~(1 << v)):
             return False
     return True
 
 
-def _least_non_cut(adj: Sequence[int]) -> tuple[int, int]:
-    """Least degree d0 over the non-cut vertices of a connected graph, and
-    the mask of the non-cut vertices of degree d0."""
+def _least_non_cut(adj: Sequence[int]) -> tuple[int, int, int]:
+    """Least degree d0 over the non-cut vertices of a connected graph, the
+    mask of the non-cut vertices of degree d0, and a mask of non-cut
+    vertices that holds every one of degree at most d0 + 1."""
     full = (1 << len(adj)) - 1
-    d0, least = len(adj), 0
+    d0, least, non_cut = len(adj), 0, 0
     for v, row in enumerate(adj):
         d = row.bit_count()
-        if d > d0 or not connected(adj, full & ~(1 << v)):
+        if d > d0 + 1 or not connected(adj, full & ~(1 << v)):
             continue
+        non_cut |= 1 << v
         if d < d0:
             d0, least = d, 0
-        least |= 1 << v
-    return d0, least
+        if d == d0:
+            least |= 1 << v
+    return d0, least, non_cut
 
 
 def _admitted_hoods(n: int, d0: int, least: int) -> list[int]:
@@ -469,21 +513,42 @@ def _mask_orbit_representatives(gens: Sequence[Sequence[int]], hoods: Iterable[i
     return reps
 
 
+#: while an order is enumerated, the generators of the classes of the order
+#: below, by order and then code, so that no parent is searched again
+_class_generators: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+
+
 @lru_cache(maxsize=None)
 def _connected_codes(n: int) -> tuple[int, ...]:
+    # the order above, while it is enumerated, has asked for these classes'
+    # generators; ask the order below for its own, which a cached order lacks
+    keep = _class_generators.get(n)
     if n == 1:
+        if keep is not None:
+            keep[0] = []  # K1's group is trivial
         return (0,)
+    kept = _class_generators[n - 1] = {}
+    try:
+        parents = _connected_codes(n - 1)
+    finally:
+        del _class_generators[n - 1]
     codes = set()
     new = 1 << (n - 1)
-    for parent_code in _connected_codes(n - 1):
+    for parent_code in parents:
         base = adjacency_from_code(n - 1, parent_code)
-        _, gens = _canonical_search(n - 1, base)
-        hoods = _admitted_hoods(n - 1, *_least_non_cut(base))
-        for hood in _mask_orbit_representatives(gens, hoods):
+        gens = kept.pop(parent_code, None)
+        if gens is None:
+            gens = _canonical_search(n - 1, base)[1]
+        d0, least, non_cut = _least_non_cut(base)
+        for hood in _mask_orbit_representatives(gens, _admitted_hoods(n - 1, d0, least)):
             adj = [row | new if hood >> u & 1 else row for u, row in enumerate(base)]
             adj.append(hood)
-            if _is_least_deletion(adj):
-                codes.add(canonical_code(n, adj))
+            if _is_least_deletion(adj, non_cut):
+                found = None if keep is None else []
+                code = canonical_code(n, adj, generators=found)
+                codes.add(code)
+                if keep is not None:
+                    keep.setdefault(code, found)
     return tuple(sorted(codes))
 
 

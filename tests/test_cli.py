@@ -549,6 +549,25 @@ def _run_module(argv: list[str], stdin: bytes) -> subprocess.CompletedProcess:
     )
 
 
+def test_commands_back_to_back_match_fresh_processes(capsys, monkeypatch):
+    # the parser is built once per process: commands run one after another
+    # in one process, errors and help included, print what each prints alone
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+    commands = [
+        ["exact", "--graph6", "C~"],
+        ["verify", "--graph6", "C~"],  # --set is required
+        ["survey", "--help"],
+        ["construct", "--graph6", "DIk", "--format", "json"],
+        ["exact", "--budget", "1_0", "--graph6", "C~"],
+        ["enumerate", "-n", "4"],
+        ["--help"],
+    ]
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        fresh = _run_module(argv, b"")
+        assert (code, out, err) == (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()), argv
+
+
 def test_stdin_lines_end_only_at_newline():
     # the real stdin, not a StringIO, splits lines only at "\n" on POSIX
     # systems, as a --file does
@@ -580,6 +599,22 @@ def test_stdin_reads_like_a_file(capsys, monkeypatch, tmp_path, command, text):
     from_file = run_cli(capsys, *command, "--file", str(path))
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert run_cli(capsys, *command) == from_file
+
+
+@pytest.mark.parametrize("command", ONE_GRAPH_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("source", ["stdin", "file"])
+@pytest.mark.parametrize(
+    "text, line", [("DIk\nDIk\n", 2), ("\nDIk\n \nC~", 4)], ids=["next-line", "after-blanks"]
+)
+def test_second_graph6_record_names_its_line(capsys, monkeypatch, tmp_path, command, source, text, line):
+    if source == "file":
+        path = tmp_path / "graphs.g6"
+        path.write_text(text)
+        command += ("--file", str(path))
+    else:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    expected = f"error: line {line}: a second graph6 record; this command takes one graph\n"
+    assert run_cli(capsys, *command) == (1, "", expected)
 
 
 @pytest.mark.parametrize("command", ONE_GRAPH_COMMANDS, ids=lambda c: c[0])

@@ -32,6 +32,7 @@ from util import (
     disjoint_union,
     graph_from_bitmask,
     induced_subgraph,
+    oracle_components,
     oracle_iota,
     oracle_is_isolating,
     oracle_lex_least_witness,
@@ -65,6 +66,25 @@ def test_verify_residual_component_masks():
     assert induced_subgraph(g, mask)[0].m == 2
     cert = verify(interleaved_c4_and_diamond(), 0, 4)
     assert cert.residual == (mask_of([0, 2, 4, 6]), mask_of([1, 3, 5, 7]))
+
+
+def test_verify_and_gluing_match_oracles_on_small_graphs(universe6):
+    # both test for a k-cycle per residual component, skipping trees and
+    # components of fewer than k vertices; the booleans must not move
+    rng = random.Random(6)
+    for g in universe6 + [disjoint_union(cycle(4), diamond()), disjoint_union(cycle(5), cycle(3))]:
+        for k in range(3, 7):
+            for d in [0] + [1 << v for v in range(g.n)]:
+                assert verify(g, d, k).valid == oracle_is_isolating(g, tuple(bits(d)), k)
+            for _ in range(4):
+                s = rng.randrange(1 << g.n)
+                d = s & rng.randrange(1 << g.n)
+                residual = s & ~mask_of(u for v in bits(d) for u in (v, *bits(g.adj[v])))
+                expected = oracle_is_isolating(g, tuple(bits(d)), k, s) and all(
+                    sum((g.adj[v] & ~s).bit_count() for v in bits(comp)) <= 1
+                    for comp, _, _ in oracle_components(g, residual)
+                )
+                assert check_gluing_hypothesis(g, s, d, k) == expected
 
 
 def interleaved_c4_and_diamond():

@@ -11,6 +11,7 @@ from cycleiso.family import Tree, build, enumerate_trees
 from cycleiso.graphs import (
     Graph,
     GraphFormatError,
+    adjacency_from_code,
     bits,
     encode_graph6,
     from_edge_list,
@@ -78,9 +79,9 @@ def test_least_deletion_filter_matches_unfiltered_augmentation(
     # from the previous one by canonicalising every one-vertex augmentation
     calls = []
 
-    def counting(n, adj):
+    def counting(n, adj, **kwargs):
         calls.append(n)
-        return canonical_code(n, adj)
+        return canonical_code(n, adj, **kwargs)
 
     # through sys.modules: the package attribute cycleiso.survey is the survey() function
     monkeypatch.setattr(sys.modules["cycleiso.survey"], "canonical_code", counting)
@@ -127,18 +128,25 @@ def _symmetric_stream(seed: int, count: int) -> list[Graph]:
     return out
 
 
-def _oracle_least_non_cut(g: Graph) -> tuple[int, int]:
+def _oracle_least_non_cut(g: Graph) -> tuple[int, int, int]:
     non_cut = [
         v for v in range(g.n) if len(oracle_components(g, g.full_mask & ~(1 << v))) <= 1
     ]
     d0 = min(g.adj[v].bit_count() for v in non_cut)
-    return d0, sum(1 << v for v in non_cut if g.adj[v].bit_count() == d0)
+    least = sum(1 << v for v in non_cut if g.adj[v].bit_count() == d0)
+    return d0, least, sum(1 << v for v in non_cut)
 
 
 def test_least_non_cut_matches_brute_force(universe7):
     # K3-v-K3 (order 7) is the smallest graph with a cut vertex of least degree
     for g in universe7 + _symmetric_stream(5, 40):
-        assert _least_non_cut(g.adj) == _oracle_least_non_cut(g)
+        d0, least, non_cut = _least_non_cut(g.adj)
+        oracle_d0, oracle_least, oracle_non_cut = _oracle_least_non_cut(g)
+        assert (d0, least) == (oracle_d0, oracle_least)
+        # non-cut vertices only, and every one of degree at most d0 + 1
+        low = sum(1 << v for v in range(g.n) if g.adj[v].bit_count() <= d0 + 1)
+        assert not non_cut & ~oracle_non_cut
+        assert not oracle_non_cut & low & ~non_cut
 
 
 def test_degree_prefilter_drops_only_hoods_the_filter_rejects():
@@ -147,7 +155,7 @@ def test_degree_prefilter_drops_only_hoods_the_filter_rejects():
     for n in range(2, 8):
         for parent_code in _connected_codes(n - 1):
             parent = graph_from_code(n - 1, parent_code)
-            d0, least = _oracle_least_non_cut(parent)
+            d0, least, _ = _oracle_least_non_cut(parent)
             _, gens = _canonical_search(parent.n, parent.adj)
             for hood in _mask_orbit_representatives(gens, range(1, 1 << parent.n)):
                 size = hood.bit_count()
@@ -182,7 +190,7 @@ def test_admitted_hood_walk_matches_brute_force(universe7):
     # admitted hoods are a union of orbits
     for g in universe7:
         _, gens = _canonical_search(g.n, g.adj)
-        d0, least = _oracle_least_non_cut(g)
+        d0, least, _ = _oracle_least_non_cut(g)
         hoods = _admitted_hoods(g.n, d0, least)
         assert hoods == [h for h in range(1, 1 << g.n) if _admitted(h, d0, least)]
         walked = _mask_orbit_representatives(gens, hoods)
@@ -213,13 +221,105 @@ def test_least_deletion_checks_per_order_are_pinned(cold_enumeration_cache, monk
     checks = {}
     real = survey_module._is_least_deletion
 
-    def counting(adj):
+    def counting(adj, *args):
         checks[len(adj)] = checks.get(len(adj), 0) + 1
-        return real(adj)
+        return real(adj, *args)
 
     monkeypatch.setattr(survey_module, "_is_least_deletion", counting)
     _connected_codes(7)
     assert [checks[n] for n in range(2, 8)] == [1, 2, 6, 23, 137, 1192]
+
+
+def test_each_class_is_searched_once(cold_enumeration_cache, monkeypatch, connected_codes8):
+    # a cold order 7 searches only the 1,028 candidates of orders 2..7: each
+    # parent reuses the generators its own search found as a candidate
+    survey_module = sys.modules["cycleiso.survey"]
+    searched = []
+    real = survey_module._canonical_search
+
+    def counting(n, adj, **kwargs):
+        searched.append(n)
+        return real(n, adj, **kwargs)
+
+    monkeypatch.setattr(survey_module, "_canonical_search", counting)
+    _connected_codes.cache_clear()  # connected_codes8 may have just filled it
+    assert _connected_codes(7) == connected_codes8[6]
+    assert len(searched) == 1028
+    # an order taken from the cache kept no generators: its parents are searched again
+    _connected_codes.cache_clear()
+    _connected_codes(6)
+    searched.clear()
+    assert _connected_codes(7) == connected_codes8[6]
+    # 885 candidates of order 7 and a search of each of the 112 parents
+    assert len(searched) == 885 + 112
+    assert not survey_module._class_generators
+
+
+@pytest.fixture(scope="module")
+def kept_generators():
+    """The generators the enumerator keeps for each class of orders 1..7, by
+    (order, code): each order is enumerated cold as if the order above had
+    asked for them."""
+    survey_module = sys.modules["cycleiso.survey"]
+    kept = {}
+    try:
+        for n in range(1, 8):
+            _connected_codes.cache_clear()
+            sink = survey_module._class_generators[n] = {}
+            codes = _connected_codes(n)
+            del survey_module._class_generators[n]
+            assert sorted(sink) == list(codes)
+            kept.update(((n, code), gens) for code, gens in sink.items())
+    finally:
+        survey_module._class_generators.clear()
+        _connected_codes.cache_clear()
+    return kept
+
+
+def test_kept_generators_are_automorphisms_of_the_canonical_form(kept_generators):
+    assert len(kept_generators) == 1 + 1 + 2 + 6 + 21 + 112 + 853
+    for (n, code), gens in kept_generators.items():
+        adj = adjacency_from_code(n, code)
+        for p in gens:
+            assert sorted(p) == list(range(n))
+            assert all(sum(1 << p[u] for u in bits(adj[v])) == adj[p[v]] for v in range(n))
+
+
+def test_kept_generators_give_the_searched_hood_orbits(kept_generators):
+    # the orbit representatives depend only on the group the generators
+    # generate, so the kept ones must give what a fresh search of the
+    # canonical form gives, on the admitted hoods and on every hood
+    for (n, code), gens in kept_generators.items():
+        adj = adjacency_from_code(n, code)
+        fresh = _canonical_search(n, adj)[1]
+        hoods = _admitted_hoods(n, *_least_non_cut(adj)[:2])
+        assert _mask_orbit_representatives(gens, hoods) == _mask_orbit_representatives(fresh, hoods)
+        every = range(1, 1 << n)
+        assert _mask_orbit_representatives(gens, every) == _mask_orbit_representatives(fresh, every)
+
+
+def test_parent_non_cut_mask_matches_walking_least_deletion():
+    # a non-cut vertex of the parent that can beat the new vertex is non-cut
+    # in the child: every admitted hood of every parent of order <= 7, and
+    # every hood of those of order <= 6
+    for n in range(2, 9):
+        for parent_code in _connected_codes(n - 1):
+            base = adjacency_from_code(n - 1, parent_code)
+            d0, least, non_cut = _least_non_cut(base)
+            every = range(1, 1 << (n - 1))
+            for hood in every if n < 8 else _admitted_hoods(n - 1, d0, least):
+                adj = [row | 1 << (n - 1) if hood >> u & 1 else row for u, row in enumerate(base)]
+                adj.append(hood)
+                assert _is_least_deletion(adj, non_cut) == _is_least_deletion(adj)
+    # none of those needs a cut vertex walked; here the new vertex 8 closes
+    # K4 - 4 - K4, and only the walk shows that 4, whose key is least, is cut
+    parent = from_edge_list(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5),
+                                (5, 6), (5, 7), (6, 7)])
+    d0, least, non_cut = _least_non_cut(parent.adj)
+    hood = 0b11100000
+    assert hood in _admitted_hoods(8, d0, least) and not non_cut >> 4 & 1
+    adj = [row | 1 << 8 if hood >> u & 1 else row for u, row in enumerate(parent.adj)] + [hood]
+    assert _is_least_deletion(adj, non_cut) and _is_least_deletion(adj)
 
 
 def _colours(cells: list[list[int]], n: int) -> list[int]:
